@@ -15,7 +15,7 @@ from .atlas import (GluingData, ManifoldPoint, check_cocycle, check_global_morph
                     projective_superline, superline_squaring_map, transport)
 from .calculus import (BGNQuotient, DerivativeData, HadamardDecomposition, HadamardFactor,
                        bgn_quotient, check_def43, check_lambda_linearity, check_taylor,
-                       derivative, derivative_family, hadamard_decompose,
+                       derivative, hadamard_decompose,
                        taylor_polynomial, taylor_remainder_vanishes)
 from .continuation import (check_naturality, default_morphism_battery, eval_subst,
                            eval_taylor, taylor_increment, taylor_shells,
@@ -24,12 +24,12 @@ from .errors import (DomainError, NotInvertibleError, ParityError, ParseError,
                      RankCapError, RankMismatchError, SpaceMismatchError, SuperskelError)
 from .grassmann import GrassmannElement, GrassmannMorphism, max_rank
 from .morphisms import (PointEvaluation, check_algebra_morphism, compose_formula,
-                        compose_subst, decode_point, encode_point, pullback,
+                        compose_subst, decode_point, encode_point,
                         substitute_superfunction)
 from .poly import Polynomial, RationalFunction
 from .report import CheckItem, CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
-from .superfn import Skeleton, SuperFunction, identity_skeleton, mul_monomial, mul_shuffle
+from .superfn import Skeleton, SuperFunction, mul_shuffle
 
 __version__ = "0.1.0"
 
@@ -43,10 +43,10 @@ __all__ = [
     "Vector", "bgn_quotient", "check_algebra_morphism", "check_cocycle",
     "check_def43", "check_global_morphism", "check_lambda_linearity",
     "check_naturality", "check_taylor", "compose_formula", "compose_subst",
-    "decode_point", "default_morphism_battery", "derivative", "derivative_family",
+    "decode_point", "default_morphism_battery", "derivative",
     "encode_point", "eval_subst", "eval_taylor", "hadamard_decompose",
-    "identity_skeleton", "max_rank", "mul_monomial", "mul_shuffle",
-    "projective_superline", "pullback", "substitute_superfunction",
+    "max_rank", "mul_shuffle",
+    "projective_superline", "substitute_superfunction",
     "superline_squaring_map", "taylor_increment", "taylor_polynomial",
     "taylor_remainder_vanishes", "taylor_shells", "transport",
     "truncation_consistent",

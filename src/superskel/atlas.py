@@ -99,7 +99,7 @@ def check_cocycle(data: GluingData, rng=None, samples: int = 25,
 
     for i in ids:
         identity = data.transition(i, i)
-        ok = _components_equal(identity, Skeleton.identity(*_chart_pair(data, i)))
+        ok = _components_equal(identity, Skeleton.identity(*data.charts[i]))
         report.add(f"transition({i},{i}) is the identity", ok)
 
     for (i, j) in sorted(data.transitions):
@@ -156,11 +156,6 @@ def check_cocycle(data: GluingData, rng=None, samples: int = 25,
                 report.add(f"cocycle {i}->{j}->{k} on {len(points)} sampled points",
                            bad == 0, f"{bad} failures" if bad else "")
     return report
-
-
-def _chart_pair(data: GluingData, cid):
-    space, domain = data.charts[cid]
-    return space, domain
 
 
 def transport(data: GluingData, mp: ManifoldPoint, to_chart: str) -> ManifoldPoint:

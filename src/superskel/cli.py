@@ -14,13 +14,22 @@ from pathlib import Path
 
 from . import parsing, selftest
 from .atlas import ManifoldPoint, check_cocycle, transport
-from .calculus import (bgn_quotient, check_def43, check_lambda_linearity, check_taylor,
-                       derivative)
+from .calculus import check_bgn, check_def43, check_lambda_linearity, check_taylor, derivative
 from .continuation import check_naturality, eval_subst, eval_taylor
 from .errors import ParseError, SuperskelError
+from .grassmann import max_rank
 from .morphisms import compose_formula, compose_subst
 
-CHECK_KINDS = ("naturality", "bgn", "linearity", "def43", "taylor")
+# check kind -> check(skeleton, rank, rng, sample count)
+_CHECKS = {
+    "naturality": lambda f, rank, rng, n: check_naturality(f, rank, rng=rng, sample_count=n),
+    "bgn": check_bgn,
+    "linearity": lambda f, rank, rng, n: check_lambda_linearity(f, rank, rng=rng,
+                                                                sample_count=n),
+    "def43": check_def43,
+    "taylor": check_taylor,
+}
+CHECK_KINDS = tuple(_CHECKS)
 
 
 def _read(path: str) -> str:
@@ -68,9 +77,6 @@ def _cmd_compose(args) -> int:
 
 def _cmd_diff(args) -> int:
     skeleton = _load_skeleton(args.skeleton)
-    if args.order < 1:
-        print("error: --order must be at least 1", file=sys.stderr)
-        return 2
     data = derivative(skeleton, args.order)
     from itertools import product as iproduct
 
@@ -91,39 +97,7 @@ def _cmd_diff(args) -> int:
 
 def _cmd_check(args) -> int:
     skeleton = _load_skeleton(args.skeleton)
-    rng = random.Random(args.seed)
-    rank = args.rank
-    if args.kind == "naturality":
-        report = check_naturality(skeleton, rank, rng=rng, sample_count=args.samples)
-    elif args.kind == "linearity":
-        report = check_lambda_linearity(skeleton, rank, rng=rng, sample_count=args.samples)
-    elif args.kind == "def43":
-        report = check_def43(skeleton, rank, rng, cases=args.samples)
-    elif args.kind == "taylor":
-        report = check_taylor(skeleton, rank, rng, cases=args.samples)
-    else:  # bgn
-        from .report import CheckReport
-
-        report = CheckReport("difference quotient")
-        quotient = bgn_quotient(skeleton)
-        report.add("f(x+tv) - f(x) = t * quotient symbolically", quotient.identity_holds())
-        from . import randgen
-        from .errors import DomainError
-
-        for case in range(args.samples):
-            x = randgen.random_point(rng, quotient.extended_space, rank,
-                                     quotient.extended_domain)
-            try:
-                lhs = eval_subst(quotient.shifted, x, check_domain=False)
-                rhs = eval_subst(quotient.unshifted, x, check_domain=False)
-                qv = eval_subst(quotient.quotient, x, check_domain=False)
-            except DomainError:
-                report.add_skip(f"sampled identity {case}", "denominator hit at sample")
-                continue
-            t_val = x.even_values[2 * skeleton.source_space.even_dim]
-            ok = all(a - b == t_val * q for a, b, q in
-                     zip(lhs.entries(), rhs.entries(), qv.entries()))
-            report.add(f"sampled identity {case}", ok)
+    report = _CHECKS[args.kind](skeleton, args.rank, random.Random(args.seed), args.samples)
     print(report.summary(verbose=args.verbose))
     return 0 if report.ok else 1
 
@@ -160,6 +134,27 @@ def _cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
+def _bounded(text: str, low: int, high: int | None = None) -> int:
+    """Parse an integer option in [low, high]; argparse turns the
+    ArgumentTypeError into a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < low or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"between {low} and {high}"
+        raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    return _bounded(text, 1)
+
+
+def _rank(text: str) -> int:
+    return _bounded(text, 0, max_rank())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superskel",
@@ -181,14 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser("diff", help="print symbolic derivative data")
     p_diff.add_argument("skeleton")
-    p_diff.add_argument("--order", type=int, default=1)
+    p_diff.add_argument("--order", type=_count, default=1)
     p_diff.set_defaults(func=_cmd_diff)
 
     p_check = sub.add_parser("check", help="run a verification battery on a skeleton")
     p_check.add_argument("kind", choices=CHECK_KINDS)
     p_check.add_argument("skeleton")
-    p_check.add_argument("--rank", type=int, default=4)
-    p_check.add_argument("--samples", type=int, default=5)
+    p_check.add_argument("--rank", type=_rank, default=4)
+    p_check.add_argument("--samples", type=_count, default=5)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--verbose", action="store_true")
     p_check.set_defaults(func=_cmd_check)
@@ -197,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     glue_sub = p_glue.add_subparsers(dest="glue_command", required=True)
     g_check = glue_sub.add_parser("check", help="verify the cocycle conditions")
     g_check.add_argument("manifold")
-    g_check.add_argument("--samples", type=int, default=25)
+    g_check.add_argument("--samples", type=_count, default=25)
     g_check.add_argument("--seed", type=int, default=0)
     g_check.add_argument("--verbose", action="store_true")
     g_check.set_defaults(func=_cmd_glue)
@@ -221,10 +216,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,11 @@ indexed by strictly increasing label tuples; the empty tuple is the body
 two monomials sharing a generator multiply to zero, otherwise the result is
 the merged monomial times (-1)^(number of label inversions).
 
+The arithmetic itself is written once, as private functions over ``terms``
+dicts, and works over any coefficient ring whose zero is falsy: Fractions
+here, rational functions for the odd-monomial part of a ``SuperFunction``
+(an element of C(U) tensor the exterior algebra on the odd coordinates).
+
 Morphisms between these algebras are determined by the generator images,
 which must be purely odd; this makes the induced map even and unital.
 """
@@ -16,6 +21,7 @@ import os
 from fractions import Fraction
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
+from .poly import _signed_sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -79,6 +85,120 @@ def sort_sign(labels) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(labels)
 
 
+# -- exterior-algebra kernel -------------------------------------------------
+# ``terms`` dicts map strictly increasing label tuples to nonzero coefficients
+# of a ring whose zero is falsy (Fraction, RationalFunction).  ``_canonical``
+# builds one from raw input and ``_accumulate`` updates one in place; the
+# others leave their arguments alone and return new canonical dicts.
+
+
+def _accumulate(terms: dict, labels, coeff) -> None:
+    """terms[labels] += coeff in place, dropping the entry when it cancels."""
+    old = terms.get(labels)
+    new = coeff if old is None else old + coeff
+    if new:
+        terms[labels] = new
+    else:
+        terms.pop(labels, None)
+
+
+def _canonical(terms, top: int, coerce, what: str) -> dict:
+    """Validate raw input: coerce coefficients, drop zeros, require labels in
+    1..top and strictly increasing, and sum repeated labels."""
+    clean = {}
+    for labels, coeff in (terms or {}).items():
+        coeff = coerce(coeff)
+        if not coeff:
+            continue
+        labels = tuple(int(l) for l in labels)
+        if any(l < 1 or l > top for l in labels):
+            raise SuperskelError(f"{what} label out of range in {labels} (at most {top})")
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise SuperskelError(f"{what} labels must be strictly increasing, got {labels}")
+        _accumulate(clean, labels, coeff)
+    return clean
+
+
+def _sum(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for labels, coeff in b.items():
+        _accumulate(terms, labels, coeff)
+    return terms
+
+
+def _negate(terms: dict) -> dict:
+    return {l: -c for l, c in terms.items()}
+
+
+def _scale(terms: dict, factor) -> dict:
+    if not factor:
+        return {}
+    return {l: c * factor for l, c in terms.items()}
+
+
+def _soul(terms: dict) -> dict:
+    """Everything except the body (empty-label) term."""
+    return {l: c for l, c in terms.items() if l}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Exterior product: monomials sharing a label vanish, the rest merge
+    with the sign of their label inversions."""
+    terms = {}
+    for l1, c1 in a.items():
+        for l2, c2 in b.items():
+            sign, merged = merge_sign(l1, l2)
+            if not sign:
+                continue
+            _accumulate(terms, merged, c1 * c2 if sign > 0 else -(c1 * c2))
+    return terms
+
+
+def _power(terms: dict, n, one) -> dict:
+    """``terms ** n`` by repeated squaring; ``one`` is the ring's unit."""
+    if not isinstance(n, int) or n < 0:
+        raise SuperskelError("powers must be non-negative integers")
+    result = {(): one}
+    while n:
+        if n & 1:
+            result = _product(result, terms)
+        n >>= 1
+        if n:
+            terms = _product(terms, terms)
+    return result
+
+
+def _has_parity(terms: dict, parity: int) -> bool:
+    return all(len(l) % 2 == parity for l in terms)
+
+
+def _parity(terms: dict):
+    """0 for even, 1 for odd, None for mixed; zero counts as even."""
+    if _has_parity(terms, 0):
+        return 0
+    if _has_parity(terms, 1):
+        return 1
+    return None
+
+
+def _geometric_inverse(inv_body, soul: dict, steps: int) -> dict:
+    """Inverse of body + soul, given inv_body = 1/body and a nilpotent soul.
+
+    1/(b + n) = sum_k (-1)^k n^k / b^(k+1), which terminates because n^k
+    vanishes once k exceeds ``steps`` (or earlier).
+    """
+    result = {(): inv_body}
+    power = None
+    scale = inv_body
+    for _ in range(steps):
+        power = soul if power is None else _product(power, soul)
+        if not power:
+            break
+        scale = -scale * inv_body
+        result = _sum(result, _scale(power, scale))
+    return result
+
+
 def _as_fraction(value):
     if isinstance(value, Fraction):
         return value
@@ -96,21 +216,8 @@ class GrassmannElement:
         if rank < 0:
             raise SuperskelError("rank must be non-negative")
         _check_rank_cap(rank)
-        clean = {}
-        for labels, coeff in (terms or {}).items():
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                continue
-            labels = tuple(int(l) for l in labels)
-            if any(l < 1 or l > rank for l in labels):
-                raise SuperskelError(f"generator label out of range in {labels} (rank {rank})")
-            if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
-                raise SuperskelError(f"labels must be strictly increasing, got {labels}")
-            clean[labels] = clean.get(labels, _ZERO) + coeff
-            if clean[labels] == 0:
-                del clean[labels]
         self.rank = rank
-        self.terms = clean
+        self.terms = _canonical(terms, rank, _as_fraction, "generator")
 
     @classmethod
     def _make(cls, rank, terms):
@@ -149,55 +256,45 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent part: everything except the body."""
-        return GrassmannElement._make(
-            self.rank, {l: c for l, c in self.terms.items() if l})
+        return GrassmannElement._make(self.rank, _soul(self.terms))
 
     def is_even(self) -> bool:
-        return all(len(l) % 2 == 0 for l in self.terms)
+        return _has_parity(self.terms, 0)
 
     def is_odd(self) -> bool:
-        return all(len(l) % 2 == 1 for l in self.terms)
+        return _has_parity(self.terms, 1)
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed; zero counts as even."""
-        if self.is_even():
-            return 0
-        if self.is_odd():
-            return 1
-        return None
+        return _parity(self.terms)
 
     def coefficient(self, labels) -> Fraction:
         return self.terms.get(tuple(labels), _ZERO)
 
-    def _check_rank(self, other):
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GrassmannElement.scalar(self.rank, other)
+        if not isinstance(other, GrassmannElement):
+            return None
         if self.rank != other.rank:
             raise RankMismatchError(
                 f"elements of rank {self.rank} and {other.rank} are incompatible")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.scalar(self.rank, other)
-        if not isinstance(other, GrassmannElement):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check_rank(other)
-        terms = dict(self.terms)
-        for labels, coeff in other.terms.items():
-            new = terms.get(labels, _ZERO) + coeff
-            if new == 0:
-                terms.pop(labels, None)
-            else:
-                terms[labels] = new
-        return GrassmannElement._make(self.rank, terms)
+        return GrassmannElement._make(self.rank, _sum(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement._make(self.rank, {l: -c for l, c in self.terms.items()})
+        return GrassmannElement._make(self.rank, _negate(self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.scalar(self.rank, other)
-        if not isinstance(other, GrassmannElement):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -206,26 +303,11 @@ class GrassmannElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                return GrassmannElement.zero(self.rank)
-            return GrassmannElement._make(
-                self.rank, {l: c * other for l, c in self.terms.items()})
-        if not isinstance(other, GrassmannElement):
+            return GrassmannElement._make(self.rank, _scale(self.terms, _as_fraction(other)))
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check_rank(other)
-        terms = {}
-        for l1, c1 in self.terms.items():
-            for l2, c2 in other.terms.items():
-                sign, merged = merge_sign(l1, l2)
-                if sign == 0:
-                    continue
-                new = terms.get(merged, _ZERO) + sign * c1 * c2
-                if new == 0:
-                    terms.pop(merged, None)
-                else:
-                    terms[merged] = new
-        return GrassmannElement._make(self.rank, terms)
+        return GrassmannElement._make(self.rank, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -240,16 +322,7 @@ class GrassmannElement:
         return self * other.invert()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise SuperskelError("powers must be non-negative integers")
-        result = GrassmannElement.unit(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return GrassmannElement._make(self.rank, _power(self.terms, n, _ONE))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -264,24 +337,14 @@ class GrassmannElement:
     def invert(self) -> "GrassmannElement":
         """Inverse via the terminating geometric series in the soul.
 
-        Requires an invertible body: 1/(b + n) = sum_k (-1)^k n^k / b^(k+1),
-        which stops because every soul term carries at least one generator.
+        Requires an invertible body; the series stops within ``rank`` steps
+        because every soul term carries at least one generator.
         """
         b = self.body()
         if b == 0:
             raise NotInvertibleError("element has zero body, hence no inverse")
-        n = self.soul()
-        inv_b = _ONE / b
-        result = GrassmannElement.scalar(self.rank, inv_b)
-        power = GrassmannElement.unit(self.rank)
-        scale = inv_b
-        for _ in range(self.rank):
-            power = power * n
-            if power.is_zero():
-                break
-            scale = -scale * inv_b
-            result = result + power * scale
-        return result
+        return GrassmannElement._make(
+            self.rank, _geometric_inverse(_ONE / b, _soul(self.terms), self.rank))
 
     def embed(self, new_rank: int) -> "GrassmannElement":
         """Reinterpret inside a larger algebra (generator labels unchanged)."""
@@ -292,17 +355,12 @@ class GrassmannElement:
     def format(self) -> str:
         """Canonical text: terms sorted by (length, labels), ``c*g1g2``-style,
         with ``1`` standing for the empty monomial."""
-        if not self.terms:
-            return "0"
         parts = []
         for labels in sorted(self.terms, key=lambda l: (len(l), l)):
             coeff = self.terms[labels]
             gens = "".join(f"g{i}" for i in labels) or "1"
             parts.append((coeff < 0, f"{abs(coeff)}*{gens}"))
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for negative, text in parts[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"GrassmannElement({self.rank}, {self.format()!r})"

@@ -1,4 +1,5 @@
-"""Composition of skeletons, pullbacks, and the point/evaluation dictionary.
+"""Composition of skeletons, pullback by substitution, and the point/evaluation
+dictionary.
 
 ``compose_subst`` substitutes the inner skeleton's component superfunctions
 into the outer one's, inverting coefficient denominators in the superfunction
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .errors import DomainError, NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
+from .errors import DomainError, NotInvertibleError, SpaceMismatchError, SuperskelError
 from .grassmann import GrassmannElement, sort_sign
 from .poly import RationalFunction
 from .report import CheckReport
@@ -36,7 +37,8 @@ _ONE = Fraction(1)
 
 
 def substitute_superfunction(h: SuperFunction, skeleton: Skeleton) -> SuperFunction:
-    """h composed with a skeleton whose target is h's space."""
+    """h composed with a skeleton whose target is h's space: the pullback of
+    h along the skeleton."""
     if h.space != skeleton.target_space:
         raise SpaceMismatchError("superfunction does not live on the skeleton's target")
     one = SuperFunction.constant(skeleton.source_space, 1, skeleton.source_domain)
@@ -135,14 +137,6 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
                     outer.target_space, outer.target_domain, results)
 
 
-def pullback(skeleton: Skeleton, h: SuperFunction) -> SuperFunction:
-    """Pull a scalar superfunction on the target back along the skeleton.
-
-    Substitution directly; a parity-mixed h is handled term by term (its even
-    and odd parts pull back independently)."""
-    return substitute_superfunction(h, skeleton)
-
-
 class PointEvaluation:
     """The evaluation morphism of a lambda-point: superfunctions to algebra values.
 
@@ -170,10 +164,7 @@ def decode_point(space: SuperSpace, rank: int, even_images, odd_images,
                  domain: DeWittDomain | None = None) -> LambdaPoint:
     """Rebuild the lambda-point from the coordinate images of an evaluation
     morphism; parity violations and out-of-domain bodies are rejected."""
-    try:
-        point = LambdaPoint(space, rank, even_images, odd_images)
-    except ParityError:
-        raise
+    point = LambdaPoint(space, rank, even_images, odd_images)
     if domain is not None and not domain.contains(point):
         raise DomainError("decoded point lies outside the domain")
     return point

@@ -206,23 +206,18 @@ class Polynomial:
         for the empty product. Ring elements must support +, * and Fraction
         scaling from the left.
         """
-        powers = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in powers:
-                if e == 1:
-                    powers[key] = values[i]
-                else:
-                    powers[key] = power(i, e - 1) * values[i]
-            return powers[key]
+        # powers[i][e - 1] = values[i]**e, extended one factor at a time
+        powers = [[v] for v in values]
 
         acc = None
         for exps, coeff in self.terms.items():
             term = one
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power(i, e)
+                    cache = powers[i]
+                    while len(cache) < e:
+                        cache.append(cache[-1] * values[i])
+                    term = term * cache[e - 1]
             term = coeff * term
             acc = term if acc is None else acc + term
         if acc is None:
@@ -290,16 +285,11 @@ class Polynomial:
         """Canonical rendering, e.g. ``x1^2 - 2*x1*x2 + 1``."""
         if name is None:
             name = lambda i: f"x{i + 1}"
-        if not self.terms:
-            return "0"
         parts = []
         for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
             coeff = self.terms[exps]
             parts.append((coeff < 0, monomial_text(abs(coeff), exps, name)))
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for negative, text in parts[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"Polynomial({self.format()!r})"
@@ -321,6 +311,16 @@ def monomial_text(coeff: Fraction, exps, name, extra: list[str] | None = None,
     if coeff != 1 or force_coeff:
         factors.insert(0, str(coeff))
     return "*".join(factors)
+
+
+def _signed_sum(parts) -> str:
+    """Join (negative, unsigned text) pairs as ``a - b + c``; ``0`` when empty."""
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] else "") + parts[0][1]
+    for negative, text in parts[1:]:
+        out += (" - " if negative else " + ") + text
+    return out
 
 
 class RationalFunction:
@@ -362,6 +362,9 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def is_polynomial(self) -> bool:
         return self.den == Polynomial.one(self.nvars)

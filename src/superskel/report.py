@@ -29,7 +29,9 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return all(item.passed for item in self.items)
+        """All items passed, and at least one of them was not skipped."""
+        return (all(item.passed for item in self.items)
+                and any(not item.skipped for item in self.items))
 
     @property
     def failures(self) -> list[CheckItem]:

@@ -15,9 +15,8 @@ from math import factorial
 from . import randgen
 from .atlas import (GluingData, ManifoldPoint, check_cocycle, check_global_morphism,
                     projective_superline, superline_squaring_map, transport)
-from .calculus import derivative_family
-from .continuation import (check_naturality, eval_subst, eval_taylor, taylor_increment,
-                           taylor_shells)
+from .calculus import check_lambda_linearity, check_taylor, derivative
+from .continuation import check_naturality, eval_subst, eval_taylor
 from .grassmann import GrassmannElement
 from .morphisms import (check_algebra_morphism, compose_formula, compose_subst,
                         decode_point, encode_point)
@@ -128,37 +127,23 @@ def suite_continuation(seed: int = 2, cases: int = 200, rational_cases: int = 20
 
 
 def suite_exact_taylor(seed: int = 3, cases: int = 100) -> CheckReport:
-    """Multi-increment expansion equals the substitution difference."""
+    """``check_taylor`` on random skeletons: the multi-increment expansion
+    equals the substitution difference, and no Taylor shell survives beyond
+    the rank."""
     rng = random.Random(seed)
     report = CheckReport("exact taylor increments")
-    bad = 0
-    for case in range(cases):
+    bad_increments = bad_shells = 0
+    for _ in range(cases):
         src, tgt = _random_case_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3)
         rank = rng.randint(2, 5)
-        x = randgen.random_point(rng, src, rank)
-        count = rng.randint(1, min(4, rank))
-        generators = rng.sample(range(1, rank + 1), count)
-        increments = [randgen.random_increment(rng, src, rank, g) for g in generators]
-        total = x
-        for y in increments:
-            total = total + y
-        expansion = taylor_increment(f, x, increments)
-        direct = eval_subst(f, total) - eval_subst(f, x)
-        if expansion != direct:
-            bad += 1
-    report.add(f"increment expansion on {cases} cases (up to 4 increments)", bad == 0)
-
-    bad = 0
-    for _ in range(20):
-        src, tgt = _random_case_spaces(rng, 2, 2)
-        f = randgen.random_skeleton(rng, src, tgt, degree=4, terms=3)
-        rank = rng.randint(2, 6)
-        x = randgen.random_point(rng, src, rank)
-        shells = taylor_shells(f, x, max_total=rank + 2)
-        if any(m + k > rank for (m, k) in shells):
-            bad += 1
-    report.add("no taylor shell beyond the rank on 20 cases", bad == 0)
+        # one increment case, then the shell bound, in check_taylor's order
+        increments, shells = check_taylor(f, rank, rng, cases=1, max_increments=4).items
+        bad_increments += not increments.passed
+        bad_shells += not shells.passed
+    report.add(f"increment expansion on {cases} cases (up to 4 increments)",
+               bad_increments == 0)
+    report.add(f"no taylor shell beyond the rank on {cases} cases", bad_shells == 0)
     return report
 
 
@@ -175,8 +160,6 @@ def suite_smoothness_certificate(seed: int = 4, cases: int = 100) -> CheckReport
         rep = check_naturality(f, rank, rng=rng, sample_count=2)
         if not rep.ok:
             bad_nat += 1
-        from .calculus import check_lambda_linearity
-
         rep = check_lambda_linearity(f, rank, rng=rng, sample_count=2)
         if not rep.ok:
             bad_lin += 1
@@ -356,7 +339,7 @@ def suite_higher_order(seed: int = 8, cases: int = 100) -> CheckReport:
         rank = rng.randint(2, 4)
         x = randgen.random_point(rng, src, rank)
         for order in (2, 3):
-            data = derivative_family(f, order)
+            data = derivative(f, order)
             args = []
             parities = []
             for _ in range(order):
@@ -372,8 +355,8 @@ def suite_higher_order(seed: int = 8, cases: int = 100) -> CheckReport:
                 if value != data.apply(x, swapped).scale(sign):
                     bad_swap += 1
         for order in (0, 1, 2):
-            data_k = derivative_family(f, order)
-            data_k1 = derivative_family(f, order + 1)
+            data_k = derivative(f, order)
+            data_k1 = derivative(f, order + 1)
             a = randgen.random_increment(rng, src, rank, rng.randint(1, rank))
             vs = [randgen.random_vector(rng, src, rank) for _ in range(order)]
             lhs = data_k1.apply(x, [a.to_vector()] + vs)
@@ -391,9 +374,9 @@ def suite_higher_order(seed: int = 8, cases: int = 100) -> CheckReport:
         rank = rng.randint(1, 6)
         x = randgen.random_point(rng, src, rank)
         y = randgen.random_soul_increment(rng, src, rank)
-        acc = derivative_family(f, 0).apply(x, [])
+        acc = derivative(f, 0).apply(x, [])
         for k in range(1, rank + 1):
-            term = derivative_family(f, k).apply(x, [y.to_vector()] * k)
+            term = derivative(f, k).apply(x, [y.to_vector()] * k)
             acc = acc + term.scale(Fraction(1, factorial(k)))
         if acc != eval_subst(f, x + y).to_vector():
             bad += 1

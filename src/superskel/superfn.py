@@ -4,7 +4,11 @@ A superfunction on R^{p|q} is a finite sum of terms c_J(x) * t_J where J runs
 over strictly increasing subsets of {1..q}, t_J is the ordered product of the
 odd coordinates in J, and each coefficient c_J is a rational function of the
 even coordinates.  Because |J| <= q, nilpotency of the odd part is built into
-the representation.
+the representation.  The monomial arithmetic (sum, sign-law product, power,
+parity, geometric-series inverse) is the exterior-algebra kernel shared with
+``GrassmannElement`` in ``grassmann.py``, with rational-function
+coefficients in place of Fractions; this module adds the domain bookkeeping,
+equality up to cross-multiplication, calculus and evaluation.
 
 Equivalently, a superfunction is the family of its alternating coefficient
 maps: the degree-k map sends a k-tuple of odd basis directions to the
@@ -23,8 +27,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
-from .grassmann import GrassmannElement, merge_sign, sort_sign
-from .poly import Polynomial, RationalFunction
+from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
+                        _negate, _parity, _power, _product, _scale, _soul, _sum, sort_sign)
+from .poly import Polynomial, RationalFunction, _signed_sum, monomial_text
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 
 _ZERO = Fraction(0)
@@ -63,28 +68,26 @@ class SuperFunction:
     def __init__(self, space: SuperSpace, domain: DeWittDomain, terms=None):
         if domain.space != space:
             raise SpaceMismatchError("domain belongs to a different space")
-        p, q = space.even_dim, space.odd_dim
-        clean = {}
-        for labels, coeff in (terms or {}).items():
-            coeff = _as_rf(coeff, p)
-            if coeff.is_zero():
-                continue
-            labels = tuple(int(l) for l in labels)
-            if any(l < 1 or l > q for l in labels):
-                raise SuperskelError(f"odd label out of range in {labels} (q={q})")
-            if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
-                raise SuperskelError(f"odd labels must be strictly increasing, got {labels}")
-            if coeff.nvars != p:
+        p = space.even_dim
+
+        def coerce(value):
+            rf = _as_rf(value, p)
+            if rf and rf.nvars != p:
                 raise SuperskelError("coefficient arity does not match the even dimension")
-            if labels in clean:
-                coeff = clean[labels] + coeff
-            if coeff.is_zero():
-                clean.pop(labels, None)
-            else:
-                clean[labels] = coeff
+            return rf
+
         self.space = space
         self.domain = domain
-        self.terms = clean
+        self.terms = _canonical(terms, space.odd_dim, coerce, "odd")
+
+    @classmethod
+    def _make(cls, space, domain, terms):
+        # trusted constructor for internal use: terms already canonical
+        fn = object.__new__(cls)
+        fn.space = space
+        fn.domain = domain
+        fn.terms = terms
+        return fn
 
     # -- constructors ------------------------------------------------------
 
@@ -123,17 +126,13 @@ class SuperFunction:
         return not self.terms
 
     def is_even(self) -> bool:
-        return all(len(l) % 2 == 0 for l in self.terms)
+        return _has_parity(self.terms, 0)
 
     def is_odd(self) -> bool:
-        return all(len(l) % 2 == 1 for l in self.terms)
+        return _has_parity(self.terms, 1)
 
     def parity(self):
-        if self.is_even():
-            return 0
-        if self.is_odd():
-            return 1
-        return None
+        return _parity(self.terms)
 
     def min_odd_degree(self) -> int:
         """Smallest |J| with a nonzero term; q+1 for the zero function."""
@@ -145,8 +144,7 @@ class SuperFunction:
         return self.coefficient(())
 
     def soul_part(self) -> "SuperFunction":
-        return SuperFunction(self.space, self.domain,
-                             {l: c for l, c in self.terms.items() if l})
+        return SuperFunction._make(self.space, self.domain, _soul(self.terms))
 
     def alt_coeff(self, labels) -> RationalFunction:
         """Alternating coefficient map on odd basis directions.
@@ -182,21 +180,13 @@ class SuperFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for labels, coeff in other.terms.items():
-            new = terms.get(labels)
-            new = coeff if new is None else new + coeff
-            if new.is_zero():
-                terms.pop(labels, None)
-            else:
-                terms[labels] = new
-        return SuperFunction(self.space, self._merged_domain(other), terms)
+        return SuperFunction._make(self.space, self._merged_domain(other),
+                                   _sum(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperFunction(self.space, self.domain,
-                             {l: -c for l, c in self.terms.items()})
+        return SuperFunction._make(self.space, self.domain, _negate(self.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -209,37 +199,20 @@ class SuperFunction:
 
     def __mul__(self, other):
         """Monomial-route product: exterior sign law on the odd labels."""
+        if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
+            factor = _as_rf(other, self.space.even_dim)
+            return SuperFunction._make(self.space, self.domain, _scale(self.terms, factor))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for l1, c1 in self.terms.items():
-            for l2, c2 in other.terms.items():
-                sign, merged = merge_sign(l1, l2)
-                if sign == 0:
-                    continue
-                add = c1 * c2 * Fraction(sign)
-                new = terms.get(merged)
-                new = add if new is None else new + add
-                if new.is_zero():
-                    terms.pop(merged, None)
-                else:
-                    terms[merged] = new
-        return SuperFunction(self.space, self._merged_domain(other), terms)
+        return SuperFunction._make(self.space, self._merged_domain(other),
+                                   _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise SuperskelError("powers must be non-negative integers")
-        result = SuperFunction.constant(self.space, 1, self.domain)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = RationalFunction.constant(self.space.even_dim, 1)
+        return SuperFunction._make(self.space, self.domain, _power(self.terms, n, one))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -266,22 +239,11 @@ class SuperFunction:
         if not self.is_even():
             raise ParityError("only even superfunctions are invertible")
         c0 = self.body_coefficient()
-        if c0.is_zero():
+        if not c0:
             raise NotInvertibleError("body coefficient is identically zero")
         domain = self.domain.with_excluded([c0.num])
-        inv0 = c0.invert()
-        nil = SuperFunction(self.space, domain,
-                            {l: c for l, c in self.terms.items() if l})
-        result = SuperFunction(self.space, domain, {(): inv0})
-        power = SuperFunction.constant(self.space, 1, domain)
-        scale = inv0
-        for _ in range(self.space.odd_dim // 2):
-            power = power * nil
-            if power.is_zero():
-                break
-            scale = scale * inv0 * Fraction(-1)
-            result = result + SuperFunction(self.space, domain, {(): scale}) * power
-        return result
+        terms = _geometric_inverse(c0.invert(), _soul(self.terms), self.space.odd_dim // 2)
+        return SuperFunction._make(self.space, domain, terms)
 
     # -- calculus ----------------------------------------------------------
 
@@ -363,10 +325,6 @@ class SuperFunction:
 
     def format(self) -> str:
         """Canonical text per the expression grammar; round-trips exactly."""
-        from .poly import monomial_text
-
-        if not self.terms:
-            return "0"
         name = lambda i: f"x{i + 1}"
         parts = []
         for labels in sorted(self.terms, key=lambda l: (len(l), l)):
@@ -384,18 +342,10 @@ class SuperFunction:
                 if gens:
                     text += "*" + "*".join(gens)
                 parts.append((False, text))
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for negative, text in parts[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"SuperFunction({self.space}, {self.format()!r})"
-
-
-def mul_monomial(f: SuperFunction, g: SuperFunction) -> SuperFunction:
-    """Product via the exterior sign law on stored monomials."""
-    return f * g
 
 
 def mul_shuffle(f: SuperFunction, g: SuperFunction) -> SuperFunction:
@@ -403,8 +353,8 @@ def mul_shuffle(f: SuperFunction, g: SuperFunction) -> SuperFunction:
 
     The degree-m coefficient of the product at an ascending tuple M is the sum
     over (k, m-k) shuffles of M of the signed product of the factors'
-    alternating maps on the two blocks.  Independent of ``mul_monomial`` by
-    construction; the two must agree on all inputs.
+    alternating maps on the two blocks.  Independent of the monomial-route
+    product ``f * g`` by construction; the two must agree on all inputs.
     """
     other = f._coerce(g)
     if other is None:
@@ -513,7 +463,3 @@ class Skeleton:
             lines.append(f"{name} = {comp.format()}")
         return ("Skeleton(" + f"{self.source_space} -> {self.target_space}: "
                 + "; ".join(lines) + ")")
-
-
-def identity_skeleton(space: SuperSpace, domain: DeWittDomain | None = None) -> Skeleton:
-    return Skeleton.identity(space, domain)

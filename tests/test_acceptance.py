@@ -21,9 +21,9 @@ def _run(number, label, budget_seconds, report):
 
 
 def _timed(suite, *args, **kwargs):
-    started = time.time()
+    started = time.perf_counter()
     report = suite(*args, **kwargs)
-    report._elapsed = time.time() - started
+    report._elapsed = time.perf_counter() - started
     return report
 
 
@@ -76,7 +76,7 @@ def test_criterion_10_factorization_taylor():
 def test_criterion_11_cli():
     report = _timed(selftest.suite_cli_roundtrip, values=500)
     # fold the CLI end-to-end checks into the same criterion
-    started = time.time()
+    started = time.perf_counter()
     import io
     from contextlib import redirect_stdout
 
@@ -106,5 +106,5 @@ def test_criterion_11_cli():
             report.add("failed check exits 1",
                        main(["glue", "check", str(tmp / "bad.man"),
                              "--samples", "4"]) == 1)
-    report._elapsed += time.time() - started
+    report._elapsed += time.perf_counter() - started
     _run(11, "cli", 20, report)

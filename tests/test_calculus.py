@@ -6,7 +6,7 @@ import pytest
 
 from superskel import randgen
 from superskel.calculus import (bgn_quotient, check_def43, check_lambda_linearity,
-                                check_taylor, derivative, derivative_family,
+                                check_taylor, derivative,
                                 hadamard_decompose, taylor_polynomial,
                                 taylor_remainder_vanishes)
 from superskel.continuation import eval_subst
@@ -240,7 +240,7 @@ def test_taylor_polynomial_random_remainders():
 def test_family_examples():
     # f = t1*t2: order-2 values on odd basis directions
     f = skeleton_of(S12, t(S12, 1) * t(S12, 2))
-    data = derivative_family(f, 2)
+    data = derivative(f, 2)
     rank = 3
     base = LambdaPoint(S12, rank, [G.scalar(rank, 1)], [G.zero(rank), G.zero(rank)])
     e1 = Vector.basis(S12, rank, 1)
@@ -249,21 +249,21 @@ def test_family_examples():
     assert data.apply(base, [e2, e1]).values[0] == -G.unit(rank)
 
     square = skeleton_of(S10, x(S10) ** 2)
-    d1 = derivative_family(square, 1)
+    d1 = derivative(square, 1)
     pt = LambdaPoint(S10, 2, [G.scalar(2, 5)], [])
     ex = Vector.basis(S10, 2, 0)
     assert d1.apply(pt, [ex]).values[0] == G.scalar(2, 10)
-    d2 = derivative_family(square, 2)
+    d2 = derivative(square, 2)
     assert d2.apply(pt, [ex, ex]).values[0] == G.scalar(2, 2)
     # expansion at y = g1g2 * e_x: x^2 + 2x g1g2
     y = Vector.basis(S10, 2, 0, G.monomial(2, (1, 2)))
-    total = derivative_family(square, 0).apply(pt, [])
+    total = derivative(square, 0).apply(pt, [])
     for k in (1, 2):
-        term = derivative_family(square, k).apply(pt, [y] * k)
+        term = derivative(square, k).apply(pt, [y] * k)
         total = total + term.scale(F(1, factorial(k)))
     assert total.values[0] == G.scalar(2, 25) + 10 * G.monomial(2, (1, 2))
     # beyond the polynomial degree everything vanishes
-    d3 = derivative_family(square, 3)
+    d3 = derivative(square, 3)
     assert d3.apply(pt, [ex, ex, ex]).values[0] == G.zero(2)
 
 

@@ -75,8 +75,9 @@ def test_diff_lists_partials(files):
 
 def test_checks_pass(files):
     for kind in ("naturality", "bgn", "linearity", "def43", "taylor"):
-        code, _ = run(["check", kind, files["f"], "--rank", "3", "--samples", "3"])
-        assert code == 0, kind
+        for rank, samples in (("3", "3"), ("0", "1")):
+            code, _ = run(["check", kind, files["f"], "--rank", rank, "--samples", samples])
+            assert code == 0, (kind, rank)
 
 
 def test_glue_check(files):
@@ -100,6 +101,21 @@ def test_exit_codes(files, tmp_path):
     broken.write_text("source 1|0\ntarget 1|0\ny1 = x1 +\n")
     assert run(["eval", str(broken), files["point"]])[0] == 2
     assert run(["selftest", "--suite", "nope"])[0] == 2
+    # zero samples would be a vacuous PASS; ranks outside 0..cap are usage errors
+    for kind in ("naturality", "bgn", "linearity", "def43", "taylor"):
+        assert run(["check", kind, files["f"], "--samples", "0"])[0] == 2, kind
+    for rank in ("9", "-1"):
+        assert run(["check", "naturality", files["f"], "--rank", rank])[0] == 2, rank
+    assert run(["glue", "check", files["line"], "--samples", "0"])[0] == 2
+    assert run(["diff", files["f"], "--order", "0"])[0] == 2
+
+
+def test_eval_high_power(files, tmp_path):
+    power = tmp_path / "power.sk"
+    power.write_text("source 1|2\ntarget 1|0\ny1 = x1^2000\n")
+    code, out = run(["eval", str(power), files["point"], "--route", "both"])
+    assert code == 0
+    assert f"x1 = {2 ** 2000}*1 + {2000 * 2 ** 1999}*g1g2" in out
 
 
 def test_selftest_single_suite():

@@ -142,6 +142,10 @@ def test_naturality_battery_random():
         f = randgen.random_skeleton(rng, src, tgt, degree=3, rational=case % 5 == 0)
         report = check_naturality(f, rng.randint(2, 5), rng=rng, sample_count=3)
         assert report.ok, report.summary()
+    # a report with no checked item is not a pass
+    report = check_naturality(f, 2, samples=[])
+    assert not report.items and not report.ok
+    assert report.summary().startswith("FAIL")
 
 
 def test_battery_contents():

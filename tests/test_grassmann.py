@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -139,3 +140,71 @@ def test_body_unit_round_trip():
     # scalars embed and project without loss
     for value in (F(0), F(3, 7), F(-2)):
         assert G.scalar(4, value).body() == value
+
+
+# -- Jordan-Wigner representation: a third, matrix oracle for the sign law ---
+
+
+def jordan_wigner_basis(rank):
+    """Matrices of every basis monomial g_J under g_i -> sz^(i-1) (x) s- (x) I^(rank-i).
+
+    Exact numpy object arrays, built without ``merge_sign``.  The monomial
+    g_J sends the vacuum e_0 to +-e_J, so the 2^rank images are linearly
+    independent and equal images mean equal elements.
+    """
+    np = pytest.importorskip("numpy")
+    sigma_z = np.array([[1, 0], [0, -1]], dtype=object)
+    sigma_minus = np.array([[0, 0], [1, 0]], dtype=object)
+    eye = np.identity(2, dtype=object)
+    gens = []
+    for i in range(rank):
+        matrix = np.identity(1, dtype=object)
+        for k in range(rank):
+            matrix = np.kron(matrix, sigma_z if k < i else sigma_minus if k == i else eye)
+        gens.append(matrix)
+    basis = {(): np.identity(2 ** rank, dtype=object)}
+    for size in range(1, rank + 1):
+        for labels in itertools.combinations(range(1, rank + 1), size):
+            basis[labels] = basis[labels[:-1]].dot(gens[labels[-1] - 1])
+    return basis
+
+
+def represent(terms, basis, scalar=lambda c: c):
+    """The matrix of sum_J c_J g_J, with Fraction entries."""
+    total = basis[()] * F(0)
+    for labels, coeff in terms.items():
+        total = total + basis[labels] * scalar(coeff)
+    return total
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_jordan_wigner_grassmann_products(rank):
+    basis = jordan_wigner_basis(rank)
+    # g_J sends the vacuum to +-e_J: the representation is faithful
+    assert sorted(list(m[:, 0] != 0).index(True) for m in basis.values()) == \
+        list(range(2 ** rank))
+    rng = random.Random(40 + rank)
+    for _ in range(4):
+        a = randgen.random_grassmann(rng, rank, terms=4, nonzero_body=True)
+        b = randgen.random_grassmann(rng, rank, terms=4)
+        phi_a, phi_b = represent(a.terms, basis), represent(b.terms, basis)
+        assert (represent((a * b).terms, basis) == phi_a.dot(phi_b)).all()
+        assert (represent((a ** 2).terms, basis) == phi_a.dot(phi_a)).all()
+        assert (represent(a.invert().terms, basis).dot(phi_a) == basis[()]).all()
+
+
+@pytest.mark.parametrize("odd_dim", [1, 2, 3, 4, 5])
+def test_jordan_wigner_superfunction_products(odd_dim):
+    from superskel.spaces import DeWittDomain, SuperSpace
+    from superskel.superfn import SuperFunction
+
+    space = SuperSpace(1, odd_dim)
+    full = DeWittDomain.full(space)
+    basis = jordan_wigner_basis(odd_dim)  # t_j -> g_j
+    constant = lambda rf: rf.constant_value()
+    rng = random.Random(50 + odd_dim)
+    for _ in range(4):
+        f, g = (SuperFunction(space, full, randgen.random_grassmann(rng, odd_dim, terms=4).terms)
+                for _ in range(2))
+        phi_f, phi_g = represent(f.terms, basis, constant), represent(g.terms, basis, constant)
+        assert (represent((f * g).terms, basis, constant) == phi_f.dot(phi_g)).all()

@@ -8,7 +8,8 @@ from superskel.continuation import eval_subst
 from superskel.errors import ParityError, SpaceMismatchError, SuperskelError
 from superskel.grassmann import GrassmannElement as G
 from superskel.morphisms import (check_algebra_morphism, compose_formula, compose_subst,
-                                 decode_point, encode_point, pullback)
+                                 decode_point, encode_point,
+                                 substitute_superfunction)
 from superskel.poly import Polynomial, RationalFunction
 from superskel.spaces import DeWittDomain, SuperSpace
 from superskel.superfn import Skeleton, SuperFunction
@@ -166,10 +167,11 @@ def test_pullback():
         f = randgen.random_skeleton(rng, src, tgt, degree=2, terms=2)
         h1 = randgen.random_superfunction(rng, tgt, degree=2, terms=2)
         h2 = randgen.random_superfunction(rng, tgt, degree=2, terms=2)
-        assert pullback(f, h1 * h2) == pullback(f, h1) * pullback(f, h2)
+        assert substitute_superfunction(h1 * h2, f) == \
+            substitute_superfunction(h1, f) * substitute_superfunction(h2, f)
         coord = SuperFunction.even_coordinate(tgt, 1)
-        assert pullback(f, coord) == f.components[0]
-        assert pullback(f, SuperFunction.constant(tgt, 1)) == \
+        assert substitute_superfunction(coord, f) == f.components[0]
+        assert substitute_superfunction(SuperFunction.constant(tgt, 1), f) == \
             SuperFunction.constant(src, 1)
 
 
@@ -251,8 +253,8 @@ def test_skeleton_reconstructs_from_coordinate_pullbacks():
         src = randgen.random_spaces(rng, 2, 2)
         tgt = randgen.random_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=2)
-        comps = [pullback(f, SuperFunction.even_coordinate(tgt, i + 1))
+        comps = [substitute_superfunction(SuperFunction.even_coordinate(tgt, i + 1), f)
                  for i in range(tgt.even_dim)]
-        comps += [pullback(f, SuperFunction.odd_coordinate(tgt, j + 1))
+        comps += [substitute_superfunction(SuperFunction.odd_coordinate(tgt, j + 1), f)
                   for j in range(tgt.odd_dim)]
         assert all(a == b for a, b in zip(comps, f.components))
