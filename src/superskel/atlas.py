@@ -74,10 +74,6 @@ class GluingData:
         return self.transitions.get((i, j))
 
 
-def _components_equal(a: Skeleton, b: Skeleton) -> bool:
-    return all(x == y for x, y in zip(a.components, b.components))
-
-
 def _sampled_points(domain: DeWittDomain, rng, count: int, rank: int):
     from . import randgen
 
@@ -99,8 +95,8 @@ def check_cocycle(data: GluingData, rng=None, samples: int = 25,
 
     for i in ids:
         identity = data.transition(i, i)
-        ok = _components_equal(identity, Skeleton.identity(*data.charts[i]))
-        report.add(f"transition({i},{i}) is the identity", ok)
+        report.add(f"transition({i},{i}) is the identity",
+                   identity == Skeleton.identity(*data.charts[i]))
 
     for (i, j) in sorted(data.transitions):
         if i == j:
@@ -113,7 +109,7 @@ def check_cocycle(data: GluingData, rng=None, samples: int = 25,
         round_trip = compose_subst(backward, forward)
         identity = Skeleton.identity(data.charts[i][0], data.overlaps[(i, j)])
         report.add(f"transition({j},{i}) o transition({i},{j}) = id symbolically",
-                   _components_equal(round_trip, identity))
+                   round_trip == identity)
         overlap = data.overlap(i, j)
         try:
             points = _sampled_points(overlap, rng, samples, rank)
@@ -141,7 +137,7 @@ def check_cocycle(data: GluingData, rng=None, samples: int = 25,
                     continue
                 composite = compose_subst(t_jk, t_ij)
                 report.add(f"cocycle {i}->{j}->{k} vs {i}->{k} symbolically",
-                           _components_equal(composite, t_ik))
+                           composite == t_ik)
                 o_ij, o_ik = data.overlap(i, j), data.overlap(i, k)
                 if o_ij is None or o_ik is None:
                     continue
@@ -201,8 +197,7 @@ def check_global_morphism(source: GluingData, target: GluingData,
             lhs = compose_subst(components[(i2, j2)], t_src)
             rhs = compose_subst(t_tgt, components[(i, j)])
             label = f"({i}->{j}) vs ({i2}->{j2})"
-            report.add(f"compatibility {label} symbolically",
-                       _components_equal(lhs, rhs))
+            report.add(f"compatibility {label} symbolically", lhs == rhs)
             try:
                 points = _sampled_points(o_src, rng, samples, rank)
             except DomainError:

@@ -16,7 +16,7 @@ from . import parsing, selftest
 from .atlas import ManifoldPoint, check_cocycle, transport
 from .calculus import check_bgn, check_def43, check_lambda_linearity, check_taylor, derivative
 from .continuation import check_naturality, eval_subst, eval_taylor
-from .errors import ParseError, SuperskelError
+from .errors import ParseError, RankCapError, SpaceMismatchError, SuperskelError
 from .grassmann import max_rank
 from .morphisms import compose_formula, compose_subst
 
@@ -65,7 +65,7 @@ def _cmd_compose(args) -> int:
     if args.method in ("formula", "both"):
         by_formula = compose_formula(outer, inner)
     if args.method == "both":
-        if not all(a == b for a, b in zip(by_subst.components, by_formula.components)):
+        if by_subst != by_formula:
             print("DIVERGENCE: composition routes disagree", file=sys.stderr)
             return 1
         result = by_subst
@@ -78,14 +78,18 @@ def _cmd_compose(args) -> int:
 def _cmd_diff(args) -> int:
     skeleton = _load_skeleton(args.skeleton)
     data = derivative(skeleton, args.order)
-    from itertools import product as iproduct
-
     print(f"# derivative order {args.order} of {args.skeleton}")
+    # direction tuples with a nonzero iterated partial, built by prepending:
+    # components(dirs) is computed from dirs[1:], so a zero suffix has no
+    # nonzero extension; prepending to a sorted list keeps the order of
+    # itertools.product
+    live = [()]
+    for _ in range(args.order):
+        live = [(d,) + dirs for d in data.directions for dirs in live
+                if not all(c.is_zero() for c in data.components((d,) + dirs))]
     p = skeleton.target_space.even_dim
-    for dirs in iproduct(data.directions, repeat=args.order):
+    for dirs in live:
         comps = data.components(dirs)
-        if all(c.is_zero() for c in comps):
-            continue
         dir_text = " ".join(f"{kind}{index}" for kind, index in dirs)
         for ci, comp in enumerate(comps):
             if comp.is_zero():
@@ -110,11 +114,11 @@ def _cmd_glue(args) -> int:
         print(report.summary(verbose=args.verbose))
         return 0 if report.ok else 1
     # transport
-    space = data.charts[args.from_chart][0] if args.from_chart in data.charts else None
-    if space is None:
-        print(f"error: unknown chart {args.from_chart!r}", file=sys.stderr)
-        return 2
-    point = parsing.parse_point_file(_read(args.point), space)
+    for cid in (args.from_chart, args.to_chart):
+        if cid not in data.charts:
+            print(f"error: unknown chart {cid!r}", file=sys.stderr)
+            return 2
+    point = parsing.parse_point_file(_read(args.point), data.charts[args.from_chart][0])
     moved = transport(data, ManifoldPoint(args.from_chart, point), args.to_chart)
     sys.stdout.write(parsing.format_point(moved.point))
     return 0
@@ -219,7 +223,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ParseError as exc:
+    except (ParseError, RankCapError, SpaceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SuperskelError as exc:

@@ -21,7 +21,7 @@ import os
 from fractions import Fraction
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import _signed_sum
+from .poly import _as_fraction, _signed_sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -197,14 +197,6 @@ def _geometric_inverse(inv_body, soul: dict, steps: int) -> dict:
         scale = -scale * inv_body
         result = _sum(result, _scale(power, scale))
     return result
-
-
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 class GrassmannElement:
@@ -397,26 +389,6 @@ class GrassmannMorphism:
     def to_body(cls, rank: int) -> "GrassmannMorphism":
         """The unique morphism onto the rank-0 algebra (kills every generator)."""
         return cls(rank, 0, [GrassmannElement.zero(0)] * rank)
-
-    @classmethod
-    def inclusion(cls, source_rank: int, target_rank: int) -> "GrassmannMorphism":
-        if target_rank < source_rank:
-            raise RankMismatchError("inclusion needs target rank >= source rank")
-        return cls(source_rank, target_rank,
-                   [GrassmannElement.generator(target_rank, i + 1) for i in range(source_rank)])
-
-    @classmethod
-    def projection(cls, source_rank: int, target_rank: int) -> "GrassmannMorphism":
-        """Keep the first ``target_rank`` generators, send the rest to zero."""
-        if target_rank > source_rank:
-            raise RankMismatchError("projection needs target rank <= source rank")
-        images = []
-        for i in range(source_rank):
-            if i < target_rank:
-                images.append(GrassmannElement.generator(target_rank, i + 1))
-            else:
-                images.append(GrassmannElement.zero(target_rank))
-        return cls(source_rank, target_rank, images)
 
     @classmethod
     def permutation(cls, rank: int, perm) -> "GrassmannMorphism":

@@ -223,10 +223,7 @@ def parse_superfunction(text: str, space: SuperSpace,
 
 
 def parse_body_polynomial(text: str, nvars: int, line: int = 1) -> Polynomial:
-    value = parse_expression(text, PolynomialContext(nvars), line)
-    if isinstance(value, Fraction):
-        value = Polynomial.constant(nvars, value)
-    return value
+    return parse_expression(text, PolynomialContext(nvars), line)
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +231,12 @@ def parse_body_polynomial(text: str, nvars: int, line: int = 1) -> Polynomial:
 
 
 def parse_bound(token_text: str, line: int, column: int):
-    if token_text in ("inf", "+inf"):
-        return None
-    if token_text == "-inf":
+    if token_text in ("inf", "+inf", "-inf"):
         return None
     try:
         return Fraction(token_text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad bound {token_text!r}", line, column)
-
-
-def format_bound(value) -> str:
-    return "inf" if value is None else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +254,15 @@ def format_point(point: LambdaPoint) -> str:
 
 _ASSIGN_RE = re.compile(r"^\s*([A-Za-z_]+\d*)\s*=\s*(.*)$")
 _DIRECTIVE_RE = re.compile(r"^\s*([A-Za-z_]+)\s+(.*)$")
+_VAR_RE_TARGET = re.compile(r"^([yh])(\d+)$")
+
+
+def _assign(assignments: dict, var: re.Match, expr: str, line_no: int) -> None:
+    """Record ``<kind><index> = expr``; a name may be assigned only once."""
+    key = (var.group(1), int(var.group(2)))
+    if key in assignments:
+        raise ParseError(f"repeated assignment for {var.group(0)}", line_no)
+    assignments[key] = (expr, line_no)
 
 
 def _meaningful_lines(text: str):
@@ -284,7 +284,7 @@ def parse_point_file(text: str, space: SuperSpace | None = None,
             var = _VAR_RE.match(name)
             if var is None or var.group(1) not in ("x", "t"):
                 raise ParseError(f"expected x<i> or t<j> assignment, got {name!r}", line_no)
-            assignments[(var.group(1), int(var.group(2)))] = (expr, line_no)
+            _assign(assignments, var, expr, line_no)
             continue
         match = _DIRECTIVE_RE.match(line)
         if match and match.group(1) == "rank":
@@ -346,13 +346,8 @@ def _parse_box(args: str, p: int, line_no: int):
     tokens = args.split()
     if len(tokens) != 2 * p:
         raise ParseError(f"box needs {2 * p} bounds for {p} even coordinates", line_no)
-    bounds = []
-    for idx in range(p):
-        lo_text, hi_text = tokens[2 * idx], tokens[2 * idx + 1]
-        lo = None if lo_text in ("-inf", "inf") else parse_bound(lo_text, line_no, 1)
-        hi = None if hi_text in ("inf", "+inf", "-inf") else parse_bound(hi_text, line_no, 1)
-        bounds.append((lo, hi))
-    return tuple(bounds)
+    return tuple((parse_bound(tokens[2 * idx], line_no, 1),
+                  parse_bound(tokens[2 * idx + 1], line_no, 1)) for idx in range(p))
 
 
 class _DomainBuilder:
@@ -379,16 +374,19 @@ class _DomainBuilder:
 # skeleton files
 
 
+def _component_lines(skeleton: Skeleton) -> list[str]:
+    p = skeleton.target_space.even_dim
+    return [f"y{i + 1} = {comp.format()}" if i < p else f"h{i - p + 1} = {comp.format()}"
+            for i, comp in enumerate(skeleton.components)]
+
+
 def format_skeleton(skeleton: Skeleton) -> str:
     src, tgt = skeleton.source_space, skeleton.target_space
     lines = [f"source {src.even_dim}|{src.odd_dim}",
              f"target {tgt.even_dim}|{tgt.odd_dim}"]
     lines.extend(format_domain_lines(skeleton.source_domain))
     lines.extend(format_domain_lines(skeleton.target_domain, prefix="target_"))
-    for i, comp in enumerate(skeleton.even_components):
-        lines.append(f"y{i + 1} = {comp.format()}")
-    for j, comp in enumerate(skeleton.odd_components):
-        lines.append(f"h{j + 1} = {comp.format()}")
+    lines.extend(_component_lines(skeleton))
     return "\n".join(lines) + "\n"
 
 
@@ -399,16 +397,40 @@ def _parse_dims(args: str, line_no: int) -> SuperSpace:
     return SuperSpace(int(match.group(1)), int(match.group(2)))
 
 
+def _build_skeleton(assignments: dict, source: SuperSpace, src_domain: DeWittDomain,
+                    target: SuperSpace, tgt_domain: DeWittDomain,
+                    where: str = "") -> Skeleton:
+    """The skeleton whose components are the y/h ``assignments``, parsed on
+    the source domain; ``where`` prefixes each message."""
+    for (kind, index), (expr, line_no) in assignments.items():
+        if index > (target.even_dim if kind == "y" else target.odd_dim):
+            raise ParseError(f"{where}{kind}{index} exceeds the target dimensions", line_no)
+    components = []
+    for kind, count, parity in (("y", target.even_dim, "even"), ("h", target.odd_dim, "odd")):
+        for index in range(1, count + 1):
+            if (kind, index) not in assignments:
+                raise ParseError(f"{where}missing assignment for {kind}{index}")
+            expr, line_no = assignments[(kind, index)]
+            comp = parse_superfunction(expr, source, src_domain, line_no)
+            if not (comp.is_even() if parity == "even" else comp.is_odd()):
+                raise ParseError(f"{where}{kind}{index} must be parity-{parity}", line_no)
+            # the file's domain directives are the author's declaration
+            components.append(SuperFunction._make(source, src_domain, comp.terms))
+    try:
+        return Skeleton(source, src_domain, target, tgt_domain, components)
+    except SuperskelError as exc:
+        raise ParseError(f"{where}{exc}")
+
+
 def parse_skeleton_file(text: str) -> Skeleton:
     source = target = None
     src_builder = tgt_builder = None
     assignments: dict[tuple[str, int], tuple[str, int]] = {}
     for line_no, line in _meaningful_lines(text):
         match = _ASSIGN_RE.match(line)
-        if match and _VAR_RE_TARGET.match(match.group(1)):
-            name, expr = match.groups()
-            var = _VAR_RE_TARGET.match(name)
-            assignments[(var.group(1), int(var.group(2)))] = (expr, line_no)
+        var = match and _VAR_RE_TARGET.match(match.group(1))
+        if var:
+            _assign(assignments, var, match.group(2), line_no)
             continue
         match = _DIRECTIVE_RE.match(line)
         if not match:
@@ -432,37 +454,8 @@ def parse_skeleton_file(text: str) -> Skeleton:
             raise ParseError(f"unknown directive {keyword!r}", line_no)
     if source is None or target is None:
         raise ParseError("skeleton files need `source p|q` and `target p|q` lines")
-    src_domain = src_builder.build()
-    tgt_domain = tgt_builder.build()
-    components = []
-    for i in range(target.even_dim):
-        if ("y", i + 1) not in assignments:
-            raise ParseError(f"missing assignment for y{i + 1}")
-        expr, line_no = assignments[("y", i + 1)]
-        comp = parse_superfunction(expr, source, src_domain, line_no)
-        if not comp.is_even():
-            raise ParseError(f"y{i + 1} must be parity-even", line_no)
-        # the file's domain directives are the author's declaration
-        components.append(SuperFunction(source, src_domain, comp.terms))
-    for j in range(target.odd_dim):
-        if ("h", j + 1) not in assignments:
-            raise ParseError(f"missing assignment for h{j + 1}")
-        expr, line_no = assignments[("h", j + 1)]
-        comp = parse_superfunction(expr, source, src_domain, line_no)
-        if not comp.is_odd():
-            raise ParseError(f"h{j + 1} must be parity-odd", line_no)
-        components.append(SuperFunction(source, src_domain, comp.terms))
-    for (kind, index), (expr, line_no) in assignments.items():
-        limit = target.even_dim if kind == "y" else target.odd_dim
-        if index > limit:
-            raise ParseError(f"{kind}{index} exceeds the target dimensions", line_no)
-    try:
-        return Skeleton(source, src_domain, target, tgt_domain, components)
-    except SuperskelError as exc:
-        raise ParseError(str(exc))
-
-
-_VAR_RE_TARGET = re.compile(r"^([yh])(\d+)$")
+    return _build_skeleton(assignments, source, src_builder.build(),
+                           target, tgt_builder.build())
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +476,8 @@ def format_manifold(data: GluingData) -> str:
     for (i, j) in sorted(data.transitions):
         if i == j:
             continue
-        skeleton = data.transitions[(i, j)]
         lines.append(f"transition {i} {j}")
-        for k, comp in enumerate(skeleton.even_components):
-            lines.append(f"y{k + 1} = {comp.format()}")
-        for k, comp in enumerate(skeleton.odd_components):
-            lines.append(f"h{k + 1} = {comp.format()}")
+        lines.extend(_component_lines(data.transitions[(i, j)]))
     return "\n".join(lines) + "\n"
 
 
@@ -496,7 +485,7 @@ def parse_manifold_file(text: str) -> GluingData:
     charts: dict[str, SuperSpace] = {}
     chart_builders: dict[str, _DomainBuilder] = {}
     overlap_builders: dict[tuple[str, str], _DomainBuilder] = {}
-    transition_lines: dict[tuple[str, str], list[tuple[str, str, int]]] = {}
+    transition_rows: dict[tuple[str, str], dict[tuple[str, int], tuple[str, int]]] = {}
     section = None  # ('chart', id) | ('overlap', i, j) | ('transition', i, j)
 
     for line_no, line in _meaningful_lines(text):
@@ -523,7 +512,7 @@ def parse_manifold_file(text: str) -> GluingData:
                 overlap_builders[(i, j)] = _DomainBuilder(charts[i])
                 section = ("overlap", i, j)
             else:
-                transition_lines[(i, j)] = []
+                transition_rows[(i, j)] = {}
                 section = ("transition", i, j)
             continue
         if section is None:
@@ -538,11 +527,12 @@ def parse_manifold_file(text: str) -> GluingData:
                 raise ParseError(f"bad overlap directive {line!r}", line_no)
         else:
             assign = _ASSIGN_RE.match(line)
-            if not assign or not _VAR_RE_TARGET.match(assign.group(1)):
+            var = assign and _VAR_RE_TARGET.match(assign.group(1))
+            if not var:
                 raise ParseError(f"expected y/h assignment in transition, got {line!r}",
                                  line_no)
-            transition_lines[(section[1], section[2])].append(
-                (assign.group(1), assign.group(2), line_no))
+            _assign(transition_rows[(section[1], section[2])], var, assign.group(2),
+                    line_no)
 
     chart_map = {}
     for cid, space in charts.items():
@@ -551,31 +541,10 @@ def parse_manifold_file(text: str) -> GluingData:
     for (i, j), builder in overlap_builders.items():
         overlaps[(i, j)] = chart_map[i][1].intersect(builder.build())
     transitions = {}
-    for (i, j), rows in transition_lines.items():
-        src_space = charts[i]
-        tgt_space = charts[j]
-        src_domain = overlaps.get((i, j), chart_map[i][1])
-        tgt_domain = overlaps.get((j, i), chart_map[j][1])
-        comps: dict[tuple[str, int], SuperFunction] = {}
-        for name, expr, line_no in rows:
-            var = _VAR_RE_TARGET.match(name)
-            parsed = parse_superfunction(expr, src_space, src_domain, line_no)
-            comps[(var.group(1), int(var.group(2)))] = SuperFunction(
-                src_space, src_domain, parsed.terms)
-        ordered = []
-        for k in range(tgt_space.even_dim):
-            if ("y", k + 1) not in comps:
-                raise ParseError(f"transition {i} {j}: missing y{k + 1}")
-            ordered.append(comps[("y", k + 1)])
-        for k in range(tgt_space.odd_dim):
-            if ("h", k + 1) not in comps:
-                raise ParseError(f"transition {i} {j}: missing h{k + 1}")
-            ordered.append(comps[("h", k + 1)])
-        try:
-            transitions[(i, j)] = Skeleton(src_space, src_domain, tgt_space,
-                                           tgt_domain, ordered)
-        except SuperskelError as exc:
-            raise ParseError(f"transition {i} {j}: {exc}")
+    for (i, j), rows in transition_rows.items():
+        transitions[(i, j)] = _build_skeleton(
+            rows, charts[i], overlaps.get((i, j), chart_map[i][1]),
+            charts[j], overlaps.get((j, i), chart_map[j][1]), f"transition {i} {j}: ")
     try:
         return GluingData(chart_map, overlaps, transitions)
     except SuperskelError as exc:

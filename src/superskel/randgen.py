@@ -161,27 +161,6 @@ def random_vector(rng, space: SuperSpace, rank: int, terms: int = 2) -> Vector:
     return Vector(space, rank, values)
 
 
-def random_homogeneous_vector(rng, space: SuperSpace, rank: int,
-                              parity=None, terms: int = 2) -> Vector:
-    """Vector homogeneous of a definite total parity."""
-    if parity is None:
-        parity = rng.randint(0, 1)
-    values = []
-    for i in range(space.even_dim + space.odd_dim):
-        coord_parity = 0 if i < space.even_dim else 1
-        want = (parity + coord_parity) % 2
-        if rng.random() < 0.3:
-            values.append(GrassmannElement.zero(rank))
-        else:
-            values.append(random_grassmann(rng, rank, parity=want, terms=terms))
-    if all(v.is_zero() for v in values):
-        coord = rng.randrange(space.even_dim + space.odd_dim)
-        coord_parity = 0 if coord < space.even_dim else 1
-        values[coord] = random_grassmann(rng, rank, parity=(parity + coord_parity) % 2,
-                                         terms=terms)
-    return Vector(space, rank, values)
-
-
 def random_pure_vector(rng, space: SuperSpace, rank: int):
     """Vector supported on one coordinate with a single monomial value.
 

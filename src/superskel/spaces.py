@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ParityError, RankMismatchError, SpaceMismatchError, SuperskelError
 from .grassmann import GrassmannElement, GrassmannMorphism
-from .poly import Polynomial
+from .poly import Polynomial, _as_fraction
 
 _ZERO = Fraction(0)
 
@@ -33,14 +33,6 @@ class SuperSpace:
 
     def __repr__(self):
         return f"SuperSpace({self.even_dim}|{self.odd_dim})"
-
-
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _interval_contains(lo, hi, v: Fraction) -> bool:

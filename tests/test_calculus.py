@@ -275,6 +275,10 @@ def test_def43_random():
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3)
         rep = check_def43(f, 4, rng, cases=2, orders=(1, 2))
         assert rep.ok, rep.summary()
+    # a source without coordinates skips supersymmetry instead of failing
+    point_map = randgen.random_skeleton(rng, SuperSpace(0, 0), SuperSpace(1, 1))
+    rep = check_def43(point_map, 2, rng, cases=1, orders=(1, 2))
+    assert rep.ok and rep.counts()[2] == 1, rep.summary()
 
 
 def test_check_taylor_battery():

@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -73,6 +74,30 @@ def test_diff_lists_partials(files):
     assert "d(t2) y1 = t1" in out
 
 
+def test_diff_walks_only_nonzero_branches(files):
+    from itertools import product
+
+    from superskel.calculus import derivative
+    from superskel.parsing import parse_skeleton_file
+
+    with open(files["f"]) as handle:
+        skeleton = parse_skeleton_file(handle.read())
+    for order in (1, 2, 3):
+        data = derivative(skeleton, order)
+        expected = [f"# derivative order {order} of {files['f']}"]
+        for dirs in product(data.directions, repeat=order):
+            comp = data.components(dirs)[0]
+            if not comp.is_zero():
+                text = " ".join(f"{kind}{index}" for kind, index in dirs)
+                expected.append(f"d({text}) y1 = {comp.format()}")
+        assert run(["diff", files["f"], "--order", str(order)]) == (
+            0, "\n".join(expected) + "\n")
+    started = time.perf_counter()
+    code, out = run(["diff", files["f"], "--order", "40"])
+    assert code == 0 and out == f"# derivative order 40 of {files['f']}\n"
+    assert time.perf_counter() - started < 1
+
+
 def test_checks_pass(files):
     for kind in ("naturality", "bgn", "linearity", "def43", "taylor"):
         for rank, samples in (("3", "3"), ("0", "1")):
@@ -108,6 +133,13 @@ def test_exit_codes(files, tmp_path):
         assert run(["check", "naturality", files["f"], "--rank", rank])[0] == 2, rank
     assert run(["glue", "check", files["line"], "--samples", "0"])[0] == 2
     assert run(["diff", files["f"], "--order", "0"])[0] == 2
+    # library errors that mean bad input are usage errors too
+    rank9 = tmp_path / "rank9.pt"
+    rank9.write_text("rank 9\nx1 = 1*1\n")
+    assert run(["eval", files["f"], str(rank9)])[0] == 2  # over the rank cap
+    assert run(["compose", files["f"], files["g"]])[0] == 2  # spaces do not compose
+    for chart_args in (["Q", files["apoint"], "B"], ["A", files["apoint"], "Z"]):
+        assert run(["glue", "transport", files["line"], *chart_args])[0] == 2, chart_args
 
 
 def test_eval_high_power(files, tmp_path):

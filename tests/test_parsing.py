@@ -99,6 +99,9 @@ t1 = 1*g3
         parsing.parse_point_file("x1 = 1*g1\nbogus line\n", SuperSpace(1, 0))
     with pytest.raises(ParseError):
         parsing.parse_point_file("t1 = 1*1\n", SuperSpace(0, 1))  # parity violation
+    with pytest.raises(ParseError) as err:
+        parsing.parse_point_file("x1 = 1*1\nx1 = 2*1\n", SuperSpace(1, 0))
+    assert err.value.line == 2 and "repeated" in str(err.value)
 
 
 def test_skeleton_file_round_trip_and_domains():
@@ -155,6 +158,12 @@ def test_skeleton_file_errors():
         parsing.parse_skeleton_file("source 1|0\ntarget 0|1\nh1 = x1\n")  # parity
     with pytest.raises(ParseError):
         parsing.parse_skeleton_file("source 1|0\ntarget 1|0\ny1 = x2\n")  # range
+    with pytest.raises(ParseError) as err:
+        parsing.parse_skeleton_file("source 1|0\ntarget 1|0\ny1 = x1\ny1 = x1^2\n")
+    assert err.value.line == 4 and "repeated" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parsing.parse_skeleton_file("source 1|0\ntarget 1|0\ny1 = x1\nh3 = x1\n")
+    assert err.value.line == 4 and "exceeds" in str(err.value)
 
 
 def test_skeleton_random_round_trip():
@@ -194,3 +203,14 @@ def test_manifold_file_errors():
         parsing.parse_manifold_file("chart A 1|1\ntransition A A\ny1 = x1\n")  # missing h1
     with pytest.raises(ParseError):
         parsing.parse_manifold_file("box 0 1\n")  # directive outside any section
+    # components beyond the target dimensions, as in skeleton files
+    for extra, line in (("y2 = x1^2\n", 4), ("h3 = x1\n", 4)):
+        with pytest.raises(ParseError) as err:
+            parsing.parse_manifold_file("chart A 1|0\ntransition A A\ny1 = x1\n" + extra)
+        assert err.value.line == line and "exceeds" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parsing.parse_manifold_file("chart A 1|0\ntransition A A\ny1 = x1\ny1 = x1\n")
+    assert err.value.line == 4 and "repeated" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parsing.parse_manifold_file("chart A 1|1\ntransition A A\ny1 = x1\nh1 = x1\n")
+    assert err.value.line == 4 and "parity-odd" in str(err.value)
