@@ -83,6 +83,20 @@ def _sampled_points(domain: DeWittDomain, rng, count: int, rank: int):
     return points
 
 
+def _add_sampled(report: CheckReport, label: str, points, lhs, rhs) -> None:
+    """Add ``<label> on N sampled points``: carrying each point along the
+    skeletons in ``lhs`` and along those in ``rhs`` (no domain checks) must
+    give the same point; the detail counts the points where it does not."""
+    def follow(path, x):
+        for skeleton in path:
+            x = eval_subst(skeleton, x, check_domain=False)
+        return x
+
+    bad = sum(1 for x in points if follow(lhs, x) != follow(rhs, x))
+    report.add(f"{label} on {len(points)} sampled points",
+               bad == 0, f"{bad} failures" if bad else "")
+
+
 def check_cocycle(data: GluingData, rng=None, samples: int = 25,
                   rank: int = 3) -> CheckReport:
     """Identity, inverse and triple-overlap laws for the transitions.
@@ -116,14 +130,8 @@ def check_cocycle(data: GluingData, rng=None, samples: int = 25,
         except DomainError:
             report.add_skip(f"sampling overlap ({i},{j})", "no sample points found")
             points = []
-        bad = 0
-        for x in points:
-            there = eval_subst(forward, x, check_domain=False)
-            back = eval_subst(backward, there, check_domain=False)
-            if back != x:
-                bad += 1
-        report.add(f"round trip {i}->{j}->{i} on {len(points)} sampled points",
-                   bad == 0, f"{bad} failures" if bad else "")
+        _add_sampled(report, f"round trip {i}->{j}->{i}", points,
+                     (forward, backward), ())
 
     for i in ids:
         for j in ids:
@@ -146,11 +154,8 @@ def check_cocycle(data: GluingData, rng=None, samples: int = 25,
                     points = _sampled_points(both, rng, max(samples // 5, 5), rank)
                 except DomainError:
                     continue
-                bad = sum(1 for x in points
-                          if eval_subst(composite, x, check_domain=False)
-                          != eval_subst(t_ik, x, check_domain=False))
-                report.add(f"cocycle {i}->{j}->{k} on {len(points)} sampled points",
-                           bad == 0, f"{bad} failures" if bad else "")
+                _add_sampled(report, f"cocycle {i}->{j}->{k}", points,
+                             (composite,), (t_ik,))
     return report
 
 
@@ -202,11 +207,7 @@ def check_global_morphism(source: GluingData, target: GluingData,
                 points = _sampled_points(o_src, rng, samples, rank)
             except DomainError:
                 continue
-            bad = sum(1 for x in points
-                      if eval_subst(lhs, x, check_domain=False)
-                      != eval_subst(rhs, x, check_domain=False))
-            report.add(f"compatibility {label} on {len(points)} sampled points",
-                       bad == 0, f"{bad} failures" if bad else "")
+            _add_sampled(report, f"compatibility {label}", points, (lhs,), (rhs,))
     return report
 
 

@@ -276,25 +276,18 @@ def check_bgn(skeleton: Skeleton, rank: int, rng, cases: int = 5) -> CheckReport
     return report
 
 
-def check_lambda_linearity(skeleton: Skeleton, rank: int, rng=None,
-                           samples=None, sample_count: int = 5) -> CheckReport:
+def check_lambda_linearity(skeleton: Skeleton, rank: int, rng,
+                           sample_count: int = 5) -> CheckReport:
     """First derivatives are linear over the even scalars of the algebra:
     df(x)(a*v) == a*df(x)(v) for even Grassmann a."""
     from . import randgen
 
     report = CheckReport(f"even-scalar linearity of the derivative at rank {rank}")
     data = derivative(skeleton, 1)
-    if samples is None:
-        if rng is None:
-            raise SuperskelError("check_lambda_linearity needs samples or an rng")
-        samples = []
-        for _ in range(sample_count):
-            x = randgen.random_point(rng, skeleton.source_space, rank,
-                                     skeleton.source_domain)
-            v = randgen.random_vector(rng, skeleton.source_space, rank)
-            a = randgen.random_grassmann(rng, rank, parity=0)
-            samples.append((x, v, a))
-    for idx, (x, v, a) in enumerate(samples):
+    for idx in range(sample_count):
+        x = randgen.random_point(rng, skeleton.source_space, rank, skeleton.source_domain)
+        v = randgen.random_vector(rng, skeleton.source_space, rank)
+        a = randgen.random_grassmann(rng, rank, parity=0)
         lhs = data.apply(x, [v.scale(a)])
         rhs = data.apply(x, [v]).scale(a)
         report.add(f"triple {idx}", lhs == rhs)

@@ -22,10 +22,9 @@ from .morphisms import compose_formula, compose_subst
 
 # check kind -> check(skeleton, rank, rng, sample count)
 _CHECKS = {
-    "naturality": lambda f, rank, rng, n: check_naturality(f, rank, rng=rng, sample_count=n),
+    "naturality": check_naturality,
     "bgn": check_bgn,
-    "linearity": lambda f, rank, rng, n: check_lambda_linearity(f, rank, rng=rng,
-                                                                sample_count=n),
+    "linearity": check_lambda_linearity,
     "def43": check_def43,
     "taylor": check_taylor,
 }

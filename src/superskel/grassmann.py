@@ -10,6 +10,9 @@ The arithmetic itself is written once, as private functions over ``terms``
 dicts, and works over any coefficient ring whose zero is falsy: Fractions
 here, rational functions for the odd-monomial part of a ``SuperFunction``
 (an element of C(U) tensor the exterior algebra on the odd coordinates).
+Sums, negation and scaling are the sparse-term kernel of ``poly.py``; only
+what is particular to the exterior algebra lives here: label validation,
+the sign-law ``_product``, ``_power``, ``_geometric_inverse`` and parity.
 
 Morphisms between these algebras are determined by the generator images,
 which must be purely odd; this makes the induced map even and unital.
@@ -21,7 +24,7 @@ import os
 from fractions import Fraction
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import _as_fraction, _signed_sum
+from .poly import _accumulate, _as_fraction, _negate, _scale, _signed_sum, _sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,20 +89,9 @@ def sort_sign(labels) -> tuple[int, tuple[int, ...]]:
 
 
 # -- exterior-algebra kernel -------------------------------------------------
-# ``terms`` dicts map strictly increasing label tuples to nonzero coefficients
-# of a ring whose zero is falsy (Fraction, RationalFunction).  ``_canonical``
-# builds one from raw input and ``_accumulate`` updates one in place; the
-# others leave their arguments alone and return new canonical dicts.
-
-
-def _accumulate(terms: dict, labels, coeff) -> None:
-    """terms[labels] += coeff in place, dropping the entry when it cancels."""
-    old = terms.get(labels)
-    new = coeff if old is None else old + coeff
-    if new:
-        terms[labels] = new
-    else:
-        terms.pop(labels, None)
+# ``terms`` dicts (canonical, as in poly.py) keyed by strictly increasing label
+# tuples.  ``_canonical`` builds one from raw input; the others leave their
+# arguments alone and return new canonical dicts.
 
 
 def _canonical(terms, top: int, coerce, what: str) -> dict:
@@ -117,23 +109,6 @@ def _canonical(terms, top: int, coerce, what: str) -> dict:
             raise SuperskelError(f"{what} labels must be strictly increasing, got {labels}")
         _accumulate(clean, labels, coeff)
     return clean
-
-
-def _sum(a: dict, b: dict) -> dict:
-    terms = dict(a)
-    for labels, coeff in b.items():
-        _accumulate(terms, labels, coeff)
-    return terms
-
-
-def _negate(terms: dict) -> dict:
-    return {l: -c for l, c in terms.items()}
-
-
-def _scale(terms: dict, factor) -> dict:
-    if not factor:
-        return {}
-    return {l: c * factor for l, c in terms.items()}
 
 
 def _soul(terms: dict) -> dict:

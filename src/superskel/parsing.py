@@ -265,6 +265,15 @@ def _assign(assignments: dict, var: re.Match, expr: str, line_no: int) -> None:
     assignments[key] = (expr, line_no)
 
 
+def _header(headers: dict, key: tuple, line_no: int) -> tuple:
+    """Record a header line such as ``rank``, ``source`` or ``transition A B``;
+    each may appear only once per file."""
+    if key in headers:
+        raise ParseError(f"repeated {' '.join(key)} (first on line {headers[key]})", line_no)
+    headers[key] = line_no
+    return key
+
+
 def _meaningful_lines(text: str):
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -277,6 +286,7 @@ def parse_point_file(text: str, space: SuperSpace | None = None,
     """Parse a point file; the space and rank are inferred when not given."""
     assignments: dict[tuple[str, int], tuple[str, int]] = {}
     declared_rank = rank
+    headers: dict[tuple, int] = {}
     for line_no, line in _meaningful_lines(text):
         match = _ASSIGN_RE.match(line)
         if match:
@@ -288,10 +298,14 @@ def parse_point_file(text: str, space: SuperSpace | None = None,
             continue
         match = _DIRECTIVE_RE.match(line)
         if match and match.group(1) == "rank":
+            _header(headers, ("rank",), line_no)
             try:
                 declared_rank = int(match.group(2).strip())
+                GrassmannElement.zero(declared_rank)  # the rank's sign and cap
             except ValueError:
                 raise ParseError("rank directive needs an integer", line_no)
+            except SuperskelError as exc:
+                raise ParseError(str(exc), line_no)
             continue
         raise ParseError(f"unrecognized line {line!r}", line_no)
 
@@ -359,11 +373,15 @@ class _DomainBuilder:
     def directive(self, keyword: str, args: str, line_no: int) -> bool:
         if keyword == "box":
             self.boxes.append(_parse_box(args, self.space.even_dim, line_no))
-            return True
-        if keyword == "exclude":
+        elif keyword == "exclude":
             self.excluded.append(parse_body_polynomial(args, self.space.even_dim, line_no))
-            return True
-        return False
+        else:
+            return False
+        try:
+            self.build()  # earlier lines passed, so a failure belongs to this one
+        except SuperskelError as exc:
+            raise ParseError(str(exc), line_no)
+        return True
 
     def build(self) -> DeWittDomain:
         boxes = self.boxes or [((None, None),) * self.space.even_dim]
@@ -425,6 +443,7 @@ def _build_skeleton(assignments: dict, source: SuperSpace, src_domain: DeWittDom
 def parse_skeleton_file(text: str) -> Skeleton:
     source = target = None
     src_builder = tgt_builder = None
+    headers: dict[tuple, int] = {}
     assignments: dict[tuple[str, int], tuple[str, int]] = {}
     for line_no, line in _meaningful_lines(text):
         match = _ASSIGN_RE.match(line)
@@ -436,6 +455,8 @@ def parse_skeleton_file(text: str) -> Skeleton:
         if not match:
             raise ParseError(f"unrecognized line {line!r}", line_no)
         keyword, args = match.group(1), match.group(2)
+        if keyword in ("source", "target"):
+            _header(headers, (keyword,), line_no)
         if keyword == "source":
             source = _parse_dims(args, line_no)
             src_builder = _DomainBuilder(source)
@@ -487,6 +508,7 @@ def parse_manifold_file(text: str) -> GluingData:
     overlap_builders: dict[tuple[str, str], _DomainBuilder] = {}
     transition_rows: dict[tuple[str, str], dict[tuple[str, int], tuple[str, int]]] = {}
     section = None  # ('chart', id) | ('overlap', i, j) | ('transition', i, j)
+    headers: dict[tuple, int] = {}
 
     for line_no, line in _meaningful_lines(text):
         match = _DIRECTIVE_RE.match(line)
@@ -496,9 +518,9 @@ def parse_manifold_file(text: str) -> GluingData:
             if len(parts) != 2:
                 raise ParseError("usage: chart <id> <p>|<q>", line_no)
             cid = parts[0]
+            section = _header(headers, ("chart", cid), line_no)
             charts[cid] = _parse_dims(parts[1], line_no)
             chart_builders[cid] = _DomainBuilder(charts[cid])
-            section = ("chart", cid)
             continue
         if keyword in ("overlap", "transition"):
             parts = match.group(2).split()
@@ -508,12 +530,11 @@ def parse_manifold_file(text: str) -> GluingData:
             for cid in (i, j):
                 if cid not in charts:
                     raise ParseError(f"unknown chart {cid!r}", line_no)
+            section = _header(headers, (keyword, i, j), line_no)
             if keyword == "overlap":
                 overlap_builders[(i, j)] = _DomainBuilder(charts[i])
-                section = ("overlap", i, j)
             else:
                 transition_rows[(i, j)] = {}
-                section = ("transition", i, j)
             continue
         if section is None:
             raise ParseError(f"line outside any section: {line!r}", line_no)

@@ -5,6 +5,10 @@ dependency is a quotient of polynomials with Fraction coefficients, so every
 identity in the library is decidable by exact arithmetic. Equality of rational
 functions is cross-multiplied polynomial identity; no multivariate gcd is ever
 computed.
+
+This bottom layer also holds the sparse-term kernel behind every finite sum
+in the library.  Only public constructors validate outside input; internal
+results are built by the kernel and handed to a trusted ``_make``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,41 @@ def _as_fraction(value):
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+# -- sparse-term kernel ------------------------------------------------------
+# A ``terms`` dict maps keys (exponent tuples here, label tuples for Grassmann
+# elements and superfunctions) to coefficients of a ring whose zero is falsy,
+# in canonical form: each key once, no zero coefficient; ``__eq__``,
+# ``__hash__`` and ``RationalFunction.__bool__`` rely on it.  ``_accumulate``
+# updates a dict in place; the others return new ones.
+
+
+def _accumulate(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff in place, dropping the entry when it cancels."""
+    old = terms.get(key)
+    new = coeff if old is None else old + coeff
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+def _sum(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for key, coeff in b.items():
+        _accumulate(terms, key, coeff)
+    return terms
+
+
+def _negate(terms: dict) -> dict:
+    return {k: -c for k, c in terms.items()}
+
+
+def _scale(terms: dict, factor) -> dict:
+    if not factor:
+        return {}
+    return {k: c * factor for k, c in terms.items()}
+
+
 class Polynomial:
     """Polynomial in ``nvars`` commuting variables.
 
@@ -43,29 +82,34 @@ class Polynomial:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise SuperskelError(f"bad exponent tuple {exps} for {nvars} variables")
-            clean[exps] = clean.get(exps, _ZERO) + coeff
-            if clean[exps] == 0:
-                del clean[exps]
+            _accumulate(clean, exps, coeff)
         self.nvars = nvars
         self.terms = clean
         self._hash = None
 
     @classmethod
+    def _make(cls, nvars, terms):
+        # trusted constructor for internal use: terms already canonical
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        poly._hash = None
+        return poly
+
+    @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
         value = _as_fraction(value)
-        if value == 0:
-            return cls(nvars, {})
-        return cls(nvars, {(0,) * nvars: value})
+        return cls._make(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         """The coordinate polynomial for 0-based variable ``index``."""
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: _ONE})
+        return cls._make(nvars, {exps: _ONE})
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
+        return cls._make(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -98,19 +142,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = terms.get(exps, _ZERO) + coeff
-            if new == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = new
-        return Polynomial(self.nvars, terms)
+        return Polynomial._make(self.nvars, _sum(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.nvars, _negate(self.terms))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -124,21 +161,15 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._make(self.nvars, _scale(self.terms, _as_fraction(other)))
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(e, _ZERO) + c1 * c2
-                if new == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = new
-        return Polynomial(self.nvars, terms)
+                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Polynomial._make(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -179,14 +210,13 @@ class Polynomial:
 
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative with respect to 0-based variable ``index``."""
+        # lowering one exponent is injective on the surviving terms
         terms = {}
         for exps, coeff in self.terms.items():
             e = exps[index]
-            if e == 0:
-                continue
-            new = exps[:index] + (e - 1,) + exps[index + 1:]
-            terms[new] = terms.get(new, _ZERO) + coeff * e
-        return Polynomial(self.nvars, terms)
+            if e:
+                terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
+        return Polynomial._make(self.nvars, terms)
 
     def eval(self, values) -> Fraction:
         """Evaluate at a tuple of Fractions."""
@@ -238,15 +268,8 @@ class Polynomial:
                 if e:
                     c *= v ** e
                 new[i] = 0
-            if c == 0:
-                continue
-            key = tuple(new)
-            c0 = terms.get(key, _ZERO) + c
-            if c0 == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = c0
-        return Polynomial(self.nvars, terms)
+            _accumulate(terms, tuple(new), c)
+        return Polynomial._make(self.nvars, terms)
 
     def divide_by_linear(self, index: int, root: Fraction) -> "Polynomial":
         """Exact quotient (self - self|_{x_index=root}) / (x_index - root).
@@ -254,16 +277,13 @@ class Polynomial:
         Uses x^d - r^d = (x - r) * sum_{l<d} x^l r^{d-1-l} per monomial.
         """
         root = _as_fraction(root)
-        quotient = Polynomial.zero(self.nvars)
+        terms = {}
         for exps, coeff in self.terms.items():
             d = exps[index]
-            if d == 0:
-                continue
-            rest = exps[:index] + (0,) + exps[index + 1:]
             for l in range(d):
-                e = rest[:index] + (l,) + rest[index + 1:]
-                quotient = quotient + Polynomial(self.nvars, {e: coeff * root ** (d - 1 - l)})
-        return quotient
+                _accumulate(terms, exps[:index] + (l,) + exps[index + 1:],
+                            coeff * root ** (d - 1 - l))
+        return Polynomial._make(self.nvars, terms)
 
     def divide_by_variable(self, index: int) -> "Polynomial":
         """Exact quotient by x_index; every monomial must contain it."""
@@ -272,14 +292,14 @@ class Polynomial:
             if exps[index] == 0:
                 raise SuperskelError("polynomial is not divisible by the variable")
             terms[exps[:index] + (exps[index] - 1,) + exps[index + 1:]] = coeff
-        return Polynomial(self.nvars, terms)
+        return Polynomial._make(self.nvars, terms)
 
     def pad(self, new_nvars: int) -> "Polynomial":
         """Reinterpret over a larger variable set (existing indices kept)."""
         if new_nvars < self.nvars:
             raise SuperskelError("cannot shrink a polynomial's variable set")
         extra = (0,) * (new_nvars - self.nvars)
-        return Polynomial(new_nvars, {e + extra: c for e, c in self.terms.items()})
+        return Polynomial._make(new_nvars, {e + extra: c for e, c in self.terms.items()})
 
     def format(self, name=None) -> str:
         """Canonical rendering, e.g. ``x1^2 - 2*x1*x2 + 1``."""

@@ -4,11 +4,12 @@ A superfunction on R^{p|q} is a finite sum of terms c_J(x) * t_J where J runs
 over strictly increasing subsets of {1..q}, t_J is the ordered product of the
 odd coordinates in J, and each coefficient c_J is a rational function of the
 even coordinates.  Because |J| <= q, nilpotency of the odd part is built into
-the representation.  The monomial arithmetic (sum, sign-law product, power,
-parity, geometric-series inverse) is the exterior-algebra kernel shared with
-``GrassmannElement`` in ``grassmann.py``, with rational-function
-coefficients in place of Fractions; this module adds the domain bookkeeping,
-equality up to cross-multiplication, calculus and evaluation.
+the representation.  The monomial arithmetic is shared with
+``GrassmannElement``, with rational-function coefficients in place of
+Fractions: sums and scaling come from the sparse-term kernel in ``poly.py``,
+the sign-law product, power, parity and geometric-series inverse from
+``grassmann.py``.  This module adds the domain bookkeeping, equality up to
+cross-multiplication, calculus and evaluation.
 
 Equivalently, a superfunction is the family of its alternating coefficient
 maps: the degree-k map sends a k-tuple of odd basis directions to the
@@ -28,8 +29,8 @@ from itertools import combinations
 
 from .errors import NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
 from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
-                        _negate, _parity, _power, _product, _scale, _soul, _sum, sort_sign)
-from .poly import Polynomial, RationalFunction, _signed_sum, monomial_text
+                        _parity, _power, _product, _soul, sort_sign)
+from .poly import Polynomial, RationalFunction, _negate, _scale, _signed_sum, _sum, monomial_text
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 
 _ZERO = Fraction(0)
@@ -251,8 +252,8 @@ class SuperFunction:
         """d/dx_index (1-based), termwise on the coefficient functions."""
         if not 1 <= index <= self.space.even_dim:
             raise SuperskelError(f"no even coordinate x{index}")
-        return SuperFunction(self.space, self.domain,
-                             {l: c.derivative(index - 1) for l, c in self.terms.items()})
+        terms = {l: d for l, c in self.terms.items() if (d := c.derivative(index - 1))}
+        return SuperFunction._make(self.space, self.domain, terms)
 
     def odd_partial(self, index: int) -> "SuperFunction":
         """Right-acting d/dt_index: t_J -> (-1)^(#labels above index) t_{J-index}.
@@ -262,18 +263,13 @@ class SuperFunction:
         """
         if not 1 <= index <= self.space.odd_dim:
             raise SuperskelError(f"no odd coordinate t{index}")
+        # removing ``index`` is injective on the labels that contain it
         terms = {}
         for labels, coeff in self.terms.items():
-            if index not in labels:
-                continue
-            above = sum(1 for l in labels if l > index)
-            reduced = tuple(l for l in labels if l != index)
-            sign = -1 if above & 1 else 1
-            new = coeff * Fraction(sign)
-            if reduced in terms:
-                new = terms[reduced] + new
-            terms[reduced] = new
-        return SuperFunction(self.space, self.domain, terms)
+            if index in labels:
+                above = sum(1 for l in labels if l > index)
+                terms[tuple(l for l in labels if l != index)] = -coeff if above & 1 else coeff
+        return SuperFunction._make(self.space, self.domain, terms)
 
     # -- evaluation / substitution ------------------------------------------
 

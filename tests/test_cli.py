@@ -140,6 +140,22 @@ def test_exit_codes(files, tmp_path):
     assert run(["compose", files["f"], files["g"]])[0] == 2  # spaces do not compose
     for chart_args in (["Q", files["apoint"], "B"], ["A", files["apoint"], "Z"]):
         assert run(["glue", "transport", files["line"], *chart_args])[0] == 2, chart_args
+    # repeated headers and bad directives are parse errors
+    for name, text in (
+            ("twice.sk", "source 1|2\nbox 0 1\nsource 1|2\ntarget 1|0\ny1 = x1\n"),
+            ("box.sk", "source 1|2\ntarget 1|0\nbox 1 0\ny1 = x1\n"),
+            ("exclude.sk", "source 1|2\ntarget 1|0\nexclude 0\ny1 = x1\n"),
+            ("rank.pt", "rank 2\nrank 3\nx1 = 1*1\n"),
+            ("negative.pt", "rank -1\nx1 = 1*1\n"),
+            ("twice.man", "chart A 1|0\nchart B 1|0\noverlap A B\noverlap B A\n"
+                          "transition A B\ny1 = x1\ntransition B A\ny1 = x1\n"
+                          "transition A B\ny1 = x1 + 1\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = {".sk": ["compose", str(path), files["identity"]],
+                ".pt": ["eval", files["f"], str(path)],
+                ".man": ["glue", "check", str(path)]}[path.suffix]
+        assert run(argv)[0] == 2, name
 
 
 def test_eval_high_power(files, tmp_path):

@@ -143,7 +143,7 @@ def test_naturality_battery_random():
         report = check_naturality(f, rng.randint(2, 5), rng=rng, sample_count=3)
         assert report.ok, report.summary()
     # a report with no checked item is not a pass
-    report = check_naturality(f, 2, samples=[])
+    report = check_naturality(f, 2, rng=rng, sample_count=0)
     assert not report.items and not report.ok
     assert report.summary().startswith("FAIL")
 

@@ -102,6 +102,12 @@ t1 = 1*g3
     with pytest.raises(ParseError) as err:
         parsing.parse_point_file("x1 = 1*1\nx1 = 2*1\n", SuperSpace(1, 0))
     assert err.value.line == 2 and "repeated" in str(err.value)
+    for text, line, message in (("rank 2\nrank 3\nx1 = 1*1\n", 2, "repeated rank"),
+                                ("x1 = 1*1\nrank -1\n", 2, "non-negative"),
+                                ("rank 9\nx1 = 1*1\n", 1, "exceeds the cap")):
+        with pytest.raises(ParseError) as err:
+            parsing.parse_point_file(text, SuperSpace(1, 0))
+        assert err.value.line == line and message in str(err.value), text
 
 
 def test_skeleton_file_round_trip_and_domains():
@@ -164,6 +170,17 @@ def test_skeleton_file_errors():
     with pytest.raises(ParseError) as err:
         parsing.parse_skeleton_file("source 1|0\ntarget 1|0\ny1 = x1\nh3 = x1\n")
     assert err.value.line == 4 and "exceeds" in str(err.value)
+    # single-valued headers may not repeat; bad domain lines name their line
+    for text, line, message in (
+            ("source 1|0\nbox 0 1\nsource 1|0\ntarget 1|0\ny1 = x1\n", 3, "repeated source"),
+            ("source 1|0\ntarget 1|0\ntarget 1|0\ny1 = x1\n", 3, "repeated target"),
+            ("source 1|0\ntarget 1|0\nbox 1 0\ny1 = x1\n", 3, "empty interval"),
+            ("source 1|0\ntarget 1|0\nexclude 0\ny1 = x1\n", 3, "zero polynomial"),
+            ("source 1|0\ntarget 1|0\ntarget_box 0 1\ntarget_box 2 2\ny1 = x1\n", 4,
+             "empty interval")):
+        with pytest.raises(ParseError) as err:
+            parsing.parse_skeleton_file(text)
+        assert err.value.line == line and message in str(err.value), text
 
 
 def test_skeleton_random_round_trip():
@@ -214,3 +231,15 @@ def test_manifold_file_errors():
     with pytest.raises(ParseError) as err:
         parsing.parse_manifold_file("chart A 1|1\ntransition A A\ny1 = x1\nh1 = x1\n")
     assert err.value.line == 4 and "parity-odd" in str(err.value)
+    # a repeated section header would silently replace the earlier section
+    two = "chart A 1|0\nchart B 1|0\n"
+    for text, line, message in (
+            ("chart A 1|0\nbox 0 1\nchart A 1|0\n", 3, "repeated chart A"),
+            (two + "overlap A B\nbox 0 1\noverlap A B\n", 5, "repeated overlap A B"),
+            (two + "transition A B\ny1 = x1\ntransition B A\ny1 = x1\n"
+             "transition A B\ny1 = x1 + 1\n", 7, "repeated transition A B"),
+            ("chart A 1|0\nbox 1 0\n", 2, "empty interval"),
+            (two + "overlap A B\nexclude 0\n", 4, "zero polynomial")):
+        with pytest.raises(ParseError) as err:
+            parsing.parse_manifold_file(text)
+        assert err.value.line == line and message in str(err.value), text

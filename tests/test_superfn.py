@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superskel import randgen
 from superskel.errors import NotInvertibleError, ParityError, SpaceMismatchError
@@ -101,6 +103,22 @@ def test_odd_partial_right_action():
     assert f.odd_partial(1) == -t(2)
     assert f.odd_partial(1).odd_partial(2) == SuperFunction.constant(S12, -1)
     assert f.odd_partial(2).odd_partial(1) == SuperFunction.constant(S12, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_partials_canonical(seed):
+    """Partials keep each label once and store no zero coefficient, also where
+    a constant coefficient differentiates to zero."""
+    rng = random.Random(seed)
+    space = randgen.random_spaces(rng, 2, 3, min_even=1)
+    f = (randgen.random_superfunction(rng, space, degree=2, terms=4, rational=seed % 3 == 0)
+         + randgen.random_superfunction(rng, space, degree=0, terms=3))
+    partials = [f.partial(i) for i in range(1, space.even_dim + 1)]
+    partials += [f.odd_partial(j) for j in range(1, space.odd_dim + 1)]
+    for r in partials:
+        assert all(r.terms.values())
+        assert SuperFunction(r.space, r.domain, r.terms).terms == r.terms
 
 
 def test_alt_coeff():
