@@ -34,7 +34,8 @@ class GluingData:
     ``charts`` maps chart ids to (space, domain).  ``overlaps[(i, j)]`` is the
     part of chart i glued to chart j (a sub-domain of chart i), and
     ``transitions[(i, j)]`` maps it onto ``overlaps[(j, i)]``.  The diagonal
-    entries default to the full chart and its identity skeleton.
+    entries default to the full chart and its identity skeleton, and the
+    overlap of a transition given without one to all of chart i.
     """
 
     def __init__(self, charts, overlaps, transitions):
@@ -59,6 +60,7 @@ class GluingData:
                     skeleton.target_space != self.charts[j][0]:
                 raise SpaceMismatchError(f"transition ({i},{j}) has wrong spaces")
             self.transitions[(i, j)] = skeleton
+            self.overlaps.setdefault((i, j), self.charts[i][1])
 
     def _need_chart(self, cid):
         if cid not in self.charts:

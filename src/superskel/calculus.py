@@ -25,7 +25,7 @@ from math import factorial
 from .continuation import eval_subst
 from .errors import DomainError, SuperskelError
 from .grassmann import GrassmannElement
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, _normal_factors
 from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
 from .superfn import Skeleton, SuperFunction
@@ -178,10 +178,11 @@ def _substitute_even_zero(fn: SuperFunction, index0: int) -> SuperFunction:
     terms = {}
     for labels, coeff in fn.terms.items():
         num = coeff.num.partial_eval({index0: _ZERO})
-        den = coeff.den.partial_eval({index0: _ZERO})
-        if den.is_zero():
+        # a factor may turn constant, non-monic or equal to another at t = 0
+        pairs = [(f.partial_eval({index0: _ZERO}), m) for f, m in coeff.factors]
+        if any(f.is_zero() for f, _ in pairs):
             raise DomainError("denominator degenerates at t = 0")
-        terms[labels] = RationalFunction(num, den)
+        terms[labels] = RationalFunction._make(*_normal_factors(num, pairs))
     return SuperFunction(fn.space, fn.domain, terms)
 
 
@@ -238,8 +239,9 @@ def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:
             if not num0.is_zero():
                 raise SuperskelError("difference is not divisible by t; "
                                      "a denominator must vanish at t = 0")
-            terms[labels] = RationalFunction(coeff.num.divide_by_variable(t_index0),
-                                             coeff.den)
+            # a factor dividing num / t would divide num: no new cancellation
+            terms[labels] = RationalFunction._raw(coeff.num.divide_by_variable(t_index0),
+                                                  coeff.factors)
         quotient_comps.append(SuperFunction(ext_space, diff.domain, terms))
     quotient = Skeleton(ext_space, ext_domain, skeleton.target_space,
                         skeleton.target_domain, quotient_comps)

@@ -72,10 +72,14 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
     odd_min = [o.min_odd_degree() for o in odds]
 
     compose_cache: dict = {}
+    factor_images: dict = {}
+    excluded = [[] for _ in outer.components]
 
     def composed_derivative(ci, sorted_odd, even_dirs):
         """(d^m along even_dirs of the ascending degree-k coefficient of the
-        outer component ci) composed through the body map; None when zero."""
+        outer component ci) composed through the body map; None when zero.
+        Records the zero set of each denominator factor's image as excluded
+        from component ci, also where that factor cancels in the result."""
         key = (ci, sorted_odd, even_dirs)
         if key not in compose_cache:
             rf = outer.components[ci].coefficient(sorted_odd)
@@ -84,6 +88,10 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
             if rf.is_zero():
                 compose_cache[key] = None
             else:
+                for factor, _ in rf.factors:
+                    if factor not in factor_images:
+                        factor_images[factor] = factor.eval_in(body_maps, one_rf).num
+                    excluded[ci].append(factor_images[factor])
                 try:
                     compose_cache[key] = rf.eval_in(body_maps, one_rf)
                 except NotInvertibleError:
@@ -130,8 +138,8 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
                         acc = acc + coeff * term
                     if soul_product is not None and soul_product.is_zero():
                         break
-        # denominators of the final coefficients are declared excluded
-        dens = [c.den for c in acc.terms.values() if not c.is_polynomial()]
+        # so are the denominator factors of the final coefficients
+        dens = excluded[ci] + [f for c in acc.terms.values() for f, _ in c.factors]
         results.append(SuperFunction(src, acc.domain.with_excluded(dens), acc.terms))
     return Skeleton(inner.source_space, inner.source_domain,
                     outer.target_space, outer.target_domain, results)

@@ -2,9 +2,13 @@
 
 These are the coefficient functions of superfunctions: every even coordinate
 dependency is a quotient of polynomials with Fraction coefficients, so every
-identity in the library is decidable by exact arithmetic. Equality of rational
-functions is cross-multiplied polynomial identity; no multivariate gcd is ever
-computed.
+identity in the library is decidable by exact arithmetic.  A rational
+function keeps its denominator as a list of monic factors with
+multiplicities; sums take the lcm of the factor lists, and every arithmetic
+result cancels each factor that divides its numerator exactly
+(``Polynomial.exact_quotient``).  Factors come from input denominators and
+inverted numerators, so no multivariate gcd is ever computed.  Equality
+compares numerators over equal factor lists and otherwise cross-multiplies.
 
 This bottom layer also holds the sparse-term kernel behind every finite sum
 in the library.  Only public constructors validate outside input; internal
@@ -176,14 +180,15 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise SuperskelError("polynomial powers must be non-negative integers")
-        result = Polynomial.one(self.nvars)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Polynomial.one(self.nvars) if result is None else result
 
     def __truediv__(self, other):
         """Division by a nonzero constant only."""
@@ -217,6 +222,51 @@ class Polynomial:
             if e:
                 terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
         return Polynomial._make(self.nvars, terms)
+
+    def exact_quotient(self, divisor: "Polynomial") -> "Polynomial | None":
+        """``self / divisor`` when ``divisor`` divides ``self`` exactly, else None.
+
+        Lex leading-term division.  Cheap tests reject first: the quotient's
+        total degree, and the lex-leading and lex-trailing monomials, which
+        must each be divisible by the divisor's; when the degrees are equal
+        the quotient is a constant, so supports and proportionality decide.
+        """
+        self._check(divisor)
+        dterms = divisor.terms
+        if not dterms:
+            raise NotInvertibleError("division by the zero polynomial")
+        terms = self.terms
+        if not terms:
+            return self
+        room = self.degree() - divisor.degree()
+        if room < 0:
+            return None
+        lead, dlead = max(terms), max(dterms)
+        if any(a < b for a, b in zip(lead, dlead)) or \
+                any(a < b for a, b in zip(min(terms), min(dterms))):
+            return None
+        dcoeff = dterms[dlead]
+        if room == 0:
+            ratio = terms[lead] / dcoeff
+            if terms.keys() != dterms.keys() or \
+                    any(terms[e] != ratio * c for e, c in dterms.items()):
+                return None
+            return Polynomial._make(self.nvars, {(0,) * self.nvars: ratio})
+        rest = [(e, -c) for e, c in dterms.items() if e != dlead]
+        rem = dict(terms)
+        quotient = {}
+        while rem:
+            lead = max(rem)
+            mono = tuple(a - b for a, b in zip(lead, dlead))
+            if any(m < 0 for m in mono) or sum(mono) > room:
+                return None
+            coeff = rem.pop(lead)
+            if dcoeff != 1:
+                coeff /= dcoeff
+            quotient[mono] = coeff
+            for e, c in rest:
+                _accumulate(rem, tuple(a + b for a, b in zip(mono, e)), coeff * c)
+        return Polynomial._make(self.nvars, quotient)
 
     def eval(self, values) -> Fraction:
         """Evaluate at a tuple of Fractions."""
@@ -343,30 +393,123 @@ def _signed_sum(parts) -> str:
     return out
 
 
-class RationalFunction:
-    """Quotient of two polynomials; the denominator is not identically zero.
+def _monic(poly: Polynomial):
+    """(lead, poly / lead) for the lex-leading coefficient ``lead``."""
+    lead = poly.terms[max(poly.terms)]
+    if lead == 1:
+        return _ONE, poly
+    return lead, Polynomial._make(poly.nvars, _scale(poly.terms, _ONE / lead))
 
-    Constant denominators are folded into the numerator, so plain polynomials
-    keep denominator 1.  Equality is exact cross-multiplication.
+
+def _normal_factors(num: Polynomial, pairs):
+    """Normal form of num / prod(f^m over pairs), without cancelling.
+
+    Makes each factor monic (its lead folds into ``num``), drops constant
+    factors and merges equal ones; returns (num, factors).
+    """
+    merged = {}
+    for factor, mult in pairs:
+        lead, factor = _monic(factor)
+        if lead != 1:
+            num = num * (_ONE / lead ** mult)
+        if not factor.is_constant():
+            merged[factor] = merged.get(factor, 0) + mult
+    return num, tuple(merged.items())
+
+
+def _expand(nvars: int, pairs) -> Polynomial:
+    """The product of f^m over (f, m) pairs."""
+    result = None
+    for factor, mult in pairs:
+        power = factor if mult == 1 else factor ** mult
+        result = power if result is None else result * power
+    return Polynomial.one(nvars) if result is None else result
+
+
+def _over_lcm(a: Polynomial, fa, b: Polynomial, fb):
+    """a / prod(fa) and b / prod(fb) over the lcm of their factor lists:
+    (a', b', lcm), each numerator multiplied only by its missing factors."""
+    lcm = dict(fa)
+    for factor, mult in fb:
+        if lcm.get(factor, 0) < mult:
+            lcm[factor] = mult
+
+    def raised(num, pairs):
+        have = dict(pairs)
+        missing = [(f, m - have.get(f, 0)) for f, m in lcm.items() if m > have.get(f, 0)]
+        return num * _expand(num.nvars, missing) if missing else num
+
+    return raised(a, fa), raised(b, fb), tuple(lcm.items())
+
+
+class RationalFunction:
+    """Quotient ``num / den`` of polynomials with a factored denominator.
+
+    ``factors`` is a tuple of (monic factor, multiplicity) pairs, pairwise
+    distinct; a factor is monic when its lex-leading coefficient is 1, and
+    constants fold into ``num``.  A polynomial has no factors (``()``).
+    ``den``, the product of the factors, is expanded on first use and
+    cached.
+
+    Arithmetic results are in lowest terms with respect to their factors:
+    each is built by ``_make``, which divides ``num`` by every factor that
+    divides it exactly, up to the factor's multiplicity.  Sums take the lcm
+    of the two factor lists, so denominators grow only by factors they do
+    not share.  The public constructor normalises but does not cancel.
+    Equality compares numerators over equal factor lists, and otherwise
+    cross-multiplies by the factors each side is missing.
     """
 
-    __slots__ = ("num", "den")
-    __hash__ = None  # equality is up to cross-multiplication
+    __slots__ = ("num", "_factors", "_den")
+    __hash__ = None  # equal values may have different factor lists
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        if den is None:
-            den = Polynomial.one(num.nvars)
-        if num.nvars != den.nvars:
-            raise SuperskelError("numerator/denominator variable sets differ")
-        if den.is_zero():
-            raise NotInvertibleError("denominator is identically zero")
-        if num.is_zero():
-            den = Polynomial.one(num.nvars)
-        elif den.is_constant():
-            num = num * (_ONE / den.constant_value())
-            den = Polynomial.one(num.nvars)
+        self._factors = ()
+        self._den = None
+        if den is not None:
+            if num.nvars != den.nvars:
+                raise SuperskelError("numerator/denominator variable sets differ")
+            if den.is_zero():
+                raise NotInvertibleError("denominator is identically zero")
+            if num.terms:
+                lead, den = _monic(den)
+                if lead != 1:
+                    num = num * (_ONE / lead)
+                if not den.is_constant():
+                    # ``factors`` builds the tuple on first use: a coefficient
+                    # read from input then costs no container beyond num, den
+                    self._factors = None
+                    self._den = den
         self.num = num
-        self.den = den
+
+    @classmethod
+    def _raw(cls, num: Polynomial, factors, den=None) -> "RationalFunction":
+        # trusted: factors monic, pairwise distinct, () when num is zero
+        rf = object.__new__(cls)
+        rf.num = num
+        rf._factors = factors
+        rf._den = den
+        return rf
+
+    @classmethod
+    def _make(cls, num: Polynomial, factors) -> "RationalFunction":
+        """Trusted constructor for arithmetic results: cancels each factor
+        from ``num`` as often as it divides exactly, up to its multiplicity."""
+        if not num.terms:
+            return cls._raw(num, ())
+        kept = []
+        for pair in factors:
+            factor, mult = pair
+            left = mult
+            while left:
+                quotient = num.exact_quotient(factor)
+                if quotient is None:
+                    break
+                num = quotient
+                left -= 1
+            if left:
+                kept.append(pair if left == mult else (factor, left))
+        return cls._raw(num, tuple(kept))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "RationalFunction":
@@ -380,124 +523,192 @@ class RationalFunction:
     def nvars(self) -> int:
         return self.num.nvars
 
+    @property
+    def factors(self):
+        if self._factors is None:
+            self._factors = ((self._den, 1),)
+        return self._factors
+
+    @property
+    def den(self) -> Polynomial:
+        if self._den is None:
+            self._den = _expand(self.num.nvars, self.factors)
+        return self._den
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def __bool__(self) -> bool:
         return bool(self.num.terms)
 
     def is_polynomial(self) -> bool:
-        return self.den == Polynomial.one(self.nvars)
+        return not self.factors
 
     def is_constant(self) -> bool:
-        return self.is_polynomial() and self.num.is_constant()
+        return not self.factors and self.num.is_constant()
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise SuperskelError("rational function is not constant")
         return self.num.constant_value()
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(self.nvars, other)
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
+    def _parts(self, other):
+        """(num, factors) of an operand, or None for a foreign type."""
         if isinstance(other, RationalFunction):
-            return other
+            return other.num, other.factors
+        if isinstance(other, Polynomial):
+            return other, ()
+        if isinstance(other, (int, Fraction)):
+            return Polynomial.constant(self.num.nvars, other), ()
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        b, fb = parts
+        fa = self.factors
+        if fa == fb:
+            if not fa:
+                return RationalFunction._raw(self.num + b, ())
+            return RationalFunction._make(self.num + b, fa)
+        a, b, lcm = _over_lcm(self.num, fa, b, fb)
+        return RationalFunction._make(a + b, lcm)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._raw(-self.num, self.factors, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return self + (-other)
+        b, fb = parts
+        return self + RationalFunction._raw(-b, fb)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return RationalFunction._raw(Polynomial.zero(self.num.nvars), ())
+            return RationalFunction._raw(self.num * other, self.factors, self._den)
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        b, fb = parts
+        fa = self.factors
+        if not fb:
+            if not fa:
+                return RationalFunction._raw(self.num * b, ())
+            return RationalFunction._make(self.num * b, fa)
+        if fa:
+            merged = dict(fa)
+            for factor, mult in fb:
+                merged[factor] = merged.get(factor, 0) + mult
+            fb = tuple(merged.items())
+        return RationalFunction._make(self.num * b, fb)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        if other.is_zero():
+        if not parts[0].terms:
             raise NotInvertibleError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * RationalFunction._raw(*parts).invert()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return other / self
+        if self.is_zero():
+            raise NotInvertibleError("division by the zero rational function")
+        return self.invert() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise SuperskelError("rational powers must be non-negative integers")
-        return RationalFunction(self.num ** n, self.den ** n)
+        if not self.factors:
+            return RationalFunction._raw(self.num ** n, ())
+        if n == 0:
+            return RationalFunction.constant(self.num.nvars, 1)
+        return RationalFunction._make(self.num ** n,
+                                      tuple((f, m * n) for f, m in self.factors))
 
     def invert(self) -> "RationalFunction":
+        """``den / num``: the numerator becomes one monic factor."""
         if self.is_zero():
             raise NotInvertibleError("the zero rational function has no inverse")
-        return RationalFunction(self.den, self.num)
+        lead, factor = _monic(self.num)
+        num = self.den if lead == 1 else self.den * (_ONE / lead)
+        if factor.is_constant():
+            return RationalFunction._raw(num, ())
+        return RationalFunction._make(num, ((factor, 1),))
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        b, fb = parts
+        fa = self.factors
+        if fa == fb:
+            return self.num == b
+        a, b, _ = _over_lcm(self.num, fa, b, fb)
+        return a == b
 
     def derivative(self, index: int) -> "RationalFunction":
-        """Quotient rule: (a/b)' = (a'b - ab') / b^2."""
-        if self.is_polynomial():
-            return RationalFunction(self.num.derivative(index))
-        return RationalFunction(
-            self.num.derivative(index) * self.den - self.num * self.den.derivative(index),
-            self.den * self.den,
-        )
+        """(a/D)' = (a'F - a * sum m f' F/f) / (D F), where D = prod f^m and
+        F is the product of the factors that depend on the variable."""
+        num = self.num.derivative(index)
+        if not self.factors:
+            return RationalFunction._raw(num, ())
+        moving = [(f, m, df) for f, m in self.factors if (df := f.derivative(index)).terms]
+        if not moving:
+            return RationalFunction._make(num, self.factors)
+        nvars = self.num.nvars
+        num = num * _expand(nvars, [(f, 1) for f, _, _ in moving])
+        for i, (_, m, df) in enumerate(moving):
+            others = [(g, 1) for j, (g, _, _) in enumerate(moving) if j != i]
+            term = self.num * df * m
+            num = num - (term * _expand(nvars, others) if others else term)
+        raised = {f: m + 1 for f, m, _ in moving}
+        return RationalFunction._make(
+            num, tuple((f, raised.get(f, m)) for f, m in self.factors))
 
     def eval(self, values) -> Fraction:
-        den = self.den.eval(values)
+        den = _ONE
+        for factor, mult in self.factors:
+            den *= factor.eval(values) ** mult
         if den == 0:
             raise DomainError(f"denominator vanishes at body point {tuple(map(str, values))}")
         return self.num.eval(values) / den
 
     def eval_in(self, values, one):
-        """Evaluate at ring elements; the denominator value must be invertible
-        (Fractions, or any object exposing ``invert``)."""
-        num = self.num.eval_in(values, one)
-        if self.is_polynomial():
-            return num
-        den = self.den.eval_in(values, one)
-        if isinstance(den, Fraction):
-            if den == 0:
-                raise NotInvertibleError("denominator evaluates to zero")
-            return num * (_ONE / den)
-        return num * den.invert()
+        """Evaluate at ring elements; each factor's value must be invertible
+        (Fractions, or any object exposing ``invert``) and is inverted on its
+        own, so the result's denominators keep the factor structure."""
+        value = self.num.eval_in(values, one)
+        for factor, mult in self.factors:
+            den = factor.eval_in(values, one)
+            if isinstance(den, Fraction):
+                if den == 0:
+                    raise NotInvertibleError("denominator evaluates to zero")
+                inverse = _ONE / den
+            else:
+                inverse = den.invert()
+            value = value * (inverse if mult == 1 else inverse ** mult)
+        return value
 
     def pad(self, new_nvars: int) -> "RationalFunction":
-        return RationalFunction(self.num.pad(new_nvars), self.den.pad(new_nvars))
+        # padding keeps the lex-leading monomials, so factors stay monic
+        return RationalFunction._raw(self.num.pad(new_nvars),
+                                     tuple((f.pad(new_nvars), m) for f, m in self.factors))
 
     def format(self, name=None) -> str:
-        if self.is_polynomial():
+        if not self.factors:
             return self.num.format(name)
         return f"({self.num.format(name)})/({self.den.format(name)})"
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ParityError, RankMismatchError, SpaceMismatchError, SuperskelError
 from .grassmann import GrassmannElement, GrassmannMorphism
-from .poly import Polynomial, _as_fraction
+from .poly import Polynomial, _as_fraction, _monic
 
 _ZERO = Fraction(0)
 
@@ -97,7 +97,18 @@ class DeWittDomain:
         return cls(space, [tuple(bounds)])
 
     def with_excluded(self, polys) -> "DeWittDomain":
-        extra = [p for p in polys if not p.is_constant()]
+        """This domain minus the zero sets of ``polys``.  Each new polynomial
+        is stored monic; constants, and polynomials already excluded up to a
+        constant factor, are dropped."""
+        seen = {_monic(p)[1] for p in self.excluded}
+        extra = []
+        for poly in polys:
+            if poly.is_constant():
+                continue
+            poly = _monic(poly)[1]
+            if poly not in seen:
+                seen.add(poly)
+                extra.append(poly)
         if not extra:
             return self
         return DeWittDomain(self.space, self.boxes, self.excluded + tuple(extra))

@@ -140,6 +140,18 @@ def test_exit_codes(files, tmp_path):
     assert run(["compose", files["f"], files["g"]])[0] == 2  # spaces do not compose
     for chart_args in (["Q", files["apoint"], "B"], ["A", files["apoint"], "Z"]):
         assert run(["glue", "transport", files["line"], *chart_args])[0] == 2, chart_args
+    # a transition without an overlap line is glued on all of its chart
+    for name, back, code in (("noov.man", "x1/2 - 1", 0), ("noov-bad.man", "x1/2", 1)):
+        path = tmp_path / name
+        path.write_text("chart A 1|1\nchart B 1|1\nchart C 1|1\n"
+                        "transition A B\ny1 = x1 + 1\nh1 = t1\n"
+                        "transition B A\ny1 = x1 - 1\nh1 = t1\n"
+                        "transition B C\ny1 = 2*x1\nh1 = t1\n"
+                        "transition C B\ny1 = x1/2\nh1 = t1\n"
+                        "transition A C\ny1 = 2*x1 + 2\nh1 = t1\n"
+                        f"transition C A\ny1 = {back}\nh1 = t1\n")
+        result = run(["glue", "check", str(path), "--samples", "5"])
+        assert result[0] == code and "cocycle conditions" in result[1], name
     # repeated headers and bad directives are parse errors
     for name, text in (
             ("twice.sk", "source 1|2\nbox 0 1\nsource 1|2\ntarget 1|0\ny1 = x1\n"),

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -52,6 +53,22 @@ def test_double_reciprocal():
     out = compose_subst(inv, inv)
     assert out.components[0] == SuperFunction.even_coordinate(S10, 1)
     assert any(not poly.is_constant() for poly in out.source_domain.excluded)
+
+
+def test_formula_route_excludes_where_an_outer_denominator_vanishes():
+    # y1/y2 through (x, x) cancels to 1, but f(0) lies outside the domain of g
+    S20 = SuperSpace(2, 0)
+    y2 = Polynomial.variable(2, 1)
+    mid = full(S20).with_excluded([y2])
+    g = Skeleton(S20, mid, S10, full(S10),
+                 [SuperFunction(S20, mid, {(): RationalFunction(Polynomial.variable(2, 0), y2)})])
+    x = SuperFunction.even_coordinate(S10, 1)
+    f = Skeleton(S10, full(S10), S20, mid, [x, x])
+    by_subst, by_formula = compose_subst(g, f), compose_formula(g, f)
+    assert by_formula == by_subst
+    assert by_formula.components[0] == SuperFunction.constant(S10, 1, full(S10))
+    for out in (by_subst, by_formula):
+        assert out.components[0].domain.excluded == (Polynomial.variable(1, 0),)
 
 
 def test_identity_laws():
@@ -258,3 +275,63 @@ def test_skeleton_reconstructs_from_coordinate_pullbacks():
         comps += [substitute_superfunction(SuperFunction.odd_coordinate(tgt, j + 1), f)
                   for j in range(tgt.odd_dim)]
         assert all(a == b for a, b in zip(comps, f.components))
+
+
+def _degrees(functions):
+    """(stored, reduced): the largest numerator/denominator total degree over
+    the coefficients as stored, and after ``sympy.cancel``."""
+    sympy = pytest.importorskip("sympy")
+    stored = reduced = 0
+    for fn in functions:
+        for coeff in fn.terms.values():
+            xs = sympy.symbols(f"x0:{coeff.nvars}")
+
+            def expr(poly):
+                return sum((sympy.Rational(c.numerator, c.denominator)
+                            * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+                            for exps, c in poly.terms.items()), sympy.Integer(0))
+
+            stored = max(stored, coeff.num.degree(), coeff.den.degree())
+            if coeff.is_polynomial():
+                reduced = max(reduced, coeff.num.degree())
+                continue
+            num, den = sympy.fraction(sympy.cancel(expr(coeff.num) / expr(coeff.den)))
+            reduced = max(reduced, sympy.Poly(num, *xs).total_degree(),
+                          sympy.Poly(den, *xs).total_degree())
+    return stored, reduced
+
+
+def test_rational_self_composition_stays_reduced():
+    # stored at degree 50 (f o f) and 460 (f o f o f, 22 s) without cancellation
+    f = randgen.random_skeleton(random.Random(1), S12, S12, degree=2, terms=2, rational=True)
+    started = time.perf_counter()
+    ff = compose_subst(f, f)
+    fff = compose_subst(f, ff)
+    assert compose_formula(f, f) == ff
+    assert compose_formula(f, ff) == fff
+    assert time.perf_counter() - started < 10
+    assert _degrees(ff.components) == (12, 12)
+    assert _degrees(fff.components) == (28, 28)
+
+
+def test_random_rational_results_stay_reduced():
+    """Stored degrees equal reduced degrees on random rational skeletons: the
+    coefficient derivatives the Taylor route evaluates, compositions by both
+    routes, and the difference quotient at t = 0."""
+    from superskel.calculus import bgn_quotient
+
+    rng = random.Random(2)
+    for _ in range(4):
+        src, mid, tgt = (randgen.random_spaces(rng, 2, 2, min_total=1) for _ in range(3))
+        f = randgen.random_skeleton(rng, src, mid, degree=3, terms=2, rational=True)
+        g = randgen.random_skeleton(rng, mid, tgt, degree=2, terms=2, rational=True)
+        checked = []
+        for comp in f.components:
+            for i in range(1, src.even_dim + 1):
+                checked += [comp.partial(i), comp.partial(i).partial(i)]
+        composed = compose_subst(g, f)
+        assert compose_formula(g, f) == composed
+        checked += composed.components
+        checked += bgn_quotient(f).at_zero_t().components
+        stored, reduced = _degrees(checked)
+        assert stored == reduced

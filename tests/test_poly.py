@@ -132,3 +132,105 @@ def test_results_canonical_and_equal_to_sympy(pair, scalar, power, index):
         assert all(result.terms.values())
         assert Polynomial(result.nvars, result.terms).terms == result.terms
         assert sympy.expand(expr(result) - expected) == 0
+
+
+# Denominator factors come from pools of irreducible, pairwise non-associate
+# polynomials over Q, and numerators are a constant times 1 or one irreducible
+# polynomial.  Trial division by irreducible factors finds every common factor,
+# so each result below must be stored exactly in lowest terms.
+_IRREDUCIBLE = {
+    1: [{(2,): 1, (0,): 1}, {(1,): 1, (0,): -2}, {(1,): 1, (0,): 1},
+        {(2,): 1, (1,): 1, (0,): 1}, {(2,): 1, (0,): -3}, {(3,): 1, (1,): -1, (0,): -1}],
+    2: [{(2, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1}, {(0, 1): 1, (0, 0): 2},
+        {(1, 0): 1, (0, 1): 1}, {(2, 0): 1, (0, 2): 1, (0, 0): 1},
+        {(1, 0): 1, (0, 1): -1, (0, 0): 1}, {(0, 2): 1, (0, 0): -2}],
+}
+_NONZERO = _FRACTIONS.filter(bool)
+
+
+@st.composite
+def _factored_rationals(draw, nvars):
+    """c * N / prod(p^d), built by arithmetic so the denominator is factored."""
+    pool = [Polynomial(nvars, t) for t in _IRREDUCIBLE[nvars]]
+    num = Polynomial.constant(nvars, draw(_NONZERO))
+    if draw(st.booleans()):
+        num = num * draw(st.sampled_from(pool))
+    rf = RationalFunction(num)
+    for factor in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        # a constant multiple of the factor: the normal form makes it monic
+        rf = rf * RationalFunction(Polynomial.one(nvars), factor * draw(_NONZERO))
+    return rf
+
+
+@st.composite
+def _affine_values(draw, nvars):
+    """x_i -> d_i x_i + (later variables) + c_i with d_i nonzero, the images
+    maybe swapped: an invertible affine change of variables, as rational
+    functions.  It keeps irreducible polynomials irreducible and non-associate."""
+    images = []
+    for i in range(nvars):
+        terms = {(0,) * nvars: draw(_FRACTIONS)}
+        for j in range(i, nvars):
+            terms[tuple(int(k == j) for k in range(nvars))] = draw(
+                _NONZERO if j == i else _FRACTIONS)
+        images.append(RationalFunction(Polynomial(nvars, terms)))
+    return images[::-1] if draw(st.booleans()) else images
+
+
+@st.composite
+def _rational_cases(draw):
+    nvars = draw(st.integers(1, 2))
+    return (nvars, draw(_factored_rationals(nvars)), draw(_factored_rationals(nvars)),
+            draw(_affine_values(nvars)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_cases(), st.integers(0, 3), st.integers(0, 1))
+def test_rational_results_in_lowest_terms(case, power, index):
+    sympy = pytest.importorskip("sympy")
+    nvars, a, b, values = case
+    index %= nvars
+    xs = sympy.symbols(f"x0:{nvars}")
+
+    def poly_expr(poly, at=xs):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(x ** e for x, e in zip(at, exps)))
+                    for exps, c in poly.terms.items()), sympy.Integer(0))
+
+    def expr(rf, at=xs):
+        return poly_expr(rf.num, at) / poly_expr(rf.den, at)
+
+    A, B = expr(a), expr(b)
+    at = [expr(v) for v in values]
+    one = RationalFunction.constant(nvars, 1)
+    cases = [(a + b, A + B), (a - b, A - B), (a * b, A * B), (a / b, A / B),
+             (a ** power, A ** power), (a.invert(), 1 / A),
+             (a.derivative(index), sympy.diff(A, xs[index])),
+             (a.eval_in(values, one), expr(a, at))]
+    for result, expected in cases:
+        assert sympy.cancel(expr(result) - expected) == 0
+        factors = [f for f, _ in result.factors]
+        assert all(f.terms[max(f.terms)] == 1 and not f.is_constant() for f in factors)
+        assert all(m >= 1 for _, m in result.factors)
+        assert len(set(factors)) == len(factors)
+        if result.is_zero():
+            assert not result.factors
+            continue
+        num, den = sympy.fraction(sympy.cancel(expected))
+        assert result.num.degree() == sympy.Poly(num, *xs).total_degree()
+        assert result.den.degree() == sympy.Poly(den, *xs).total_degree()
+
+
+def test_composite_factors_cancel_in_every_result():
+    """A factor need not be irreducible: 1/x^2 has the one factor x^2, and x/x^2
+    is reduced with respect to it.  Products, powers and inverses of such
+    operands can still cancel, so each is trial-divided as a whole."""
+    x = Polynomial.variable(1, 0)
+    one = Polynomial.one(1)
+    half = RationalFunction(one, x ** 2) * x
+    assert (half.num, half.factors) == (x, ((x ** 2, 1),))
+    for result, num, factors in [(half.invert(), x, ()),
+                                 (half ** 2, one, ((x ** 2, 1),)),
+                                 (half * x, one, ()),
+                                 (half * half, one, ((x ** 2, 1),))]:
+        assert (result.num, result.factors) == (num, factors)
