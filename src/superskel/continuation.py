@@ -38,8 +38,7 @@ def eval_subst(skeleton: Skeleton, point: LambdaPoint,
     if check_domain and not skeleton.source_domain.contains(point):
         raise DomainError("point lies outside the skeleton's source domain")
     values = [comp.eval(point, check_domain=False) for comp in skeleton.components]
-    p = skeleton.target_space.even_dim
-    result = LambdaPoint(skeleton.target_space, point.rank, values[:p], values[p:])
+    result = LambdaPoint.of(skeleton.target_space, point.rank, values)
     if check_domain and not skeleton.target_domain.contains(result):
         raise DomainError("image body falls outside the declared target domain")
     return result
@@ -193,10 +192,8 @@ def check_naturality(skeleton: Skeleton, rank: int, rng,
 
 def theta_support(point_like) -> set[int]:
     """Generators contained in every stored monomial of every coordinate."""
-    entries = (point_like.entries() if isinstance(point_like, LambdaPoint)
-               else point_like.values)
     common = None
-    for v in entries:
+    for v in point_like.values:
         for labels in v.terms:
             s = set(labels)
             common = s if common is None else (common & s)
@@ -216,21 +213,19 @@ def taylor_increment(skeleton: Skeleton, point: LambdaPoint, increments) -> Lamb
     for idx, y in enumerate(increments):
         if y.space != skeleton.source_space or y.rank != point.rank:
             raise RankMismatchError("increment incompatible with the base point")
-        nonzero = [v for v in y.entries()] if isinstance(y, LambdaPoint) else list(y.values)
-        if all(v.is_zero() for v in nonzero):
+        if y.is_zero():
             continue
         if not theta_support(y):
             raise SuperskelError(
                 f"increment {idx} is not supported on a single generator")
     k = len(increments)
     total = None
-    vectors = [y.to_vector() if isinstance(y, LambdaPoint) else y for y in increments]
     for j in range(1, k + 1):
         data = derivative(skeleton, j)
         from itertools import combinations
 
         for subset in combinations(range(k), j):
-            value = data.apply(point, [vectors[i] for i in subset])
+            value = data.apply(point, [increments[i] for i in subset])
             total = value if total is None else total + value
     if total is None:
         return LambdaPoint.zero(skeleton.target_space, point.rank)

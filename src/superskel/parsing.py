@@ -26,6 +26,14 @@ from .poly import Polynomial
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
+# Input limits that keep small inputs from ending in an interpreter error:
+# each level of parentheses costs five parser frames of Python's recursion
+# limit, and Python refuses to convert integer strings longer than
+# sys.get_int_max_str_digits() (4300 digits by default).
+MAX_NESTING = 100
+MAX_LITERAL_DIGITS = 4000
+
+_LONG_LITERAL_RE = re.compile(r"\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()=|]))")
 _VAR_RE = re.compile(r"^([gxt])(\d+)$")
 
@@ -38,7 +46,15 @@ class Token:
     column: int
 
 
+def _check_literals(text: str, line: int) -> None:
+    match = _LONG_LITERAL_RE.search(text)
+    if match:
+        raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                         line, match.start() + 1)
+
+
 def tokenize(text: str, line: int = 1) -> list[Token]:
+    _check_literals(text, line)
     tokens = []
     pos = 0
     while pos < len(text):
@@ -64,6 +80,7 @@ class _Parser:
         self.tokens = tokens
         self.index = 0
         self.context = context
+        self.depth = 0  # open parentheses
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -139,9 +156,14 @@ class _Parser:
             self.next()
             return self.context.var(match.group(1), int(match.group(2)), token)
         if self.at_op("("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 token.line, token.column)
             self.next()
+            self.depth += 1
             value = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError("expected a value", token.line, token.column)
 
@@ -277,6 +299,7 @@ def _header(headers: dict, key: tuple, line_no: int) -> tuple:
 def _meaningful_lines(text: str):
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
+        _check_literals(line, idx)
         if line.strip():
             yield idx, line.strip()
 

@@ -24,9 +24,6 @@ class CheckReport:
     def add_skip(self, label: str, detail: str = "") -> None:
         self.items.append(CheckItem(label, True, detail, skipped=True))
 
-    def extend(self, other: "CheckReport") -> None:
-        self.items.extend(other.items)
-
     @property
     def ok(self) -> bool:
         """All items passed, and at least one of them was not skipped."""

@@ -1,11 +1,12 @@
-"""Coordinate superspaces, their lambda-points, and body-determined domains.
+"""Coordinate superspaces, vectors and lambda-points, and body-determined domains.
 
-A point of R^{p|q} over the rank-N Grassmann algebra assigns an even element
-to each of the p even coordinates and an odd element to each of the q odd
-coordinates.  Domains only constrain the body (the scalar part of the even
-coordinates): they are finite unions of open rational boxes minus finitely
-many polynomial zero sets, so membership of a rational body point is exactly
-decidable.
+A vector of R^{p|q} over the rank-N Grassmann algebra assigns a Grassmann
+element to each of the p even and q odd coordinates.  A point is a vector of
+parity 0 (an even element on each even coordinate, an odd element on each odd
+one), so ``LambdaPoint`` is a ``Vector`` that checks its parity.  Domains only
+constrain the body (the scalar part of the even coordinates): they are finite
+unions of open rational boxes minus finitely many polynomial zero sets, so
+membership of a rational body point is exactly decidable.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from fractions import Fraction
 from .errors import DomainError, ParityError, RankMismatchError, SpaceMismatchError, SuperskelError
 from .grassmann import GrassmannElement, GrassmannMorphism
 from .poly import Polynomial, _as_fraction, _monic
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -179,110 +178,16 @@ def _sample_interval(rng, lo, hi) -> Fraction:
     return lo + (hi - lo) * Fraction(num, den)
 
 
-class LambdaPoint:
-    """A lambda-point of a superspace: parity-correct coordinate values."""
+class Vector:
+    """Coordinate vector: one Grassmann value per coordinate, evens first.
 
-    __slots__ = ("space", "rank", "even_values", "odd_values")
-
-    def __init__(self, space: SuperSpace, rank: int, even_values, odd_values):
-        even_values = tuple(even_values)
-        odd_values = tuple(odd_values)
-        if len(even_values) != space.even_dim or len(odd_values) != space.odd_dim:
-            raise SpaceMismatchError("coordinate count does not match the space")
-        for v in even_values + odd_values:
-            if not isinstance(v, GrassmannElement):
-                raise TypeError("coordinate values must be Grassmann elements")
-            if v.rank != rank:
-                raise RankMismatchError("all coordinate values must share the point's rank")
-        for v in even_values:
-            if not v.is_even():
-                raise ParityError("even coordinates must carry even values")
-        for v in odd_values:
-            if not v.is_odd():
-                raise ParityError("odd coordinates must carry odd values")
-        self.space = space
-        self.rank = rank
-        self.even_values = even_values
-        self.odd_values = odd_values
-
-    @classmethod
-    def from_body(cls, space: SuperSpace, rank: int, body) -> "LambdaPoint":
-        evens = [GrassmannElement.scalar(rank, _as_fraction(v)) for v in body]
-        odds = [GrassmannElement.zero(rank) for _ in range(space.odd_dim)]
-        return cls(space, rank, evens, odds)
-
-    @classmethod
-    def zero(cls, space: SuperSpace, rank: int) -> "LambdaPoint":
-        return cls.from_body(space, rank, [_ZERO] * space.even_dim)
-
-    def body(self) -> tuple[Fraction, ...]:
-        return tuple(v.body() for v in self.even_values)
-
-    def split(self):
-        """(body, even souls, odd values) with exact reassembly."""
-        body = self.body()
-        souls = tuple(v.soul() for v in self.even_values)
-        return body, souls, self.odd_values
-
-    def entries(self) -> tuple[GrassmannElement, ...]:
-        return self.even_values + self.odd_values
-
-    def map(self, morphism: GrassmannMorphism) -> "LambdaPoint":
-        """Push the point along a Grassmann-algebra morphism, coordinatewise."""
-        if morphism.source_rank != self.rank:
-            raise RankMismatchError("morphism source rank does not match the point")
-        return LambdaPoint(self.space, morphism.target_rank,
-                           [morphism(v) for v in self.even_values],
-                           [morphism(v) for v in self.odd_values])
-
-    def embed(self, new_rank: int) -> "LambdaPoint":
-        return LambdaPoint(self.space, new_rank,
-                           [v.embed(new_rank) for v in self.even_values],
-                           [v.embed(new_rank) for v in self.odd_values])
-
-    def _check_compatible(self, other):
-        if not isinstance(other, LambdaPoint):
-            raise TypeError("expected a LambdaPoint")
-        if other.space != self.space:
-            raise SpaceMismatchError("points live in different spaces")
-        if other.rank != self.rank:
-            raise RankMismatchError("points have different ranks")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return LambdaPoint(self.space, self.rank,
-                           [a + b for a, b in zip(self.even_values, other.even_values)],
-                           [a + b for a, b in zip(self.odd_values, other.odd_values)])
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return LambdaPoint(self.space, self.rank,
-                           [a - b for a, b in zip(self.even_values, other.even_values)],
-                           [a - b for a, b in zip(self.odd_values, other.odd_values)])
-
-    def to_vector(self) -> "Vector":
-        return Vector(self.space, self.rank, self.entries())
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaPoint):
-            return NotImplemented
-        return (self.space == other.space and self.rank == other.rank
-                and self.even_values == other.even_values
-                and self.odd_values == other.odd_values)
-
-    def __repr__(self):
-        coords = [f"x{i + 1}={v.format()}" for i, v in enumerate(self.even_values)]
-        coords += [f"t{j + 1}={v.format()}" for j, v in enumerate(self.odd_values)]
-        return f"LambdaPoint(rank {self.rank}: " + "; ".join(coords) + ")"
-
-
-class Vector(object):
-    """Coordinate vector with unconstrained parities.
-
-    Used for derivative arguments: an element of the full tensor product
-    assigns an arbitrary Grassmann value to every coordinate.  A vector is
-    homogeneous of parity s when every nonzero entry has parity
-    s + (parity of its coordinate).
+    An element of the tensor product of the Grassmann algebra with the
+    coordinate space assigns an arbitrary Grassmann value to every
+    coordinate; derivative arguments are vectors.  A vector is homogeneous of
+    parity s when every nonzero entry has parity s + (parity of its
+    coordinate).  Validation and the vector operations live here once; each
+    operation builds its result through ``of``, so it keeps the operand's
+    class (a point plus a point is a point).
     """
 
     __slots__ = ("space", "rank", "values")
@@ -301,9 +206,14 @@ class Vector(object):
         self.values = values
 
     @classmethod
+    def of(cls, space: SuperSpace, rank: int, values) -> "Vector":
+        """An instance of this class with the given entries, evens first."""
+        return cls(space, rank, values)
+
+    @classmethod
     def zero(cls, space: SuperSpace, rank: int) -> "Vector":
         n = space.even_dim + space.odd_dim
-        return cls(space, rank, [GrassmannElement.zero(rank)] * n)
+        return cls.of(space, rank, [GrassmannElement.zero(rank)] * n)
 
     @classmethod
     def basis(cls, space: SuperSpace, rank: int, coord: int, value=None) -> "Vector":
@@ -312,7 +222,7 @@ class Vector(object):
             value = GrassmannElement.unit(rank)
         values = [GrassmannElement.zero(rank)] * (space.even_dim + space.odd_dim)
         values[coord] = value
-        return cls(space, rank, values)
+        return cls.of(space, rank, values)
 
     def entry(self, coord: int) -> GrassmannElement:
         return self.values[coord]
@@ -339,27 +249,39 @@ class Vector(object):
 
     def scale(self, factor) -> "Vector":
         """Left multiplication by a scalar or Grassmann element."""
-        return Vector(self.space, self.rank, [factor * v for v in self.values])
+        return self.of(self.space, self.rank, [factor * v for v in self.values])
+
+    def map(self, morphism: GrassmannMorphism) -> "Vector":
+        """Push along a Grassmann-algebra morphism, entrywise."""
+        if morphism.source_rank != self.rank:
+            raise RankMismatchError("morphism source rank does not match the vector")
+        return self.of(self.space, morphism.target_rank, [morphism(v) for v in self.values])
+
+    def embed(self, new_rank: int) -> "Vector":
+        return self.of(self.space, new_rank, [v.embed(new_rank) for v in self.values])
+
+    def _check_compatible(self, other) -> None:
+        if other.space != self.space:
+            raise SpaceMismatchError("vectors live in different spaces")
+        if other.rank != self.rank:
+            raise RankMismatchError("vectors have different ranks")
 
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        if other.space != self.space or other.rank != self.rank:
-            raise SpaceMismatchError("vectors are incompatible")
-        return Vector(self.space, self.rank,
-                      [a + b for a, b in zip(self.values, other.values)])
+        self._check_compatible(other)
+        return self.of(self.space, self.rank,
+                       [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        if other.space != self.space or other.rank != self.rank:
-            raise SpaceMismatchError("vectors are incompatible")
-        return Vector(self.space, self.rank,
-                      [a - b for a, b in zip(self.values, other.values)])
+        self._check_compatible(other)
+        return self.of(self.space, self.rank,
+                       [a - b for a, b in zip(self.values, other.values)])
 
-    def to_point(self) -> LambdaPoint:
-        p = self.space.even_dim
-        return LambdaPoint(self.space, self.rank, self.values[:p], self.values[p:])
+    def to_point(self) -> "LambdaPoint":
+        return LambdaPoint.of(self.space, self.rank, self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -369,3 +291,58 @@ class Vector(object):
 
     def __repr__(self):
         return f"Vector(rank {self.rank}: " + "; ".join(v.format() for v in self.values) + ")"
+
+
+class LambdaPoint(Vector):
+    """A lambda-point of a superspace: a vector of parity 0.
+
+    Even coordinates carry even values and odd coordinates odd values; the
+    point adds only that check to ``Vector``, and ``even_values`` and
+    ``odd_values`` are the two parts of its one ``values`` tuple.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, space: SuperSpace, rank: int, even_values, odd_values):
+        even_values = tuple(even_values)
+        odd_values = tuple(odd_values)
+        if len(even_values) != space.even_dim or len(odd_values) != space.odd_dim:
+            raise SpaceMismatchError("coordinate count does not match the space")
+        super().__init__(space, rank, even_values + odd_values)
+        if self.parity() != 0:
+            if not all(v.is_even() for v in even_values):
+                raise ParityError("even coordinates must carry even values")
+            raise ParityError("odd coordinates must carry odd values")
+
+    @classmethod
+    def of(cls, space: SuperSpace, rank: int, values) -> "LambdaPoint":
+        p = space.even_dim
+        return cls(space, rank, values[:p], values[p:])
+
+    @classmethod
+    def from_body(cls, space: SuperSpace, rank: int, body) -> "LambdaPoint":
+        evens = [GrassmannElement.scalar(rank, _as_fraction(v)) for v in body]
+        odds = [GrassmannElement.zero(rank) for _ in range(space.odd_dim)]
+        return cls(space, rank, evens, odds)
+
+    @property
+    def even_values(self) -> tuple[GrassmannElement, ...]:
+        return self.values[:self.space.even_dim]
+
+    @property
+    def odd_values(self) -> tuple[GrassmannElement, ...]:
+        return self.values[self.space.even_dim:]
+
+    def body(self) -> tuple[Fraction, ...]:
+        return tuple(v.body() for v in self.even_values)
+
+    def split(self):
+        """(body, even souls, odd values) with exact reassembly."""
+        body = self.body()
+        souls = tuple(v.soul() for v in self.even_values)
+        return body, souls, self.odd_values
+
+    def __repr__(self):
+        coords = [f"x{i + 1}={v.format()}" for i, v in enumerate(self.even_values)]
+        coords += [f"t{j + 1}={v.format()}" for j, v in enumerate(self.odd_values)]
+        return f"LambdaPoint(rank {self.rank}: " + "; ".join(coords) + ")"

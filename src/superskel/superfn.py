@@ -306,15 +306,9 @@ class SuperFunction:
             raise DomainError("a denominator has zero body at this point; "
                               "the declared domain is dishonest")
 
-    def substitute(self, even_values, odd_values, one=None) -> "SuperFunction":
-        """Plug superfunctions in for the coordinates (coordinatewise composition)."""
-        values = list(even_values) + list(odd_values)
-        if one is None:
-            if not values:
-                raise SuperskelError("substitution into a function of no coordinates "
-                                     "requires an explicit unit")
-            target = values[0]
-            one = SuperFunction.constant(target.space, 1, target.domain)
+    def substitute(self, even_values, odd_values, one) -> "SuperFunction":
+        """Plug superfunctions in for the coordinates (coordinatewise
+        composition); ``one`` is the unit of the ring of the values."""
         return self._expand(list(even_values), list(odd_values), one)
 
     # -- rendering -----------------------------------------------------------

@@ -115,7 +115,7 @@ def test_derivative_agrees_with_quotient_at_zero_t():
         ext_pt = LambdaPoint(ext, rank, evens, odds)
         lhs = eval_subst(q, ext_pt, check_domain=False)
         rhs = data.apply(x_pt, [v])
-        assert list(lhs.entries()) == list(rhs.values)
+        assert list(lhs.values) == list(rhs.values)
 
 
 def test_derivative_symmetry_even_pairs():

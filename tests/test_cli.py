@@ -168,6 +168,12 @@ def test_exit_codes(files, tmp_path):
                 ".pt": ["eval", files["f"], str(path)],
                 ".man": ["glue", "check", str(path)]}[path.suffix]
         assert run(argv)[0] == 2, name
+    # deep nesting and overlong literals stop at the parser, not the interpreter
+    for name, expr in (("deep.sk", "(" * 3000 + "x1" + ")" * 3000),
+                       ("long.sk", "7" * 5000 + "*x1")):
+        path = tmp_path / name
+        path.write_text(f"source 1|2\ntarget 1|0\ny1 = {expr}\n")
+        assert run(["eval", str(path), files["point"]])[0] == 2, name
 
 
 def test_eval_high_power(files, tmp_path):

@@ -130,3 +130,23 @@ def test_point_arithmetic_and_embedding():
     emb = x.embed(5)
     assert emb.rank == 5
     assert emb.body() == x.body()
+
+
+def test_point_is_a_parity_checked_vector():
+    space = SuperSpace(1, 1)
+    rng = random.Random(5)
+    x = randgen.random_point(rng, space, 3)
+    y = randgen.random_point(rng, space, 3)
+    assert x == Vector(space, 3, x.even_values + x.odd_values)
+    assert x.values == x.even_values + x.odd_values
+    for result in (x + y, x - y, x.map(randgen.random_morphism(rng, 3, 2)), x.embed(4),
+                   Vector(space, 3, x.values).to_point()):
+        assert type(result) is LambdaPoint
+    assert type(Vector(space, 3, x.values) + x) is Vector
+    assert type(Vector(space, 3, x.values).embed(4)) is Vector
+    odd_shift = Vector.basis(space, 3, 0, G.generator(3, 1))
+    assert odd_shift.parity() == 1
+    with pytest.raises(ParityError):
+        x + odd_shift
+    with pytest.raises(ParityError):
+        x - odd_shift
