@@ -20,7 +20,7 @@ from .calculus import (BGNQuotient, DerivativeData, HadamardDecomposition, Hadam
 from .continuation import (check_naturality, default_morphism_battery, eval_subst,
                            eval_taylor, taylor_increment, taylor_shells,
                            truncation_consistent)
-from .errors import (DomainError, NotInvertibleError, ParityError, ParseError,
+from .errors import (DigitCapError, DomainError, NotInvertibleError, ParityError, ParseError,
                      RankCapError, RankMismatchError, SpaceMismatchError, SuperskelError)
 from .grassmann import GrassmannElement, GrassmannMorphism, max_rank
 from .morphisms import (PointEvaluation, check_algebra_morphism, compose_formula,
@@ -34,7 +34,7 @@ from .superfn import Skeleton, SuperFunction, mul_shuffle
 __version__ = "0.1.0"
 
 __all__ = [
-    "BGNQuotient", "CheckItem", "CheckReport", "DerivativeData", "DeWittDomain",
+    "BGNQuotient", "CheckItem", "CheckReport", "DerivativeData", "DeWittDomain", "DigitCapError",
     "DomainError", "GluingData", "GrassmannElement", "GrassmannMorphism",
     "HadamardDecomposition", "HadamardFactor", "LambdaPoint", "ManifoldPoint",
     "NotInvertibleError", "ParityError", "ParseError", "PointEvaluation",

@@ -10,7 +10,6 @@ random nilpotent perturbations.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .continuation import eval_subst
@@ -99,13 +98,11 @@ def _add_sampled(report: CheckReport, label: str, points, lhs, rhs) -> None:
                bad == 0, f"{bad} failures" if bad else "")
 
 
-def check_cocycle(data: GluingData, rng=None, samples: int = 25,
-                  rank: int = 3) -> CheckReport:
+def check_cocycle(data: GluingData, rng, samples: int = 25, rank: int = 3) -> CheckReport:
     """Identity, inverse and triple-overlap laws for the transitions.
 
     Failures are report entries, never exceptions.
     """
-    rng = rng or random.Random(20570)
     report = CheckReport("cocycle conditions")
     ids = data.chart_ids()
 
@@ -177,12 +174,10 @@ def transport(data: GluingData, mp: ManifoldPoint, to_chart: str) -> ManifoldPoi
 
 
 def check_global_morphism(source: GluingData, target: GluingData,
-                          components, rng=None, samples: int = 10,
-                          rank: int = 3) -> CheckReport:
+                          components, rng, samples: int = 10, rank: int = 3) -> CheckReport:
     """Chartwise representatives glue to one morphism iff they agree across
     overlaps: transition2 o f_i = f_j o transition1 wherever both make sense.
     """
-    rng = rng or random.Random(20571)
     report = CheckReport("global morphism compatibility")
     components = dict(components)
     for (i, j), skeleton in components.items():

@@ -16,7 +16,7 @@ from . import parsing, selftest
 from .atlas import ManifoldPoint, check_cocycle, transport
 from .calculus import check_bgn, check_def43, check_lambda_linearity, check_taylor, derivative
 from .continuation import check_naturality, eval_subst, eval_taylor
-from .errors import ParseError, RankCapError, SpaceMismatchError, SuperskelError
+from .errors import DigitCapError, ParseError, RankCapError, SpaceMismatchError, SuperskelError
 from .grassmann import max_rank
 from .morphisms import compose_formula, compose_subst
 
@@ -77,7 +77,7 @@ def _cmd_compose(args) -> int:
 def _cmd_diff(args) -> int:
     skeleton = _load_skeleton(args.skeleton)
     data = derivative(skeleton, args.order)
-    print(f"# derivative order {args.order} of {args.skeleton}")
+    lines = [f"# derivative order {args.order} of {args.skeleton}"]
     # direction tuples with a nonzero iterated partial, built by prepending:
     # components(dirs) is computed from dirs[1:], so a zero suffix has no
     # nonzero extension; prepending to a sorted list keeps the order of
@@ -94,7 +94,8 @@ def _cmd_diff(args) -> int:
             if comp.is_zero():
                 continue
             name = f"y{ci + 1}" if ci < p else f"h{ci - p + 1}"
-            print(f"d({dir_text}) {name} = {comp.format()}")
+            lines.append(f"d({dir_text}) {name} = {comp.format()}")
+    print("\n".join(lines))  # all or nothing: a number may be too long to print
     return 0
 
 
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ParseError, RankCapError, SpaceMismatchError) as exc:
+    except (DigitCapError, ParseError, RankCapError, SpaceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SuperskelError as exc:

@@ -131,12 +131,11 @@ def taylor_shells(skeleton: Skeleton, point: LambdaPoint, max_total: int | None 
     return shells
 
 
-def eval_taylor(skeleton: Skeleton, point: LambdaPoint,
-                check_domain: bool = True) -> LambdaPoint:
+def eval_taylor(skeleton: Skeleton, point: LambdaPoint) -> LambdaPoint:
     """Evaluate by the exact Taylor double sum at the body point."""
     if point.space != skeleton.source_space:
         raise SuperskelError("point lives in a different space than the skeleton source")
-    if check_domain and not skeleton.source_domain.contains(point):
+    if not skeleton.source_domain.contains(point):
         raise DomainError("point lies outside the skeleton's source domain")
     rank = point.rank
     totals = [GrassmannElement.zero(rank) for _ in skeleton.components]
@@ -144,12 +143,12 @@ def eval_taylor(skeleton: Skeleton, point: LambdaPoint,
         totals = [a + b for a, b in zip(totals, contributions)]
     p = skeleton.target_space.even_dim
     result = LambdaPoint(skeleton.target_space, rank, totals[:p], totals[p:])
-    if check_domain and not skeleton.target_domain.contains(result):
+    if not skeleton.target_domain.contains(result):
         raise DomainError("image body falls outside the declared target domain")
     return result
 
 
-def default_morphism_battery(rank: int, scale=Fraction(3, 2)):
+def default_morphism_battery(rank: int):
     """The standard battery: body projection, permutations, scalings,
     generator kills, and an odd cubic substitution (when the rank allows)."""
     battery = [("to_body", GrassmannMorphism.to_body(rank))]
@@ -160,7 +159,7 @@ def default_morphism_battery(rank: int, scale=Fraction(3, 2)):
         swap[0], swap[1] = swap[1], swap[0]
         battery.append(("swap12", GrassmannMorphism.permutation(rank, swap)))
     if rank >= 1:
-        battery.append(("scale1", GrassmannMorphism.scale_generator(rank, 1, scale)))
+        battery.append(("scale1", GrassmannMorphism.scale_generator(rank, 1, Fraction(3, 2))))
         battery.append(("kill1", GrassmannMorphism.kill_generator(rank, 1)))
     if rank >= 3:
         cubic = GrassmannElement.monomial(rank, (rank - 2, rank - 1, rank))

@@ -13,6 +13,11 @@ class RankCapError(SuperskelError):
     """A Grassmann rank exceeded the configured cap (SUPERSKEL_MAX_RANK)."""
 
 
+class DigitCapError(SuperskelError):
+    """A number to print has more digits than the parser reads back
+    (poly.MAX_LITERAL_DIGITS)."""
+
+
 class NotInvertibleError(SuperskelError):
     """Inversion was requested for a value whose body part vanishes."""
 

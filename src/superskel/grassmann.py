@@ -24,7 +24,7 @@ import os
 from fractions import Fraction
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import _accumulate, _as_fraction, _negate, _scale, _signed_sum, _sum
+from .poly import _accumulate, _as_fraction, _negate, _number_text, _scale, _signed_sum, _sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -326,7 +326,7 @@ class GrassmannElement:
         for labels in sorted(self.terms, key=lambda l: (len(l), l)):
             coeff = self.terms[labels]
             gens = "".join(f"g{i}" for i in labels) or "1"
-            parts.append((coeff < 0, f"{abs(coeff)}*{gens}"))
+            parts.append((coeff < 0, f"{_number_text(abs(coeff))}*{gens}"))
         return _signed_sum(parts)
 
     def __repr__(self):

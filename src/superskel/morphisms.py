@@ -152,9 +152,7 @@ class PointEvaluation:
     restriction to the coordinate functions.
     """
 
-    def __init__(self, point: LambdaPoint, domain: DeWittDomain | None = None):
-        if domain is not None and not domain.contains(point):
-            raise DomainError("point lies outside the declared domain")
+    def __init__(self, point: LambdaPoint):
         self.point = point
 
     def __call__(self, h: SuperFunction) -> GrassmannElement:
@@ -164,8 +162,8 @@ class PointEvaluation:
         return f"PointEvaluation({self.point!r})"
 
 
-def encode_point(point: LambdaPoint, domain: DeWittDomain | None = None) -> PointEvaluation:
-    return PointEvaluation(point, domain)
+def encode_point(point: LambdaPoint) -> PointEvaluation:
+    return PointEvaluation(point)
 
 
 def decode_point(space: SuperSpace, rank: int, even_images, odd_images,
@@ -178,8 +176,7 @@ def decode_point(space: SuperSpace, rank: int, even_images, odd_images,
     return point
 
 
-def check_algebra_morphism(space: SuperSpace, rank: int, table,
-                           domain: DeWittDomain | None = None) -> CheckReport:
+def check_algebra_morphism(space: SuperSpace, rank: int, table) -> CheckReport:
     """Consistency of a finite value table with evaluation at its decoded point.
 
     ``table`` is a list of (superfunction, claimed value) pairs and must
@@ -187,19 +184,18 @@ def check_algebra_morphism(space: SuperSpace, rank: int, table,
     and every row is re-checked against honest evaluation there.
     """
     report = CheckReport("algebra-morphism consistency")
-    dom = domain or DeWittDomain.full(space)
     even_images = [None] * space.even_dim
     odd_images = [None] * space.odd_dim
     for h, value in table:
         for i in range(space.even_dim):
-            if h == SuperFunction.even_coordinate(space, i + 1, dom):
+            if h == SuperFunction.even_coordinate(space, i + 1):
                 even_images[i] = value
         for j in range(space.odd_dim):
-            if h == SuperFunction.odd_coordinate(space, j + 1, dom):
+            if h == SuperFunction.odd_coordinate(space, j + 1):
                 odd_images[j] = value
     if any(v is None for v in even_images + odd_images):
         raise SuperskelError("the table must contain every coordinate function")
-    point = decode_point(space, rank, even_images, odd_images, domain)
+    point = decode_point(space, rank, even_images, odd_images)
     for idx, (h, value) in enumerate(table):
         actual = h.eval(point)
         report.add(f"row {idx}", actual == value,

@@ -22,16 +22,15 @@ from fractions import Fraction
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
 from .grassmann import GrassmannElement
-from .poly import Polynomial
+from .poly import MAX_LITERAL_DIGITS, Polynomial, _number_text
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
 # Input limits that keep small inputs from ending in an interpreter error:
 # each level of parentheses costs five parser frames of Python's recursion
-# limit, and Python refuses to convert integer strings longer than
-# sys.get_int_max_str_digits() (4300 digits by default).
+# limit, and integer literals stop at MAX_LITERAL_DIGITS (from poly, where it
+# caps printed numbers too), below Python's int-to-text limit.
 MAX_NESTING = 100
-MAX_LITERAL_DIGITS = 4000
 
 _LONG_LITERAL_RE = re.compile(r"\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()=|]))")
@@ -304,11 +303,11 @@ def _meaningful_lines(text: str):
             yield idx, line.strip()
 
 
-def parse_point_file(text: str, space: SuperSpace | None = None,
-                     rank: int | None = None) -> LambdaPoint:
-    """Parse a point file; the space and rank are inferred when not given."""
+def parse_point_file(text: str, space: SuperSpace) -> LambdaPoint:
+    """Parse a point in ``space``; without a ``rank`` line the rank is the
+    largest generator index the file names."""
     assignments: dict[tuple[str, int], tuple[str, int]] = {}
-    declared_rank = rank
+    declared_rank = None
     headers: dict[tuple, int] = {}
     for line_no, line in _meaningful_lines(text):
         match = _ASSIGN_RE.match(line)
@@ -332,10 +331,6 @@ def parse_point_file(text: str, space: SuperSpace | None = None,
             continue
         raise ParseError(f"unrecognized line {line!r}", line_no)
 
-    if space is None:
-        p = max((i for (kind, i) in assignments if kind == "x"), default=0)
-        q = max((j for (kind, j) in assignments if kind == "t"), default=0)
-        space = SuperSpace(p, q)
     if declared_rank is None:
         declared_rank = 0
         for expr, line_no in assignments.values():
@@ -371,7 +366,8 @@ def format_domain_lines(domain: DeWittDomain, prefix: str = "") -> list[str]:
     if list(domain.boxes) != [((None, None),) * domain.space.even_dim]:
         for box in domain.boxes:
             bounds = " ".join(
-                ("-inf" if lo is None else str(lo)) + " " + ("inf" if hi is None else str(hi))
+                ("-inf" if lo is None else _number_text(lo)) + " "
+                + ("inf" if hi is None else _number_text(hi))
                 for lo, hi in box)
             lines.append(f"{prefix}box {bounds}".rstrip())
     for poly in domain.excluded:

@@ -19,10 +19,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, NotInvertibleError, SuperskelError
+from .errors import DigitCapError, DomainError, NotInvertibleError, SuperskelError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The parser refuses integer literals longer than this, below Python's own
+# int-to-text limit (sys.get_int_max_str_digits(), 4300 by default); printed
+# numbers obey the same cap, so every output parses back.
+MAX_LITERAL_DIGITS = 4000
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
 
 def _as_fraction(value):
@@ -351,36 +357,44 @@ class Polynomial:
         extra = (0,) * (new_nvars - self.nvars)
         return Polynomial._make(new_nvars, {e + extra: c for e, c in self.terms.items()})
 
-    def format(self, name=None) -> str:
+    def format(self) -> str:
         """Canonical rendering, e.g. ``x1^2 - 2*x1*x2 + 1``."""
-        if name is None:
-            name = lambda i: f"x{i + 1}"
         parts = []
         for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
             coeff = self.terms[exps]
-            parts.append((coeff < 0, monomial_text(abs(coeff), exps, name)))
+            parts.append((coeff < 0, monomial_text(abs(coeff), exps)))
         return _signed_sum(parts)
 
     def __repr__(self):
         return f"Polynomial({self.format()!r})"
 
 
-def monomial_text(coeff: Fraction, exps, name, extra: list[str] | None = None,
+def monomial_text(coeff: Fraction, exps, extra: list[str] | None = None,
                   force_coeff: bool = False) -> str:
     """Render ``coeff * prod x_i^e_i [* extra...]`` without a leading sign."""
     factors = []
     for i, e in enumerate(exps):
         if e == 1:
-            factors.append(name(i))
+            factors.append(f"x{i + 1}")
         elif e > 1:
-            factors.append(f"{name(i)}^{e}")
+            factors.append(f"x{i + 1}^{_number_text(e)}")
     if extra:
         factors.extend(extra)
     if not factors:
-        return str(coeff)
+        return _number_text(coeff)
     if coeff != 1 or force_coeff:
-        factors.insert(0, str(coeff))
+        factors.insert(0, _number_text(coeff))
     return "*".join(factors)
+
+
+def _number_text(value) -> str:
+    """``str`` of an int or Fraction, refused with ``DigitCapError`` when its
+    numerator or denominator is longer than ``MAX_LITERAL_DIGITS``: the text
+    of every printed number goes through here, so all output parses back."""
+    if abs(value.numerator) >= _LITERAL_BOUND or value.denominator >= _LITERAL_BOUND:
+        raise DigitCapError(f"cannot print a number longer than {MAX_LITERAL_DIGITS} "
+                            "digits, the parser's literal cap")
+    return str(value)
 
 
 def _signed_sum(parts) -> str:
@@ -707,10 +721,10 @@ class RationalFunction:
         return RationalFunction._raw(self.num.pad(new_nvars),
                                      tuple((f.pad(new_nvars), m) for f, m in self.factors))
 
-    def format(self, name=None) -> str:
+    def format(self) -> str:
         if not self.factors:
-            return self.num.format(name)
-        return f"({self.num.format(name)})/({self.den.format(name)})"
+            return self.num.format()
+        return f"({self.num.format()})/({self.den.format()})"
 
     def __repr__(self):
         return f"RationalFunction({self.format()!r})"

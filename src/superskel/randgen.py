@@ -17,15 +17,15 @@ from .spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
 from .superfn import Skeleton, SuperFunction
 
 
-def random_fraction(rng, bound: int = 6, den_bound: int = 4, nonzero: bool = False) -> Fraction:
+def random_fraction(rng, bound: int = 6, nonzero: bool = False) -> Fraction:
     while True:
-        value = Fraction(rng.randint(-bound, bound), rng.randint(1, den_bound))
+        value = Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
         if value or not nonzero:
             return value
 
 
 def random_grassmann(rng, rank: int, parity=None, terms: int = 3,
-                     body=None, nonzero_body: bool = False) -> GrassmannElement:
+                     nonzero_body: bool = False) -> GrassmannElement:
     """Random element; ``parity`` 0/1 restricts monomial lengths."""
     labels_pool = []
     for size in range(rank + 1):
@@ -40,37 +40,33 @@ def random_grassmann(rng, rank: int, parity=None, terms: int = 3,
             if coeff:
                 result[labels] = result.get(labels, Fraction(0)) + coeff
     element = GrassmannElement(rank, result)
-    if body is not None:
-        element = element - element.body() + Fraction(body)
-    elif nonzero_body and element.body() == 0:
+    if nonzero_body and element.body() == 0:
         element = element + random_fraction(rng, nonzero=True)
     return element
 
 
-def random_soul(rng, rank: int, terms: int = 2) -> GrassmannElement:
+def random_soul(rng, rank: int) -> GrassmannElement:
     """Random even element with zero body."""
-    element = random_grassmann(rng, rank, parity=0, terms=terms)
+    element = random_grassmann(rng, rank, parity=0, terms=2)
     return element - element.body()
 
 
-def random_morphism(rng, source_rank: int, target_rank: int,
-                    image_terms: int = 2) -> GrassmannMorphism:
-    images = [random_grassmann(rng, target_rank, parity=1, terms=image_terms)
+def random_morphism(rng, source_rank: int, target_rank: int) -> GrassmannMorphism:
+    images = [random_grassmann(rng, target_rank, parity=1, terms=2)
               for _ in range(source_rank)]
     return GrassmannMorphism(source_rank, target_rank, images)
 
 
-def random_polynomial(rng, nvars: int, degree: int = 3, terms: int = 3,
-                      bound: int = 4) -> Polynomial:
+def random_polynomial(rng, nvars: int, degree: int = 3) -> Polynomial:
     result = {}
-    for _ in range(terms):
+    for _ in range(3):
         exps = [0] * nvars
         budget = rng.randint(0, degree)
         for _ in range(budget):
             if nvars == 0:
                 break
             exps[rng.randrange(nvars)] += 1
-        coeff = random_fraction(rng, bound=bound)
+        coeff = random_fraction(rng, bound=4)
         if coeff:
             key = tuple(exps)
             result[key] = result.get(key, Fraction(0)) + coeff
@@ -121,42 +117,38 @@ def random_superfunction(rng, space: SuperSpace, degree: int = 3, terms: int = 3
 
 def random_skeleton(rng, source: SuperSpace, target: SuperSpace, degree: int = 3,
                     terms: int = 3, rational: bool = False,
-                    domain: DeWittDomain | None = None,
-                    target_domain: DeWittDomain | None = None) -> Skeleton:
+                    domain: DeWittDomain | None = None) -> Skeleton:
     domain = domain or DeWittDomain.full(source)
-    target_domain = target_domain or DeWittDomain.full(target)
     comps = [random_superfunction(rng, source, degree, terms, parity=0,
                                   rational=rational, domain=domain)
              for _ in range(target.even_dim)]
     comps += [random_superfunction(rng, source, degree, terms, parity=1,
                                    rational=rational, domain=domain)
               for _ in range(target.odd_dim)]
-    return Skeleton(source, domain, target, target_domain, comps)
+    return Skeleton(source, domain, target, DeWittDomain.full(target), comps)
 
 
-def random_point_with_body(rng, space: SuperSpace, rank: int, body,
-                           soul_terms: int = 2) -> LambdaPoint:
+def random_point_with_body(rng, space: SuperSpace, rank: int, body) -> LambdaPoint:
     evens = []
     for value in body:
-        evens.append(random_soul(rng, rank, soul_terms) + Fraction(value))
-    odds = [random_grassmann(rng, rank, parity=1, terms=soul_terms)
+        evens.append(random_soul(rng, rank) + Fraction(value))
+    odds = [random_grassmann(rng, rank, parity=1, terms=2)
             for _ in range(space.odd_dim)]
     return LambdaPoint(space, rank, evens, odds)
 
 
 def random_point(rng, space: SuperSpace, rank: int,
-                 domain: DeWittDomain | None = None,
-                 soul_terms: int = 2) -> LambdaPoint:
+                 domain: DeWittDomain | None = None) -> LambdaPoint:
     domain = domain or DeWittDomain.full(space)
     body = domain.sample_bodies(rng, 1)[0]
-    return random_point_with_body(rng, space, rank, body, soul_terms)
+    return random_point_with_body(rng, space, rank, body)
 
 
-def random_vector(rng, space: SuperSpace, rank: int, terms: int = 2) -> Vector:
+def random_vector(rng, space: SuperSpace, rank: int) -> Vector:
     """Parity-correct vector: even entries on even coordinates, odd on odd."""
-    values = [random_grassmann(rng, rank, parity=0, terms=terms)
+    values = [random_grassmann(rng, rank, parity=0, terms=2)
               for _ in range(space.even_dim)]
-    values += [random_grassmann(rng, rank, parity=1, terms=terms)
+    values += [random_grassmann(rng, rank, parity=1, terms=2)
                for _ in range(space.odd_dim)]
     return Vector(space, rank, values)
 
@@ -179,8 +171,7 @@ def random_pure_vector(rng, space: SuperSpace, rank: int):
     return Vector.basis(space, rank, coord, value), coord_parity, len(labels) % 2
 
 
-def random_increment(rng, space: SuperSpace, rank: int, generator: int,
-                     terms: int = 2) -> LambdaPoint:
+def random_increment(rng, space: SuperSpace, rank: int, generator: int) -> LambdaPoint:
     """Parity-correct increment supported on one generator.
 
     Every stored monomial of every coordinate contains ``generator``.
@@ -189,7 +180,7 @@ def random_increment(rng, space: SuperSpace, rank: int, generator: int,
 
     def supported(parity):
         for _ in range(8):
-            factor = random_grassmann(rng, rank, parity=(parity + 1) % 2, terms=terms)
+            factor = random_grassmann(rng, rank, parity=(parity + 1) % 2, terms=2)
             value = factor * theta
             if not value.is_zero():
                 return value
@@ -200,19 +191,17 @@ def random_increment(rng, space: SuperSpace, rank: int, generator: int,
     return LambdaPoint(space, rank, evens, odds)
 
 
-def random_soul_increment(rng, space: SuperSpace, rank: int,
-                          terms: int = 2) -> LambdaPoint:
+def random_soul_increment(rng, space: SuperSpace, rank: int) -> LambdaPoint:
     """Parity-correct increment with zero body (nilpotent in every coordinate)."""
-    evens = [random_soul(rng, rank, terms) for _ in range(space.even_dim)]
-    odds = [random_grassmann(rng, rank, parity=1, terms=terms)
+    evens = [random_soul(rng, rank) for _ in range(space.even_dim)]
+    odds = [random_grassmann(rng, rank, parity=1, terms=2)
             for _ in range(space.odd_dim)]
     return LambdaPoint(space, rank, evens, odds)
 
 
-def random_spaces(rng, max_even: int = 3, max_odd: int = 3,
-                  min_even: int = 0, min_odd: int = 0,
+def random_spaces(rng, max_even: int = 3, max_odd: int = 3, min_even: int = 0,
                   min_total: int = 0) -> SuperSpace:
     while True:
-        space = SuperSpace(rng.randint(min_even, max_even), rng.randint(min_odd, max_odd))
+        space = SuperSpace(rng.randint(min_even, max_even), rng.randint(0, max_odd))
         if space.even_dim + space.odd_dim >= min_total:
             return space

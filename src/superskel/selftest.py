@@ -1,10 +1,12 @@
 """Property suites: one per acceptance area, all exact, all seeded.
 
 Each suite returns a CheckReport; the CLI `selftest` subcommand runs them and
-the acceptance tests assert them under their time budgets.  Counts follow the
-stated criteria; change them only together with the acceptance tests.  Where
-a library certificate exists, the suite only draws seeded inputs and drives
-it: ``suite_exact_taylor`` runs ``check_taylor``, ``suite_higher_order`` runs
+the acceptance tests assert them under their time budgets.  Item labels state
+their counts and the acceptance tests assert the labels, so a count changes
+only together with them; each main case count is stated once, as a module
+constant that bounds its loop and appears in its label.  Where a library
+certificate exists, the suite only draws seeded inputs and drives it:
+``suite_exact_taylor`` runs ``check_taylor``, ``suite_higher_order`` runs
 ``check_def43`` and ``suite_continuation`` runs ``truncation_consistent``.
 """
 
@@ -26,6 +28,22 @@ from .poly import Polynomial
 from .report import CheckReport
 from .spaces import DeWittDomain, SuperSpace
 from .superfn import Skeleton, SuperFunction, mul_shuffle
+
+CONTINUATION_CASES = 200
+CONTINUATION_RATIONAL_CASES = 20
+TAYLOR_CASES = 100
+CERTIFICATE_CASES = 100
+ALGEBRA_PAIRS = 100
+ALGEBRA_PRODUCT_PAIRS = 200
+COMPOSITION_PAIRS = 100
+COMPOSITION_TRIPLES = 30
+POINT_FUNCTOR_POINTS = 100
+POINT_FUNCTOR_TRIPLES = 50
+HIGHER_ORDER_CASES = 100
+HIGHER_ORDER_WIDE_CASES = 30
+GLUING_ROUND_TRIPS = 50
+FACTOR_CASES = 50
+FORMAT_VALUES = 500
 
 
 def suite_grassmann_laws(seed: int = 1) -> CheckReport:
@@ -101,20 +119,21 @@ def _random_case_spaces(rng, max_even=3, max_odd=3):
     return src, tgt
 
 
-def suite_continuation(seed: int = 2, cases: int = 200, rational_cases: int = 20) -> CheckReport:
+def suite_continuation(seed: int = 2) -> CheckReport:
     """Taylor route equals substitution route on random skeletons and points."""
     rng = random.Random(seed)
     report = CheckReport("continuation equivalence")
     bad = 0
-    for case in range(cases):
-        rational = case < rational_cases
+    for case in range(CONTINUATION_CASES):
+        rational = case < CONTINUATION_RATIONAL_CASES
         src, tgt = _random_case_spaces(rng)
         f = randgen.random_skeleton(rng, src, tgt, degree=4, terms=3, rational=rational)
         rank = rng.randint(1, 6)
         x = randgen.random_point(rng, src, rank)
         if eval_subst(f, x) != eval_taylor(f, x):
             bad += 1
-    report.add(f"taylor = subst on {cases} cases ({rational_cases} rational)", bad == 0)
+    report.add(f"taylor = subst on {CONTINUATION_CASES} cases "
+               f"({CONTINUATION_RATIONAL_CASES} rational)", bad == 0)
 
     bad = 0
     for _ in range(20):
@@ -126,14 +145,14 @@ def suite_continuation(seed: int = 2, cases: int = 200, rational_cases: int = 20
     return report
 
 
-def suite_exact_taylor(seed: int = 3, cases: int = 100) -> CheckReport:
+def suite_exact_taylor(seed: int = 3) -> CheckReport:
     """``check_taylor`` on random skeletons: the multi-increment expansion
     equals the substitution difference, and no Taylor shell survives beyond
     the rank."""
     rng = random.Random(seed)
     report = CheckReport("exact taylor increments")
     bad_increments = bad_shells = 0
-    for _ in range(cases):
+    for _ in range(TAYLOR_CASES):
         src, tgt = _random_case_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3)
         rank = rng.randint(2, 5)
@@ -141,18 +160,18 @@ def suite_exact_taylor(seed: int = 3, cases: int = 100) -> CheckReport:
         increments, shells = check_taylor(f, rank, rng, cases=1, max_increments=4).items
         bad_increments += not increments.passed
         bad_shells += not shells.passed
-    report.add(f"increment expansion on {cases} cases (up to 4 increments)",
+    report.add(f"increment expansion on {TAYLOR_CASES} cases (up to 4 increments)",
                bad_increments == 0)
-    report.add(f"no taylor shell beyond the rank on {cases} cases", bad_shells == 0)
+    report.add(f"no taylor shell beyond the rank on {TAYLOR_CASES} cases", bad_shells == 0)
     return report
 
 
-def suite_smoothness_certificate(seed: int = 4, cases: int = 100) -> CheckReport:
+def suite_smoothness_certificate(seed: int = 4) -> CheckReport:
     """Naturality battery plus even-scalar linearity of derivatives."""
     rng = random.Random(seed)
     report = CheckReport("smoothness certificate")
     bad_nat = bad_lin = 0
-    for case in range(cases):
+    for case in range(CERTIFICATE_CASES):
         src, tgt = _random_case_spaces(rng, 2, 2)
         rational = case % 10 == 0
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3, rational=rational)
@@ -163,35 +182,35 @@ def suite_smoothness_certificate(seed: int = 4, cases: int = 100) -> CheckReport
         rep = check_lambda_linearity(f, rank, rng=rng, sample_count=2)
         if not rep.ok:
             bad_lin += 1
-    report.add(f"naturality battery on {cases} skeletons", bad_nat == 0)
-    report.add(f"even-scalar linearity on {cases} skeletons", bad_lin == 0)
+    report.add(f"naturality battery on {CERTIFICATE_CASES} skeletons", bad_nat == 0)
+    report.add(f"even-scalar linearity on {CERTIFICATE_CASES} skeletons", bad_lin == 0)
     return report
 
 
-def suite_algebra_isomorphism(seed: int = 5, pairs: int = 100,
-                              product_pairs: int = 200) -> CheckReport:
+def suite_algebra_isomorphism(seed: int = 5) -> CheckReport:
     """Evaluation is an algebra map; the two product routes coincide."""
     rng = random.Random(seed)
     report = CheckReport("function algebra")
     bad = 0
-    for _ in range(pairs):
+    for _ in range(ALGEBRA_PAIRS):
         space = randgen.random_spaces(rng, 2, 3)
         h1 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         h2 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         x = randgen.random_point(rng, space, rng.randint(1, 5))
         if (h1 * h2).eval(x) != h1.eval(x) * h2.eval(x):
             bad += 1
-    report.add(f"evaluation of products on {pairs} pairs", bad == 0)
+    report.add(f"evaluation of products on {ALGEBRA_PAIRS} pairs", bad == 0)
 
     bad = 0
-    for case in range(product_pairs):
+    for case in range(ALGEBRA_PRODUCT_PAIRS):
         space = randgen.random_spaces(rng, 2, 4)
         h1 = randgen.random_superfunction(rng, space, degree=3, terms=3,
                                           rational=case % 7 == 0)
         h2 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         if mul_shuffle(h1, h2) != h1 * h2:
             bad += 1
-    report.add(f"shuffle product = monomial product on {product_pairs} pairs", bad == 0)
+    report.add(f"shuffle product = monomial product on {ALGEBRA_PRODUCT_PAIRS} pairs",
+               bad == 0)
 
     bad = 0
     for _ in range(50):
@@ -217,12 +236,12 @@ def suite_algebra_isomorphism(seed: int = 5, pairs: int = 100,
     return report
 
 
-def suite_composition(seed: int = 6, pairs: int = 100, triples: int = 30) -> CheckReport:
+def suite_composition(seed: int = 6) -> CheckReport:
     """Combinatorial composition equals substitution; category laws hold."""
     rng = random.Random(seed)
     report = CheckReport("composition")
     bad_sym = bad_sampled = 0
-    for case in range(pairs):
+    for case in range(COMPOSITION_PAIRS):
         src = randgen.random_spaces(rng, 2, 2)
         mid = randgen.random_spaces(rng, 2, 2)
         tgt = randgen.random_spaces(rng, 2, 2)
@@ -240,12 +259,13 @@ def suite_composition(seed: int = 6, pairs: int = 100, triples: int = 30) -> Che
                 for labels in set(ca.terms) | set(cb.terms):
                     if ca.coefficient(labels).eval(body) != cb.coefficient(labels).eval(body):
                         bad_sampled += 1
-    report.add(f"formula = substitution symbolically on {pairs} pairs", bad_sym == 0)
+    report.add(f"formula = substitution symbolically on {COMPOSITION_PAIRS} pairs",
+               bad_sym == 0)
     report.add("formula = substitution at 20 body points per pair, all ascending tuples",
                bad_sampled == 0)
 
     bad = 0
-    for _ in range(triples):
+    for _ in range(COMPOSITION_TRIPLES):
         s1 = randgen.random_spaces(rng, 2, 2)
         s2 = randgen.random_spaces(rng, 2, 2)
         s3 = randgen.random_spaces(rng, 2, 2)
@@ -258,7 +278,7 @@ def suite_composition(seed: int = 6, pairs: int = 100, triples: int = 30) -> Che
         bad += left != right
         bad += compose_subst(f, Skeleton.identity(s1)) != f
         bad += compose_subst(Skeleton.identity(s2), f) != f
-    report.add(f"associativity and identity laws on {triples} triples", bad == 0)
+    report.add(f"associativity and identity laws on {COMPOSITION_TRIPLES} triples", bad == 0)
 
     bad = 0
     for _ in range(20):
@@ -275,12 +295,12 @@ def suite_composition(seed: int = 6, pairs: int = 100, triples: int = 30) -> Che
     return report
 
 
-def suite_point_functor(seed: int = 7, points: int = 100, triples: int = 50) -> CheckReport:
+def suite_point_functor(seed: int = 7) -> CheckReport:
     """Points are exactly the evaluation morphisms."""
     rng = random.Random(seed)
     report = CheckReport("point functor")
     bad = 0
-    for _ in range(points):
+    for _ in range(POINT_FUNCTOR_POINTS):
         space = randgen.random_spaces(rng, 2, 2)
         rank = rng.randint(0, 5)
         x = randgen.random_point(rng, space, rank)
@@ -291,10 +311,10 @@ def suite_point_functor(seed: int = 7, points: int = 100, triples: int = 50) -> 
                 for j in range(space.odd_dim)]
         if decode_point(space, rank, evens, odds) != x:
             bad += 1
-    report.add(f"encode/decode round trip on {points} points", bad == 0)
+    report.add(f"encode/decode round trip on {POINT_FUNCTOR_POINTS} points", bad == 0)
 
     bad = 0
-    for _ in range(triples):
+    for _ in range(POINT_FUNCTOR_TRIPLES):
         space = randgen.random_spaces(rng, 2, 2)
         x = randgen.random_point(rng, space, rng.randint(1, 5))
         ev = encode_point(x)
@@ -302,7 +322,7 @@ def suite_point_functor(seed: int = 7, points: int = 100, triples: int = 50) -> 
         h2 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         if ev(h1 * h2) != ev(h1) * ev(h2):
             bad += 1
-    report.add(f"evaluation is multiplicative on {triples} pairs", bad == 0)
+    report.add(f"evaluation is multiplicative on {POINT_FUNCTOR_TRIPLES} pairs", bad == 0)
 
     space = SuperSpace(1, 1)
     x = randgen.random_point(rng, space, 3)
@@ -320,19 +340,20 @@ def suite_point_functor(seed: int = 7, points: int = 100, triples: int = 50) -> 
     return report
 
 
-def suite_higher_order(seed: int = 8, cases: int = 100) -> CheckReport:
+def suite_higher_order(seed: int = 8) -> CheckReport:
     """``check_def43`` on random skeletons, failures counted per law.
 
-    The first 30 skeletons (rank 2..4) run orders 1..3, so every
-    adjacent swap at orders 2 and 3 and the update law at orders 0..3; the
-    rest (rank 1..6) run order 1.  Every tenth skeleton is rational.
+    The first ``HIGHER_ORDER_WIDE_CASES`` skeletons (rank 2..4) run orders
+    1..3, so every adjacent swap at orders 2 and 3 and the update law at
+    orders 0..3; the rest (rank 1..6) run order 1.  Every tenth skeleton is
+    rational.
     """
     rng = random.Random(seed)
     report = CheckReport("higher-derivative family")
-    wide = min(30, cases)
+    wide = HIGHER_ORDER_WIDE_CASES
     bad = {"supersymmetry": 0, "extends body derivatives": 0, "update law": 0,
            "nilpotent Taylor sum": 0}
-    for case in range(cases):
+    for case in range(HIGHER_ORDER_CASES):
         if case < wide:
             src = randgen.random_spaces(rng, 2, 2, min_total=1)
             rank, orders = rng.randint(2, 4), (1, 2, 3)
@@ -350,7 +371,7 @@ def suite_higher_order(seed: int = 8, cases: int = 100) -> CheckReport:
                bad["extends body derivatives"] == 0)
     report.add(f"increment update law (orders 0..3 on {wide} cases, 0..1 on the rest)",
                bad["update law"] == 0)
-    report.add(f"nilpotent taylor sum = substitution on {cases} cases",
+    report.add(f"nilpotent taylor sum = substitution on {HIGHER_ORDER_CASES} cases",
                bad["nilpotent Taylor sum"] == 0)
     return report
 
@@ -383,7 +404,7 @@ def _inconsistent_squaring_map():
     return {("A", "A"): f_a, ("B", "B"): f_b}
 
 
-def suite_gluing(seed: int = 9, round_trips: int = 50) -> CheckReport:
+def suite_gluing(seed: int = 9) -> CheckReport:
     rng = random.Random(seed)
     report = CheckReport("gluing")
     line = projective_superline()
@@ -393,7 +414,7 @@ def suite_gluing(seed: int = 9, round_trips: int = 50) -> CheckReport:
 
     space = SuperSpace(1, 1)
     bad = 0
-    for _ in range(round_trips):
+    for _ in range(GLUING_ROUND_TRIPS):
         rank = rng.randint(1, 4)
         body = [randgen.random_fraction(rng, nonzero=True)]
         x = randgen.random_point_with_body(rng, space, rank, body)
@@ -402,7 +423,7 @@ def suite_gluing(seed: int = 9, round_trips: int = 50) -> CheckReport:
         back = transport(line, there, "A")
         if back.point != x or back.chart != "A":
             bad += 1
-    report.add(f"transport round trips on {round_trips} points", bad == 0)
+    report.add(f"transport round trips on {GLUING_ROUND_TRIPS} points", bad == 0)
 
     good = check_global_morphism(line, line, superline_squaring_map(), rng,
                                  samples=8, rank=3)
@@ -418,22 +439,22 @@ def suite_gluing(seed: int = 9, round_trips: int = 50) -> CheckReport:
     return report
 
 
-def suite_factor_and_taylor(seed: int = 10, cases: int = 50) -> CheckReport:
+def suite_factor_and_taylor(seed: int = 10) -> CheckReport:
     from .calculus import hadamard_decompose, taylor_polynomial, taylor_remainder_vanishes
 
     rng = random.Random(seed)
     report = CheckReport("factorization and taylor polynomials")
     bad = 0
-    for _ in range(cases):
+    for _ in range(FACTOR_CASES):
         src, tgt = _random_case_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3)
         x0 = DeWittDomain.full(src).sample_bodies(rng, 1)[0]
         if not hadamard_decompose(f, x0).identity_holds():
             bad += 1
-    report.add(f"telescoped factorization on {cases} polynomial skeletons", bad == 0)
+    report.add(f"telescoped factorization on {FACTOR_CASES} polynomial skeletons", bad == 0)
 
     bad = 0
-    for case in range(cases):
+    for case in range(FACTOR_CASES):
         src, tgt = _random_case_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3,
                                     rational=case % 3 == 0)
@@ -442,17 +463,17 @@ def suite_factor_and_taylor(seed: int = 10, cases: int = 50) -> CheckReport:
         p = taylor_polynomial(f, x0, degree)
         if not taylor_remainder_vanishes(f, p, x0, degree):
             bad += 1
-    report.add(f"taylor remainder order on {cases} cases", bad == 0)
+    report.add(f"taylor remainder order on {FACTOR_CASES} cases", bad == 0)
     return report
 
 
-def suite_cli_roundtrip(seed: int = 11, values: int = 500) -> CheckReport:
+def suite_cli_roundtrip(seed: int = 11) -> CheckReport:
     from . import parsing
 
     rng = random.Random(seed)
     report = CheckReport("cli formats")
     bad = 0
-    for case in range(values):
+    for case in range(FORMAT_VALUES):
         kind = case % 3
         if kind == 0:
             rank = rng.randint(0, 6)
@@ -469,7 +490,7 @@ def suite_cli_roundtrip(seed: int = 11, values: int = 500) -> CheckReport:
             back = parsing.parse_point_file(parsing.format_point(value), space)
         if back != value:
             bad += 1
-    report.add(f"parse/format round trip on {values} values", bad == 0)
+    report.add(f"parse/format round trip on {FORMAT_VALUES} values", bad == 0)
 
     bad = 0
     for _ in range(20):

@@ -139,13 +139,14 @@ class DeWittDomain:
         merged = DeWittDomain(self.space, boxes or [], ())
         return merged.with_excluded(self.excluded + other.excluded)
 
-    def sample_bodies(self, rng, count: int, max_tries: int = 400):
-        """Deterministically sample rational body points inside the domain."""
+    def sample_bodies(self, rng, count: int):
+        """Deterministically sample rational body points inside the domain,
+        giving up after 400 draws per point."""
         if not self.boxes:
             raise DomainError("cannot sample from an empty domain")
         out = []
         tries = 0
-        while len(out) < count and tries < max_tries * max(count, 1):
+        while len(out) < count and tries < 400 * max(count, 1):
             tries += 1
             box = self.boxes[rng.randrange(len(self.boxes))]
             body = tuple(_sample_interval(rng, lo, hi) for lo, hi in box)

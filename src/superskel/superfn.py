@@ -315,7 +315,6 @@ class SuperFunction:
 
     def format(self) -> str:
         """Canonical text per the expression grammar; round-trips exactly."""
-        name = lambda i: f"x{i + 1}"
         parts = []
         for labels in sorted(self.terms, key=lambda l: (len(l), l)):
             coeff = self.terms[labels]
@@ -325,10 +324,10 @@ class SuperFunction:
                                    key=lambda e: (-sum(e), tuple(-x for x in e))):
                     c = coeff.num.terms[exps]
                     # negative unit coefficients stay explicit: -1*t1*t2
-                    parts.append((c < 0, monomial_text(abs(c), exps, name, list(gens),
+                    parts.append((c < 0, monomial_text(abs(c), exps, list(gens),
                                                        force_coeff=c < 0)))
             else:
-                text = f"({coeff.num.format(name)})/({coeff.den.format(name)})"
+                text = coeff.format()
                 if gens:
                     text += "*" + "*".join(gens)
                 parts.append((False, text))

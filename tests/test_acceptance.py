@@ -11,70 +11,94 @@ import time
 from superskel import selftest
 
 
-def _run(number, label, budget_seconds, report):
+def _run(number, label, budget_seconds, report, counted):
+    """``counted`` lists the item labels that state the criterion's counts,
+    so a changed count fails its criterion."""
     elapsed = getattr(report, "_elapsed", None)
     status = "PASS" if report.ok else "FAIL"
     line = f"criterion {number:02d} {label}: {status} ({elapsed:.2f}s, budget {budget_seconds}s)"
     print(line)
     assert report.ok, f"{line}\n{report.summary()}"
+    labels = [item.label for item in report.items]
+    missing = [text for text in counted if text not in labels]
+    assert not missing, f"{line}: counts changed, no item {missing}"
     assert elapsed < budget_seconds, f"{line}: over budget"
 
 
-def _timed(suite, *args, **kwargs):
+def _timed(suite):
     started = time.perf_counter()
-    report = suite(*args, **kwargs)
+    report = suite()
     report._elapsed = time.perf_counter() - started
     return report
 
 
 def test_criterion_01_grassmann_laws():
-    _run(1, "grassmann laws", 10, _timed(selftest.suite_grassmann_laws))
+    _run(1, "grassmann laws", 10, _timed(selftest.suite_grassmann_laws),
+         ["associativity on 500 random triples in rank 6",
+          "distributivity on 500 random triples in rank 6",
+          "supercommutativity on 500 homogeneous pairs",
+          "inversion round trip on 100 body-invertible elements"])
 
 
 def test_criterion_02_continuation_equivalence():
-    _run(2, "continuation equivalence", 60,
-         _timed(selftest.suite_continuation, cases=200, rational_cases=20))
+    _run(2, "continuation equivalence", 60, _timed(selftest.suite_continuation),
+         ["taylor = subst on 200 cases (20 rational)", "truncation consistency on 20 cases"])
 
 
 def test_criterion_03_exact_taylor():
-    _run(3, "exact taylor", 30, _timed(selftest.suite_exact_taylor, cases=100))
+    _run(3, "exact taylor", 30, _timed(selftest.suite_exact_taylor),
+         ["increment expansion on 100 cases (up to 4 increments)",
+          "no taylor shell beyond the rank on 100 cases"])
 
 
 def test_criterion_04_smoothness_certificate():
-    _run(4, "smoothness certificate", 60,
-         _timed(selftest.suite_smoothness_certificate, cases=100))
+    _run(4, "smoothness certificate", 60, _timed(selftest.suite_smoothness_certificate),
+         ["naturality battery on 100 skeletons", "even-scalar linearity on 100 skeletons"])
 
 
 def test_criterion_05_algebra_isomorphism():
-    _run(5, "algebra isomorphism", 30,
-         _timed(selftest.suite_algebra_isomorphism, pairs=100, product_pairs=200))
+    _run(5, "algebra isomorphism", 30, _timed(selftest.suite_algebra_isomorphism),
+         ["evaluation of products on 100 pairs",
+          "shuffle product = monomial product on 200 pairs",
+          "supercommutativity on 50 homogeneous pairs",
+          "inversion round trip on 50 even superfunctions"])
 
 
 def test_criterion_06_composition_formula():
-    _run(6, "composition formula", 120,
-         _timed(selftest.suite_composition, pairs=100, triples=30))
+    _run(6, "composition formula", 120, _timed(selftest.suite_composition),
+         ["formula = substitution symbolically on 100 pairs",
+          "formula = substitution at 20 body points per pair, all ascending tuples",
+          "associativity and identity laws on 30 triples",
+          "continuation is functorial on 20 cases"])
 
 
 def test_criterion_07_point_functor():
-    _run(7, "point functor", 20,
-         _timed(selftest.suite_point_functor, points=100, triples=50))
+    _run(7, "point functor", 20, _timed(selftest.suite_point_functor),
+         ["encode/decode round trip on 100 points", "evaluation is multiplicative on 50 pairs"])
 
 
 def test_criterion_08_higher_order_family():
-    _run(8, "higher-order family", 60, _timed(selftest.suite_higher_order, cases=100))
+    _run(8, "higher-order family", 60, _timed(selftest.suite_higher_order),
+         ["supersymmetry signs on all adjacent swaps (orders 2, 3) on 30 cases",
+          "body derivatives extended (orders 1..3 on 30 cases, 1 on the rest)",
+          "increment update law (orders 0..3 on 30 cases, 0..1 on the rest)",
+          "nilpotent taylor sum = substitution on 100 cases"])
 
 
 def test_criterion_09_gluing():
-    _run(9, "gluing", 20, _timed(selftest.suite_gluing, round_trips=50))
+    _run(9, "gluing", 20, _timed(selftest.suite_gluing),
+         ["transport round trips on 50 points"])
 
 
 def test_criterion_10_factorization_taylor():
     _run(10, "factorization and taylor polynomials", 20,
-         _timed(selftest.suite_factor_and_taylor, cases=50))
+         _timed(selftest.suite_factor_and_taylor),
+         ["telescoped factorization on 50 polynomial skeletons",
+          "taylor remainder order on 50 cases"])
 
 
 def test_criterion_11_cli():
-    report = _timed(selftest.suite_cli_roundtrip, values=500)
+    report = _timed(selftest.suite_cli_roundtrip)
     # fold the CLI end-to-end checks into the same criterion
     started = time.perf_counter()
     import io
@@ -107,4 +131,4 @@ def test_criterion_11_cli():
                        main(["glue", "check", str(tmp / "bad.man"),
                              "--samples", "4"]) == 1)
     report._elapsed += time.perf_counter() - started
-    _run(11, "cli", 20, report)
+    _run(11, "cli", 20, report, ["parse/format round trip on 500 values"])

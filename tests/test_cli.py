@@ -174,6 +174,31 @@ def test_exit_codes(files, tmp_path):
         path = tmp_path / name
         path.write_text(f"source 1|2\ntarget 1|0\ny1 = {expr}\n")
         assert run(["eval", str(path), files["point"]])[0] == 2, name
+    # a result number longer than the parser's literal cap is not printed
+    # (2^20000 has 6021 digits), and one at the cap prints and parses back;
+    # x1^100000 goes by the Taylor route only, as substitution takes seconds
+    power, power_taylor = tmp_path / "power.sk", tmp_path / "power-taylor.sk"
+    power.write_text("source 1|2\ntarget 1|0\ny1 = x1^20000\n")
+    power_taylor.write_text("source 1|2\ntarget 1|0\ny1 = x1^100000\n")
+    big = tmp_path / "big.sk"
+    big.write_text("source 1|2\ntarget 1|0\ny1 = 2^20000*x1\n")
+    big_line = tmp_path / "big.man"
+    big_line.write_text("chart A 1|1\nchart B 1|1\ntransition A B\ny1 = 2^20000*x1\nh1 = t1\n"
+                        "transition B A\ny1 = x1/2^20000\nh1 = t1\n")
+    for argv in (["eval", str(power), files["point"]],
+                 ["eval", str(power), files["point"], "--route", "both"],
+                 ["eval", str(power_taylor), files["point"], "--route", "taylor"],
+                 ["compose", str(big), files["identity"]],
+                 ["diff", str(big)],
+                 ["glue", "transport", str(big_line), "A", files["apoint"], "B"]):
+        assert run(argv) == (2, ""), argv
+    from superskel.parsing import parse_skeleton_file
+
+    edge = tmp_path / "edge.sk"
+    edge.write_text("source 1|2\ntarget 1|0\ny1 = 10^3999*x1 + x1^2/(7*10^3998)\n")
+    code, out = run(["compose", str(edge), files["identity"], "--method", "both"])
+    assert code == 0 and len(out) > 8000
+    assert parse_skeleton_file(out) == parse_skeleton_file(edge.read_text())
 
 
 def test_eval_high_power(files, tmp_path):
