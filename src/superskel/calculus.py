@@ -25,7 +25,7 @@ from math import factorial
 from .continuation import eval_subst
 from .errors import DomainError, SuperskelError
 from .grassmann import GrassmannElement
-from .poly import Polynomial, RationalFunction, _normal_factors
+from .poly import Polynomial, RationalFunction
 from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
 from .superfn import Skeleton, SuperFunction
@@ -182,7 +182,7 @@ def _substitute_even_zero(fn: SuperFunction, index0: int) -> SuperFunction:
         pairs = [(f.partial_eval({index0: _ZERO}), m) for f, m in coeff.factors]
         if any(f.is_zero() for f, _ in pairs):
             raise DomainError("denominator degenerates at t = 0")
-        terms[labels] = RationalFunction._make(*_normal_factors(num, pairs))
+        terms[labels] = RationalFunction._make(num, pairs)
     return SuperFunction(fn.space, fn.domain, terms)
 
 

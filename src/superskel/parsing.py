@@ -251,12 +251,23 @@ def parse_body_polynomial(text: str, nvars: int, line: int = 1) -> Polynomial:
 # rationals and bounds
 
 
+_BOUND_RE = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_bound(token_text: str, line: int, column: int):
+    """A box bound: None for ``inf``, ``+inf`` or ``-inf``, else a literal
+    ``[+-]digits[/digits]`` whose digit runs obey ``MAX_LITERAL_DIGITS``,
+    the grammar's own numbers (no exponents, decimals or spaces)."""
     if token_text in ("inf", "+inf", "-inf"):
         return None
+    match = _BOUND_RE.fullmatch(token_text)
+    if match is None:
+        raise ParseError(f"bad bound {token_text!r}", line, column)
+    if any(len(digits) > MAX_LITERAL_DIGITS for digits in match.groups() if digits):
+        raise ParseError(f"bound literal longer than {MAX_LITERAL_DIGITS} digits", line, column)
     try:
         return Fraction(token_text)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise ParseError(f"bad bound {token_text!r}", line, column)
 
 

@@ -3,12 +3,14 @@
 These are the coefficient functions of superfunctions: every even coordinate
 dependency is a quotient of polynomials with Fraction coefficients, so every
 identity in the library is decidable by exact arithmetic.  A rational
-function keeps its denominator as a list of monic factors with
-multiplicities; sums take the lcm of the factor lists, and every arithmetic
-result cancels each factor that divides its numerator exactly
-(``Polynomial.exact_quotient``).  Factors come from input denominators and
-inverted numerators, so no multivariate gcd is ever computed.  Equality
-compares numerators over equal factor lists and otherwise cross-multiplies.
+function keeps its denominator as a coprime base of monic factors with
+multiplicities, and its numerator coprime to each factor.  Greatest common
+divisors come from the heuristic GCDHEU (``Polynomial.gcd``), whose every
+candidate is checked by exact division; when it gives up, the affected
+factor is cancelled by trial division (``Polynomial.exact_quotient``), as
+a whole, so a value is never wrong, only possibly not in lowest terms.
+Equality compares numerators over equal factor lists and otherwise
+cross-multiplies.
 
 This bottom layer also holds the sparse-term kernel behind every finite sum
 in the library.  Only public constructors validate outside input; internal
@@ -17,6 +19,7 @@ results are built by the kernel and handed to a trusted ``_make``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DigitCapError, DomainError, NotInvertibleError, SuperskelError
@@ -72,6 +75,210 @@ def _scale(terms: dict, factor) -> dict:
     if not factor:
         return {}
     return {k: c * factor for k, c in terms.items()}
+
+
+def _power(base, n: int):
+    """``base ** n`` for n >= 1 by square-and-multiply, in any ring with ``*``."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+# -- heuristic gcd -----------------------------------------------------------
+# GCDHEU (Char, Geddes, Gonnet, J. Symb. Comput. 7, 1989; Geddes, Czapor,
+# Labahn, *Algorithms for Computer Algebra*, ch. 7).  For primitive integer
+# polynomials a, b and an integer xi >= 2 min(|a|, |b|) + 2 (max-norms), the
+# primitive part G of the xi-adic reading of gcd(a(xi), b(xi)) is gcd(a, b)
+# whenever G divides both; several variables are evaluated one at a time,
+# recursively.  Integer polynomials are term dicts with int coefficients.
+
+_HEU_TRIES = 6
+# Give up when xi's bit length times the degree passes this, GCL's bound of
+# 5000 decimal digits on the evaluated integers.
+_HEU_MAX_BITS = 16000
+
+
+def _integer_form(terms: dict):
+    """(ints, den): Fraction ``terms`` as an integer polynomial over the
+    lcm of its denominators, terms = ints / den."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _evaluate_at(ints: dict, var: int, xi: int) -> dict:
+    """``ints`` with variable ``var`` replaced by the integer ``xi``."""
+    out = {}
+    for exps, coeff in ints.items():
+        e = exps[var]
+        if e:
+            coeff *= xi ** e
+            exps = exps[:var] + (0,) + exps[var + 1:]
+        _accumulate(out, exps, coeff)
+    return out
+
+
+def _xi_adic(ints: dict, var: int, xi: int) -> dict:
+    """Read each coefficient's signed base-``xi`` digits as the coefficients
+    of powers of variable ``var`` (the ``genpoly`` of GCDHEU)."""
+    half = xi // 2
+    out = {}
+    for exps, coeff in ints.items():
+        power = 0
+        while coeff:
+            coeff, digit = divmod(coeff, xi)
+            if digit > half:
+                digit -= xi
+                coeff += 1
+            if digit:
+                out[exps[:var] + (power,) + exps[var + 1:]] = digit
+            power += 1
+    return out
+
+
+def _integer_quotient(a: dict, b: dict) -> dict | None:
+    """a / b for integer polynomials when it is an integer polynomial, else
+    None; for primitive ``b`` that is exactly when b divides a over Q."""
+    if a == b:
+        return {(0,) * len(next(iter(a))): 1}
+    room = max(map(sum, a)) - max(map(sum, b))
+    if room < 0:
+        return None
+    blead = max(b)
+    bcoeff = b[blead]
+    rest = [(e, -c) for e, c in b.items() if e != blead]
+    rem = dict(a)
+    quotient = {}
+    while rem:
+        lead = max(rem)
+        mono = tuple(x - y for x, y in zip(lead, blead))
+        if any(m < 0 for m in mono) or sum(mono) > room:
+            return None
+        coeff, r = divmod(rem.pop(lead), bcoeff)
+        if r:
+            return None
+        quotient[mono] = coeff
+        for e, c in rest:
+            _accumulate(rem, tuple(x + y for x, y in zip(mono, e)), coeff * c)
+    return quotient
+
+
+def _heuristic_gcd(a: dict, b: dict, variables):
+    """GCDHEU for nonzero integer polynomials in ``variables`` (a tuple of
+    indices covering every variable that occurs): (g, qa, qb), where g is
+    the gcd with its integer content and qa, qb are the primitive parts of
+    a and b divided by g's primitive part; or None when GCDHEU gives up."""
+    if not a or not b:  # a value can vanish at xi, below the top level
+        return a or b, None, None
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    content = math.gcd(ca, cb)
+    if ca != 1:
+        a = {e: c // ca for e, c in a.items()}
+    if cb != 1:
+        b = {e: c // cb for e, c in b.items()}
+    degree = 0
+    while variables and not degree:
+        var, variables = variables[0], variables[1:]
+        degree = max(max([e[var] for e in a]), max([e[var] for e in b]))
+    zero = (0,) * len(next(iter(a)))
+    if not degree:  # two constants
+        return {zero: content}, a, b
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * degree > _HEU_MAX_BITS:
+            return None
+        found = _heuristic_gcd(_evaluate_at(a, var, xi), _evaluate_at(b, var, xi),
+                               variables)
+        g = found and _xi_adic(found[0], var, xi)
+        if g:
+            if len(g) == 1 and zero in g:  # a constant divides both
+                return {zero: content}, a, b
+            g_content = math.gcd(*g.values())
+            if g_content != 1:
+                g = {e: c // g_content for e, c in g.items()}
+            qa = _integer_quotient(a, g)
+            qb = None if qa is None else _integer_quotient(b, g)
+            if qb is not None:
+                return (g if content == 1 else {e: c * content for e, c in g.items()}), qa, qb
+        xi = xi * 73794 // 27011  # the next xi, as in GCL
+    return None
+
+
+def _coprime_at_one_value(p: dict, q: dict) -> bool:
+    """True when one GCDHEU evaluation proves two univariate polynomials
+    coprime, straight from their Fraction terms.  Content may stay in the
+    integer forms P and Q: every root of a common divisor is below
+    1 + min(|P|, |Q|) in size, so at xi = 2 min(|P|, |Q|) + 2 a nonconstant
+    common divisor exceeds xi / 2, and gcd(P(xi), Q(xi)) <= xi / 2 proves
+    gcd 1.  Plain loops: this runs for every rational function read."""
+    forms, norm, degree = [], None, 0
+    for terms in (p, q):
+        den = 1  # a common denominator; it need not be the least
+        for c in terms.values():
+            d = c.denominator
+            if d != 1:
+                den *= d
+        form, top = [], 0
+        for (e, ), c in terms.items():
+            n, d = c.as_integer_ratio()
+            if d != den:
+                n *= den // d
+            form.append((e, n))
+            if n > top or -n > top:
+                top = abs(n)
+            if e > degree:
+                degree = e
+        forms.append(form)
+        if norm is None or top < norm:
+            norm = top
+    xi = 2 * norm + 2
+    if xi.bit_length() * degree > _HEU_MAX_BITS:
+        return False
+    common = 0
+    for form in forms:
+        value = 0
+        for e, n in form:
+            value += n * xi ** e
+        common = math.gcd(common, value)
+    return common <= xi >> 1
+
+
+def _gcd_cofactors(p: "Polynomial", q: "Polynomial"):
+    """(gcd, p / gcd, q / gcd) for nonzero polynomials, with the gcd monic
+    and None in its place when it is 1, or None when GCDHEU gives up: the
+    gcd that ``Polynomial.gcd`` returns, with the quotients its division
+    check computed."""
+    nvars = p.nvars
+    if nvars == 1 and _coprime_at_one_value(p.terms, q.terms):
+        return None, p, q
+    zero = (0,) * nvars
+    if len(p.terms) == 1 and zero in p.terms or len(q.terms) == 1 and zero in q.terms:
+        return None, p, q
+    quotient = p.exact_quotient(q)  # q divides p: cheaper than GCDHEU
+    if quotient is not None:
+        lead, g = _monic(q)
+        return g, quotient * lead if lead != 1 else quotient, Polynomial.constant(nvars, lead)
+    (a, da), (b, db) = _integer_form(p.terms), _integer_form(q.terms)
+    found = _heuristic_gcd(a, b, (0,) if nvars == 1 else tuple(
+        v for v in range(nvars) if any(e[v] for e in a) or any(e[v] for e in b)))
+    if found is None:
+        return None
+    g, qa, qb = found
+    if len(g) == 1 and zero in g:
+        return None, p, q
+    # p = content(a) / da * primitive(a), primitive(a) = g / content(g) * qa,
+    # and the monic gcd is g / lead
+    lead = g[max(g)]
+    g_content = math.gcd(*g.values())
+    sa = Fraction(math.gcd(*a.values()) * lead, da * g_content)
+    sb = Fraction(math.gcd(*b.values()) * lead, db * g_content)
+    return (Polynomial._make(nvars, {e: Fraction(c, lead) for e, c in g.items()}),
+            Polynomial._make(nvars, {e: c * sa for e, c in qa.items()}),
+            Polynomial._make(nvars, {e: c * sb for e, c in qb.items()}))
 
 
 class Polynomial:
@@ -186,15 +393,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise SuperskelError("polynomial powers must be non-negative integers")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Polynomial.one(self.nvars) if result is None else result
+        return _power(self, n) if n else Polynomial.one(self.nvars)
 
     def __truediv__(self, other):
         """Division by a nonzero constant only."""
@@ -274,6 +473,22 @@ class Polynomial:
                 _accumulate(rem, tuple(a + b for a, b in zip(mono, e)), coeff * c)
         return Polynomial._make(self.nvars, quotient)
 
+    def gcd(self, other: "Polynomial") -> "Polynomial | None":
+        """The monic greatest common divisor, or None when GCDHEU gives up.
+
+        Both inputs are cleared of denominators and content first; gcd(0, 0)
+        is 0, and a nonzero constant argument gives 1.  A nonconstant
+        candidate is returned only after it divided both inputs exactly.
+        """
+        self._check(other)
+        if not self.terms or not other.terms:
+            nonzero = self if self.terms else other
+            return _monic(nonzero)[1] if nonzero.terms else nonzero
+        parts = _gcd_cofactors(self, other)
+        if parts is None:
+            return None
+        return Polynomial.one(self.nvars) if parts[0] is None else parts[0]
+
     def eval(self, values) -> Fraction:
         """Evaluate at a tuple of Fractions."""
         acc = _ZERO
@@ -292,18 +507,23 @@ class Polynomial:
         for the empty product. Ring elements must support +, * and Fraction
         scaling from the left.
         """
-        # powers[i][e - 1] = values[i]**e, extended one factor at a time
-        powers = [[v] for v in values]
+        # powers[i][e] = values[i]**e for the exponents that occur, each the
+        # next lower one times values[i]**gap (one product for a gap of 1)
+        powers = []
+        for i, value in enumerate(values[:self.nvars]):
+            table, last, power = {}, 0, None
+            for e in sorted({exps[i] for exps in self.terms} - {0}):
+                step = _power(value, e - last)
+                power = step if power is None else power * step
+                table[e], last = power, e
+            powers.append(table)
 
         acc = None
         for exps, coeff in self.terms.items():
             term = one
             for i, e in enumerate(exps):
                 if e:
-                    cache = powers[i]
-                    while len(cache) < e:
-                        cache.append(cache[-1] * values[i])
-                    term = term * cache[e - 1]
+                    term = term * powers[i][e]
             term = coeff * term
             acc = term if acc is None else acc + term
         if acc is None:
@@ -415,22 +635,6 @@ def _monic(poly: Polynomial):
     return lead, Polynomial._make(poly.nvars, _scale(poly.terms, _ONE / lead))
 
 
-def _normal_factors(num: Polynomial, pairs):
-    """Normal form of num / prod(f^m over pairs), without cancelling.
-
-    Makes each factor monic (its lead folds into ``num``), drops constant
-    factors and merges equal ones; returns (num, factors).
-    """
-    merged = {}
-    for factor, mult in pairs:
-        lead, factor = _monic(factor)
-        if lead != 1:
-            num = num * (_ONE / lead ** mult)
-        if not factor.is_constant():
-            merged[factor] = merged.get(factor, 0) + mult
-    return num, tuple(merged.items())
-
-
 def _expand(nvars: int, pairs) -> Polynomial:
     """The product of f^m over (f, m) pairs."""
     result = None
@@ -441,8 +645,8 @@ def _expand(nvars: int, pairs) -> Polynomial:
 
 
 def _over_lcm(a: Polynomial, fa, b: Polynomial, fb):
-    """a / prod(fa) and b / prod(fb) over the lcm of their factor lists:
-    (a', b', lcm), each numerator multiplied only by its missing factors."""
+    """a / prod(fa) and b / prod(fb) over a common denominator: (a', b'),
+    each numerator multiplied only by the factors it is missing."""
     lcm = dict(fa)
     for factor, mult in fb:
         if lcm.get(factor, 0) < mult:
@@ -453,25 +657,120 @@ def _over_lcm(a: Polynomial, fa, b: Polynomial, fb):
         missing = [(f, m - have.get(f, 0)) for f, m in lcm.items() if m > have.get(f, 0)]
         return num * _expand(num.nvars, missing) if missing else num
 
-    return raised(a, fa), raised(b, fb), tuple(lcm.items())
+    return raised(a, fa), raised(b, fb)
+
+
+def _refine(items):
+    """A coprime base of monic factors (factor refinement: Bach, Driscoll,
+    Shallit, J. Algorithms 15, 1993).
+
+    Each item is (monic nonconstant factor, tuple of multiplicities), one
+    multiplicity per operand, and the product of f^m[i] is kept for every
+    operand i: two factors f, g with a nonconstant gcd d become d, f/d and
+    g/d until no such pair is left.  Two items that are both absent from
+    some operand divide factors of the other operand only; when that
+    operand's factors are a coprime base, so are such pieces, and their gcd
+    is not taken.  A pair whose gcd is undecided stays as it is.
+    """
+    base = []
+    work = list(items)
+    while work:
+        g, k = work.pop()
+        for i, (f, m) in enumerate(base):
+            if 0 in map(max, m, k):
+                continue
+            parts = _gcd_cofactors(f, g)
+            if parts is None or parts[0] is None:
+                continue
+            d, f_rest, g_rest = parts
+            del base[i]
+            work.append((d, tuple(map(int.__add__, m, k))))
+            work.extend((piece, mult) for piece, mult in ((f_rest, m), (g_rest, k))
+                        if not piece.is_constant())
+            break
+        else:
+            base.append((g, k))
+    return base
+
+
+def _common_base(fa, fb):
+    """A coprime base for two coprime bases of factors: a list of (piece,
+    (ma, mb)), where the product of piece^ma is prod(fa) and that of
+    piece^mb is prod(fb).  Shared factors need no gcd."""
+    only_b = dict(fb)
+    shared, items = [], []
+    for factor, mult in fa:
+        other = only_b.pop(factor, 0)
+        (shared if other else items).append((factor, (mult, other)))
+    if not items or not only_b:
+        return shared + items + [(g, (0, k)) for g, k in only_b.items()]
+    return shared + _refine([(g, (0, k)) for g, k in only_b.items()] + items)
+
+
+def _cancel(num: Polynomial, factors, keep=()):
+    """(num', kept): num / prod(f^m) in lowest terms, for a coprime base of
+    ``factors``.  ``keep`` lists further factors already coprime to ``num``;
+    a zero ``num`` keeps none.
+
+    A gcd equal to the factor cancels one copy; a proper divisor d of f
+    splits f^m into d^(m-1) (f/d)^m, refined and cancelled in turn.  When
+    the gcd is undecided, whole copies of the factor are cancelled by trial
+    division, as far as they divide.
+    """
+    if not num.terms:
+        return num, ()
+    if num.is_constant():
+        return num, tuple(factors) + tuple(keep)
+    kept = []
+    work = list(factors)[::-1]
+    while work:
+        factor, mult = work.pop()
+        while mult:
+            parts = _gcd_cofactors(num, factor)
+            if parts is None:
+                while mult and (quotient := num.exact_quotient(factor)) is not None:
+                    num, mult = quotient, mult - 1
+                break
+            d, num_rest, factor_rest = parts
+            if d is None:
+                break
+            num = num_rest
+            mult -= 1
+            if not factor_rest.is_constant():
+                pieces = [(factor_rest, (mult + 1,))]
+                if mult:
+                    pieces.append((d, (mult,)))
+                work.extend((piece, m) for piece, (m,) in _refine(pieces))
+                mult = 0
+        if mult:
+            kept.append((factor, mult))
+    return num, tuple(kept) + tuple(keep)
 
 
 class RationalFunction:
     """Quotient ``num / den`` of polynomials with a factored denominator.
 
-    ``factors`` is a tuple of (monic factor, multiplicity) pairs, pairwise
-    distinct; a factor is monic when its lex-leading coefficient is 1, and
-    constants fold into ``num``.  A polynomial has no factors (``()``).
-    ``den``, the product of the factors, is expanded on first use and
-    cached.
+    ``factors`` is a tuple of (monic factor, multiplicity) pairs; a factor is
+    monic when its lex-leading coefficient is 1, and constants fold into
+    ``num``.  A polynomial has no factors (``()``).  ``den``, the product of
+    the factors, is expanded on first use and cached.
 
-    Arithmetic results are in lowest terms with respect to their factors:
-    each is built by ``_make``, which divides ``num`` by every factor that
-    divides it exactly, up to the factor's multiplicity.  Sums take the lcm
-    of the two factor lists, so denominators grow only by factors they do
-    not share.  The public constructor normalises but does not cancel.
-    Equality compares numerators over equal factor lists, and otherwise
-    cross-multiplies by the factors each side is missing.
+    Every value is kept in lowest terms by two invariants:
+
+    (I1) the factors are pairwise coprime (a coprime base), and
+    (I2) ``num`` is coprime to every factor.
+
+    The public constructor reduces ``num / den`` by their gcd.  Arithmetic
+    then tests only the factors that can cancel: in a product, a factor of
+    one operand only is cancelled against the other operand's numerator,
+    and shared factors just add multiplicities; a sum over the common
+    denominator can be divisible only by a factor of equal multiplicity in
+    both operands; inverses and powers of reduced values are reduced.
+    Gcds come from ``Polynomial.gcd``; where it gives up, a factor is
+    cancelled by trial division as a whole, so the value stays exact but
+    the invariants may not hold for it.  Equality compares numerators over
+    equal factor lists, and otherwise cross-multiplies by the factors each
+    side is missing.
     """
 
     __slots__ = ("num", "_factors", "_den")
@@ -490,15 +789,20 @@ class RationalFunction:
                 if lead != 1:
                     num = num * (_ONE / lead)
                 if not den.is_constant():
-                    # ``factors`` builds the tuple on first use: a coefficient
-                    # read from input then costs no container beyond num, den
-                    self._factors = None
-                    self._den = den
+                    parts = _gcd_cofactors(num, den)
+                    reduced = parts is not None and parts[0] is not None
+                    if reduced:
+                        _, num, den = parts  # den / gcd is monic, maybe 1
+                    if not reduced or not den.is_constant():
+                        # ``factors`` builds the tuple on first use: a coefficient
+                        # read from input then costs no container beyond num, den
+                        self._factors = None
+                        self._den = den
         self.num = num
 
     @classmethod
     def _raw(cls, num: Polynomial, factors, den=None) -> "RationalFunction":
-        # trusted: factors monic, pairwise distinct, () when num is zero
+        # trusted: factors monic, (I1) and (I2) hold, () when num is zero
         rf = object.__new__(cls)
         rf.num = num
         rf._factors = factors
@@ -506,24 +810,19 @@ class RationalFunction:
         return rf
 
     @classmethod
-    def _make(cls, num: Polynomial, factors) -> "RationalFunction":
-        """Trusted constructor for arithmetic results: cancels each factor
-        from ``num`` as often as it divides exactly, up to its multiplicity."""
-        if not num.terms:
-            return cls._raw(num, ())
-        kept = []
-        for pair in factors:
-            factor, mult = pair
-            left = mult
-            while left:
-                quotient = num.exact_quotient(factor)
-                if quotient is None:
-                    break
-                num = quotient
-                left -= 1
-            if left:
-                kept.append(pair if left == mult else (factor, left))
-        return cls._raw(num, tuple(kept))
+    def _make(cls, num: Polynomial, pairs) -> "RationalFunction":
+        """num / prod(f^m over pairs) in lowest terms, for any nonzero
+        polynomials f: each is made monic (its lead folds into ``num``),
+        constants drop out, and the rest are refined into a coprime base
+        that is cancelled against ``num``."""
+        items = []
+        for factor, mult in pairs:
+            lead, factor = _monic(factor)
+            if lead != 1:
+                num = num * (_ONE / lead ** mult)
+            if not factor.is_constant():
+                items.append((factor, (mult,)))
+        return cls._raw(*_cancel(num, [(f, m) for f, (m,) in _refine(items)]))
 
     @classmethod
     def constant(cls, nvars: int, value) -> "RationalFunction":
@@ -581,13 +880,27 @@ class RationalFunction:
         if parts is None:
             return NotImplemented
         b, fb = parts
-        fa = self.factors
+        a, fa = self.num, self.factors
         if fa == fb:
             if not fa:
-                return RationalFunction._raw(self.num + b, ())
-            return RationalFunction._make(self.num + b, fa)
-        a, b, lcm = _over_lcm(self.num, fa, b, fb)
-        return RationalFunction._make(a + b, lcm)
+                return RationalFunction._raw(a + b, ())
+            return RationalFunction._raw(*_cancel(a + b, fa))
+        # over the lcm, a factor of higher multiplicity on one side is
+        # coprime to the sum (I1, I2): only equal multiplicities are tested
+        raise_a, raise_b, test, keep = [], [], [], []
+        for piece, (ma, mb) in _common_base(fa, fb):
+            if ma == mb:
+                test.append((piece, ma))
+            elif ma < mb:
+                raise_a.append((piece, mb - ma))
+                keep.append((piece, mb))
+            else:
+                raise_b.append((piece, ma - mb))
+                keep.append((piece, ma))
+        nvars = a.nvars
+        num = (a * _expand(nvars, raise_a) if raise_a else a) + \
+            (b * _expand(nvars, raise_b) if raise_b else b)
+        return RationalFunction._raw(*_cancel(num, test, keep))
 
     __radd__ = __add__
 
@@ -613,17 +926,22 @@ class RationalFunction:
         if parts is None:
             return NotImplemented
         b, fb = parts
-        fa = self.factors
-        if not fb:
-            if not fa:
-                return RationalFunction._raw(self.num * b, ())
-            return RationalFunction._make(self.num * b, fa)
-        if fa:
-            merged = dict(fa)
-            for factor, mult in fb:
-                merged[factor] = merged.get(factor, 0) + mult
-            fb = tuple(merged.items())
-        return RationalFunction._make(self.num * b, fb)
+        a, fa = self.num, self.factors
+        if not fa and not fb or not a.terms or not b.terms:
+            return RationalFunction._raw(a * b, ())
+        # a factor of one operand only can cancel only against the other
+        # operand's numerator (I2); shared pieces add their multiplicities
+        shared, cancel_b, cancel_a = [], [], []
+        for piece, (ma, mb) in _common_base(fa, fb):
+            if ma and mb:
+                shared.append((piece, ma + mb))
+            elif ma:
+                cancel_b.append((piece, ma))
+            else:
+                cancel_a.append((piece, mb))
+        b, kept_b = _cancel(b, cancel_b, shared)
+        a, kept_a = _cancel(a, cancel_a)
+        return RationalFunction._raw(a * b, kept_b + kept_a)
 
     __rmul__ = __mul__
 
@@ -649,18 +967,17 @@ class RationalFunction:
             return RationalFunction._raw(self.num ** n, ())
         if n == 0:
             return RationalFunction.constant(self.num.nvars, 1)
-        return RationalFunction._make(self.num ** n,
-                                      tuple((f, m * n) for f, m in self.factors))
+        return RationalFunction._raw(self.num ** n,
+                                     tuple((f, m * n) for f, m in self.factors))
 
     def invert(self) -> "RationalFunction":
-        """``den / num``: the numerator becomes one monic factor."""
+        """``den / num``: the numerator becomes one monic factor, coprime to
+        the new numerator by (I2)."""
         if self.is_zero():
             raise NotInvertibleError("the zero rational function has no inverse")
         lead, factor = _monic(self.num)
         num = self.den if lead == 1 else self.den * (_ONE / lead)
-        if factor.is_constant():
-            return RationalFunction._raw(num, ())
-        return RationalFunction._make(num, ((factor, 1),))
+        return RationalFunction._raw(num, () if factor.is_constant() else ((factor, 1),))
 
     def __eq__(self, other):
         parts = self._parts(other)
@@ -670,7 +987,7 @@ class RationalFunction:
         fa = self.factors
         if fa == fb:
             return self.num == b
-        a, b, _ = _over_lcm(self.num, fa, b, fb)
+        a, b = _over_lcm(self.num, fa, b, fb)
         return a == b
 
     def derivative(self, index: int) -> "RationalFunction":
@@ -680,17 +997,16 @@ class RationalFunction:
         if not self.factors:
             return RationalFunction._raw(num, ())
         moving = [(f, m, df) for f, m in self.factors if (df := f.derivative(index)).terms]
-        if not moving:
-            return RationalFunction._make(num, self.factors)
-        nvars = self.num.nvars
-        num = num * _expand(nvars, [(f, 1) for f, _, _ in moving])
-        for i, (_, m, df) in enumerate(moving):
-            others = [(g, 1) for j, (g, _, _) in enumerate(moving) if j != i]
-            term = self.num * df * m
-            num = num - (term * _expand(nvars, others) if others else term)
+        if moving:
+            nvars = self.num.nvars
+            num = num * _expand(nvars, [(f, 1) for f, _, _ in moving])
+            for i, (_, m, df) in enumerate(moving):
+                others = [(g, 1) for j, (g, _, _) in enumerate(moving) if j != i]
+                term = self.num * df * m
+                num = num - (term * _expand(nvars, others) if others else term)
         raised = {f: m + 1 for f, m, _ in moving}
-        return RationalFunction._make(
-            num, tuple((f, raised.get(f, m)) for f, m in self.factors))
+        return RationalFunction._raw(
+            *_cancel(num, tuple((f, raised.get(f, m)) for f, m in self.factors)))
 
     def eval(self, values) -> Fraction:
         den = _ONE

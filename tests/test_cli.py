@@ -156,6 +156,8 @@ def test_exit_codes(files, tmp_path):
     for name, text in (
             ("twice.sk", "source 1|2\nbox 0 1\nsource 1|2\ntarget 1|0\ny1 = x1\n"),
             ("box.sk", "source 1|2\ntarget 1|0\nbox 1 0\ny1 = x1\n"),
+            ("exponent.sk", "source 1|2\ntarget 1|0\nbox 0 1e1000000\ny1 = x1\n"),
+            ("decimal.sk", "source 1|2\ntarget 1|0\nbox 0 1e5\ny1 = x1\n"),
             ("exclude.sk", "source 1|2\ntarget 1|0\nexclude 0\ny1 = x1\n"),
             ("rank.pt", "rank 2\nrank 3\nx1 = 1*1\n"),
             ("negative.pt", "rank -1\nx1 = 1*1\n"),
@@ -176,10 +178,11 @@ def test_exit_codes(files, tmp_path):
         assert run(["eval", str(path), files["point"]])[0] == 2, name
     # a result number longer than the parser's literal cap is not printed
     # (2^20000 has 6021 digits), and one at the cap prints and parses back;
-    # x1^100000 goes by the Taylor route only, as substitution takes seconds
-    power, power_taylor = tmp_path / "power.sk", tmp_path / "power-taylor.sk"
+    # x1^100000 is refused by every route within a second, as substitution
+    # raises the point to that power by square-and-multiply
+    power, big_power = tmp_path / "power.sk", tmp_path / "big-power.sk"
     power.write_text("source 1|2\ntarget 1|0\ny1 = x1^20000\n")
-    power_taylor.write_text("source 1|2\ntarget 1|0\ny1 = x1^100000\n")
+    big_power.write_text("source 1|2\ntarget 1|0\ny1 = x1^100000\n")
     big = tmp_path / "big.sk"
     big.write_text("source 1|2\ntarget 1|0\ny1 = 2^20000*x1\n")
     big_line = tmp_path / "big.man"
@@ -187,7 +190,9 @@ def test_exit_codes(files, tmp_path):
                         "transition B A\ny1 = x1/2^20000\nh1 = t1\n")
     for argv in (["eval", str(power), files["point"]],
                  ["eval", str(power), files["point"], "--route", "both"],
-                 ["eval", str(power_taylor), files["point"], "--route", "taylor"],
+                 ["eval", str(big_power), files["point"]],
+                 ["eval", str(big_power), files["point"], "--route", "taylor"],
+                 ["eval", str(big_power), files["point"], "--route", "both"],
                  ["compose", str(big), files["identity"]],
                  ["diff", str(big)],
                  ["glue", "transport", str(big_line), "A", files["apoint"], "B"]):

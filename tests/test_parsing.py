@@ -144,6 +144,18 @@ y1 = x1 + x2
     assert again.source_domain == skeleton.source_domain
 
 
+def test_bounds_are_grammar_literals():
+    """Box bounds are ``inf`` or the grammar's integer and fraction literals;
+    every bound the printer writes reads back."""
+    for value in (F(0), F(5), F(-3, 2), F(7, 4), F(10) ** 3999):
+        assert parsing.parse_bound(parsing._number_text(value), 1, 1) == value
+    assert parsing.parse_bound("+7/4", 1, 1) == F(7, 4)
+    assert [parsing.parse_bound(t, 1, 1) for t in ("inf", "+inf", "-inf")] == [None] * 3
+    for token in ("1e5", "1e1000000", "1.5", "1/0", "0x10", "1/-2", "7" * 4001):
+        with pytest.raises(ParseError):
+            parsing.parse_bound(token, 1, 1)
+
+
 def test_body_polynomial_directives():
     poly = parsing.parse_body_polynomial("x1/2 - 1", 1)
     assert poly == Polynomial.variable(1, 0) * F(1, 2) - 1

@@ -222,15 +222,185 @@ def test_rational_results_in_lowest_terms(case, power, index):
 
 
 def test_composite_factors_cancel_in_every_result():
-    """A factor need not be irreducible: 1/x^2 has the one factor x^2, and x/x^2
-    is reduced with respect to it.  Products, powers and inverses of such
-    operands can still cancel, so each is trial-divided as a whole."""
+    """A factor need not be irreducible: 1/x^2 has the one factor x^2.  Its
+    gcd x with the numerator x splits it, so x/x^2 is stored as 1/x, and
+    products, powers and inverses of that stay in lowest terms."""
     x = Polynomial.variable(1, 0)
     one = Polynomial.one(1)
     half = RationalFunction(one, x ** 2) * x
-    assert (half.num, half.factors) == (x, ((x ** 2, 1),))
+    assert (half.num, half.factors) == (one, ((x, 1),))
     for result, num, factors in [(half.invert(), x, ()),
-                                 (half ** 2, one, ((x ** 2, 1),)),
+                                 (half ** 2, one, ((x, 2),)),
                                  (half * x, one, ()),
-                                 (half * half, one, ((x ** 2, 1),))]:
+                                 (half * half, one, ((x, 2),))]:
         assert (result.num, result.factors) == (num, factors)
+
+
+def _sympy_expr(poly, xs):
+    import sympy
+
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+                for exps, c in poly.terms.items()), sympy.Integer(0))
+
+
+@st.composite
+def _gcd_cases(draw):
+    """Two polynomials in 1-3 variables of one of four kinds: generic (mostly
+    coprime), with a planted common factor, with rational content, or with a
+    constant or zero argument."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+
+    def poly():
+        return Polynomial(nvars, draw(st.dictionaries(exps, _NONZERO, min_size=1, max_size=3)))
+
+    kind = draw(st.sampled_from(("coprime", "planted", "content", "constant")))
+    a, b = poly(), poly()
+    if kind == "planted":
+        common = poly()
+        a, b = a * common, b * common
+    elif kind == "content":
+        a, b = a * F(6, 35), b * F(-10, 21)
+    elif kind == "constant":
+        b = draw(st.sampled_from((Polynomial.zero(nvars),
+                                  Polynomial.constant(nvars, draw(_NONZERO)))))
+        a, b = draw(st.permutations((a, b)))
+    return nvars, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_cases())
+def test_gcd_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    nvars, a, b = case
+    xs = sympy.symbols(f"x0:{nvars}")
+    g = a.gcd(b)
+    assert g is not None  # inputs this small never exhaust GCDHEU's tries
+    expected = sympy.gcd(_sympy_expr(a, xs), _sympy_expr(b, xs))
+    if expected == 0:
+        assert g.is_zero()
+        return
+    assert g.terms[max(g.terms)] == 1  # monic
+    ratio = sympy.cancel(_sympy_expr(g, xs) / expected)
+    assert ratio.is_number and ratio != 0
+    # the candidate passed the exact-division check
+    for p in (a, b):
+        assert p.is_zero() or p.exact_quotient(g) is not None
+
+
+def test_gcd_examples():
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    assert (x ** 2 - y ** 2).gcd(x * 3 + y * 3) == x + y
+    assert (x * y).gcd(x ** 2 * F(1, 2)) == x
+    assert (x + 1).gcd(y + 1) == Polynomial.one(2)
+    assert Polynomial.zero(2).gcd(y * 2 + 4) == y + 2
+    assert Polynomial.zero(2).gcd(Polynomial.zero(2)) == Polynomial.zero(2)
+
+
+@st.composite
+def _composite_rationals(draw, nvars):
+    """c * N / D where N and each factor of D are products of pool
+    polynomials, repeats allowed, times a constant: D's factors come from
+    inverting such products, so they are composite, associated, and share
+    irreducible parts with each other and with numerators."""
+    pool = [Polynomial(nvars, t) for t in _IRREDUCIBLE[nvars]]
+
+    def product():
+        result = Polynomial.constant(nvars, draw(_NONZERO))
+        for factor in draw(st.lists(st.sampled_from(pool), max_size=3)):
+            result = result * factor
+        return result
+
+    rf = RationalFunction(product())
+    for _ in range(draw(st.integers(0, 2))):
+        rf = rf * RationalFunction(product()).invert()
+    return rf
+
+
+@st.composite
+def _composite_cases(draw):
+    nvars = draw(st.integers(1, 2))
+    return nvars, draw(_composite_rationals(nvars)), draw(_composite_rationals(nvars))
+
+
+def _field(nvars):
+    """sympy's field of rational functions over Q, for fast exact oracles."""
+    sympy = pytest.importorskip("sympy")
+    field, *gens = sympy.field(",".join(f"x{i}" for i in range(nvars)), sympy.QQ)
+    return field, gens
+
+
+def _ring_element(poly, field):
+    ring = field.ring
+    out = ring.zero
+    for exps, c in poly.terms.items():
+        term = ring(field.domain(c.numerator, c.denominator))
+        for gen, e in zip(ring.gens, exps):
+            term *= gen ** e
+        out += term
+    return out
+
+
+def _field_element(rf, field):
+    return field(_ring_element(rf.num, field)) / field(_ring_element(rf.den, field))
+
+
+def _composite_results(a, b, power, index):
+    """(label, result, the same operation on field elements)."""
+    return [("a + b", a + b, lambda A, B, gens: A + B),
+            ("a - b", a - b, lambda A, B, gens: A - B),
+            ("(a + b) - b", (a + b) - b, lambda A, B, gens: A),
+            ("a * b", a * b, lambda A, B, gens: A * B),
+            ("a / b", a / b, lambda A, B, gens: A / B),
+            ("a ** n", a ** power, lambda A, B, gens: A ** power),
+            ("1 / a", a.invert(), lambda A, B, gens: 1 / A),
+            ("d a", a.derivative(index), lambda A, B, gens: A.diff(gens[index]))]
+
+
+def _total_degree(ring_element):
+    return max((sum(m) for m in ring_element.monoms()), default=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_composite_cases(), st.integers(0, 3), st.integers(0, 1))
+def test_composite_factors_stay_coprime_and_reduced(case, power, index):
+    """Every result has pairwise coprime factors (I1), a numerator coprime to
+    each (I2), and the stored degrees of the reduced value."""
+    nvars, a, b = case
+    index %= nvars
+    field, gens = _field(nvars)
+    A, B = _field_element(a, field), _field_element(b, field)
+    for label, result, build in _composite_results(a, b, power, index):
+        expected = build(A, B, gens)  # sympy keeps field elements reduced
+        assert _field_element(result, field) == expected, label
+        factors = [_ring_element(f, field) for f, _ in result.factors]
+        num = _ring_element(result.num, field)
+        for i, f in enumerate(factors):
+            assert num.gcd(f).is_ground, label
+            assert all(f.gcd(g).is_ground for g in factors[i + 1:]), label
+        if not result.is_zero():
+            assert result.num.degree() == _total_degree(expected.numer), label
+            assert result.den.degree() == _total_degree(expected.denom), label
+
+
+@settings(max_examples=80, deadline=None)
+@given(_composite_cases(), st.integers(0, 3), st.integers(0, 1))
+def test_undecided_gcd_keeps_values_exact(case, power, index):
+    """With every gcd undecided, factors are cancelled by trial division only:
+    results may stay out of lowest terms, but each value is still right."""
+    from superskel import poly as poly_module
+
+    nvars, a, b = case
+    index %= nvars
+    field, gens = _field(nvars)
+    A, B = _field_element(a, field), _field_element(b, field)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly_module, "_gcd_cofactors", lambda p, q: None)
+        assert a.num.gcd(b.num) is None or a.is_zero() or b.is_zero()
+        results = _composite_results(a, b, power, index)
+        results.append(("constructor", RationalFunction(a.num * b.num, a.den * b.den),
+                        lambda A, B, gens: A * B))
+    for label, result, build in results:
+        assert _field_element(result, field) == build(A, B, gens), label
