@@ -297,6 +297,13 @@ def test_gcd_examples():
     assert (x + 1).gcd(y + 1) == Polynomial.one(2)
     assert Polynomial.zero(2).gcd(y * 2 + 4) == y + 2
     assert Polynomial.zero(2).gcd(Polynomial.zero(2)) == Polynomial.zero(2)
+    # GCDHEU checks candidates on integer polynomials, where a quotient
+    # coefficient that is not an integer means "does not divide"
+    from superskel.poly import _lex_quotient
+
+    assert _lex_quotient({(1,): 3, (0,): 1}, {(1,): 2, (0,): 1}, 0) is None
+    assert _lex_quotient({(2,): 2, (1,): 3, (0,): 1}, {(1,): 2, (0,): 1}, 1) == \
+        {(1,): 1, (0,): 1}
 
 
 @st.composite
@@ -388,8 +395,8 @@ def test_composite_factors_stay_coprime_and_reduced(case, power, index):
 @settings(max_examples=80, deadline=None)
 @given(_composite_cases(), st.integers(0, 3), st.integers(0, 1))
 def test_undecided_gcd_keeps_values_exact(case, power, index):
-    """With every gcd undecided, factors are cancelled by trial division only:
-    results may stay out of lowest terms, but each value is still right."""
+    """With every gcd undecided, no factor cancels: results may stay out of
+    lowest terms, but each value is still right."""
     from superskel import poly as poly_module
 
     nvars, a, b = case
