@@ -68,12 +68,6 @@ class GluingData:
     def chart_ids(self):
         return sorted(self.charts)
 
-    def overlap(self, i, j) -> DeWittDomain | None:
-        return self.overlaps.get((i, j))
-
-    def transition(self, i, j) -> Skeleton | None:
-        return self.transitions.get((i, j))
-
 
 def _sampled_points(domain: DeWittDomain, rng, count: int, rank: int):
     from . import randgen
@@ -107,23 +101,23 @@ def check_cocycle(data: GluingData, rng, samples: int = 25, rank: int = 3) -> Ch
     ids = data.chart_ids()
 
     for i in ids:
-        identity = data.transition(i, i)
+        identity = data.transitions[(i, i)]
         report.add(f"transition({i},{i}) is the identity",
                    identity == Skeleton.identity(*data.charts[i]))
 
     for (i, j) in sorted(data.transitions):
         if i == j:
             continue
-        forward = data.transition(i, j)
-        backward = data.transition(j, i)
+        forward = data.transitions[(i, j)]
+        backward = data.transitions.get((j, i))
         if backward is None:
             report.add(f"transition({j},{i}) exists", False, "missing inverse transition")
             continue
         round_trip = compose_subst(backward, forward)
-        identity = Skeleton.identity(data.charts[i][0], data.overlaps[(i, j)])
+        overlap = data.overlaps[(i, j)]
+        identity = Skeleton.identity(data.charts[i][0], overlap)
         report.add(f"transition({j},{i}) o transition({i},{j}) = id symbolically",
                    round_trip == identity)
-        overlap = data.overlap(i, j)
         try:
             points = _sampled_points(overlap, rng, samples, rank)
         except DomainError:
@@ -137,18 +131,15 @@ def check_cocycle(data: GluingData, rng, samples: int = 25, rank: int = 3) -> Ch
             for k in ids:
                 if len({i, j, k}) < 3:
                     continue
-                t_ij = data.transition(i, j)
-                t_jk = data.transition(j, k)
-                t_ik = data.transition(i, k)
+                t_ij = data.transitions.get((i, j))
+                t_jk = data.transitions.get((j, k))
+                t_ik = data.transitions.get((i, k))
                 if t_ij is None or t_jk is None or t_ik is None:
                     continue
                 composite = compose_subst(t_jk, t_ij)
                 report.add(f"cocycle {i}->{j}->{k} vs {i}->{k} symbolically",
                            composite == t_ik)
-                o_ij, o_ik = data.overlap(i, j), data.overlap(i, k)
-                if o_ij is None or o_ik is None:
-                    continue
-                both = o_ij.intersect(o_ik)
+                both = data.overlaps[(i, j)].intersect(data.overlaps[(i, k)])
                 try:
                     points = _sampled_points(both, rng, max(samples // 5, 5), rank)
                 except DomainError:
@@ -164,11 +155,10 @@ def transport(data: GluingData, mp: ManifoldPoint, to_chart: str) -> ManifoldPoi
     data._need_chart(to_chart)
     if mp.chart == to_chart:
         return mp
-    overlap = data.overlap(mp.chart, to_chart)
-    transition = data.transition(mp.chart, to_chart)
-    if overlap is None or transition is None:
+    transition = data.transitions.get((mp.chart, to_chart))
+    if transition is None:
         raise DomainError(f"charts {mp.chart} and {to_chart} do not overlap")
-    if not overlap.contains(mp.point):
+    if not data.overlaps[(mp.chart, to_chart)].contains(mp.point):
         raise DomainError("point body lies outside the overlap")
     return ManifoldPoint(to_chart, eval_subst(transition, mp.point, check_domain=False))
 
@@ -191,17 +181,16 @@ def check_global_morphism(source: GluingData, target: GluingData,
         for (i2, j2) in pairs:
             if (i, j) == (i2, j2):
                 continue
-            t_src = source.transition(i, i2)
-            t_tgt = target.transition(j, j2)
-            o_src = source.overlap(i, i2)
-            if t_src is None or t_tgt is None or o_src is None:
+            t_src = source.transitions.get((i, i2))
+            t_tgt = target.transitions.get((j, j2))
+            if t_src is None or t_tgt is None:
                 continue
             lhs = compose_subst(components[(i2, j2)], t_src)
             rhs = compose_subst(t_tgt, components[(i, j)])
             label = f"({i}->{j}) vs ({i2}->{j2})"
             report.add(f"compatibility {label} symbolically", lhs == rhs)
             try:
-                points = _sampled_points(o_src, rng, samples, rank)
+                points = _sampled_points(source.overlaps[(i, i2)], rng, samples, rank)
             except DomainError:
                 continue
             _add_sampled(report, f"compatibility {label}", points, (lhs,), (rhs,))

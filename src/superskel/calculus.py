@@ -22,16 +22,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .continuation import eval_subst
+from .continuation import eval_subst, taylor_increment, taylor_shells
 from .errors import DomainError, SuperskelError
 from .grassmann import GrassmannElement
+from .morphisms import compose_subst
 from .poly import Polynomial, RationalFunction
 from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
 from .superfn import Skeleton, SuperFunction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ class DerivativeData:
                     totals[ci] = totals[ci] + value
                 return
             for d in range(n_dirs):
-                entry = vectors[i].entry(d)
+                entry = vectors[i].values[d]
                 if entry.is_zero():
                     continue
                 new_prod = entry if prod is None else entry * prod
@@ -167,23 +166,12 @@ class BGNQuotient:
         return True
 
     def at_zero_t(self) -> Skeleton:
-        """The first derivative in (x, v): substitute t = 0 into the quotient."""
-        t_index = 2 * self.base.source_space.even_dim
-        comps = [_substitute_even_zero(c, t_index) for c in self.quotient.components]
-        return Skeleton(self.extended_space, self.extended_domain,
-                        self.base.target_space, self.base.target_domain, comps)
-
-
-def _substitute_even_zero(fn: SuperFunction, index0: int) -> SuperFunction:
-    terms = {}
-    for labels, coeff in fn.terms.items():
-        num = coeff.num.partial_eval({index0: _ZERO})
-        # a factor may turn constant, non-monic or equal to another at t = 0
-        pairs = [(f.partial_eval({index0: _ZERO}), m) for f, m in coeff.factors]
-        if any(f.is_zero() for f, _ in pairs):
-            raise DomainError("denominator degenerates at t = 0")
-        terms[labels] = RationalFunction._make(num, pairs)
-    return SuperFunction(fn.space, fn.domain, terms)
+        """The first derivative in (x, v): the quotient composed with the
+        identity of the extended space whose t component is 0."""
+        space, domain = self.extended_space, self.extended_domain
+        comps = list(Skeleton.identity(space, domain).components)
+        comps[2 * self.base.source_space.even_dim] = SuperFunction.zero(space, domain)
+        return compose_subst(self.quotient, Skeleton(space, domain, space, domain, comps))
 
 
 def _extend_domain(domain: DeWittDomain, space: SuperSpace) -> DeWittDomain:
@@ -198,10 +186,9 @@ def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:
     """Compute the exact difference quotient of a skeleton.
 
     Divisibility by t is automatic: the numerator of f(x+tv) - f(x) vanishes
-    identically at t = 0, hence every monomial carries t.
+    identically at t = 0, hence every monomial carries t;
+    ``Polynomial.divide_by_variable`` raises on one that does not.
     """
-    from .morphisms import compose_subst
-
     p = skeleton.source_space.even_dim
     q = skeleton.source_space.odd_dim
     ext_space = SuperSpace(2 * p + 1, 2 * q)
@@ -235,10 +222,6 @@ def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:
         diff = f1 - f0
         terms = {}
         for labels, coeff in diff.terms.items():
-            num0 = coeff.num.partial_eval({t_index0: _ZERO})
-            if not num0.is_zero():
-                raise SuperskelError("difference is not divisible by t; "
-                                     "a denominator must vanish at t = 0")
             # a factor dividing num / t would divide num: no new cancellation
             terms[labels] = RationalFunction._raw(coeff.num.divide_by_variable(t_index0),
                                                   coeff.factors)
@@ -302,7 +285,6 @@ def check_taylor(skeleton: Skeleton, rank: int, rng, cases: int = 10,
     derivative data equals the substitution difference, and no Taylor shell
     survives beyond m + k = rank."""
     from . import randgen
-    from .continuation import taylor_increment, taylor_shells
 
     report = CheckReport(f"exact Taylor increments at rank {rank}")
     for case in range(cases):

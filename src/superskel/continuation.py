@@ -19,6 +19,7 @@ on every input; their equality is a first-class test.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .errors import DomainError, RankMismatchError, SuperskelError
@@ -26,8 +27,6 @@ from .grassmann import GrassmannElement, GrassmannMorphism, merge_sign, sort_sig
 from .report import CheckReport
 from .spaces import LambdaPoint
 from .superfn import Skeleton
-
-_ZERO = Fraction(0)
 
 
 def eval_subst(skeleton: Skeleton, point: LambdaPoint,
@@ -221,8 +220,6 @@ def taylor_increment(skeleton: Skeleton, point: LambdaPoint, increments) -> Lamb
     total = None
     for j in range(1, k + 1):
         data = derivative(skeleton, j)
-        from itertools import combinations
-
         for subset in combinations(range(k), j):
             value = data.apply(point, [increments[i] for i in subset])
             total = value if total is None else total + value

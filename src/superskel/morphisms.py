@@ -33,8 +33,6 @@ from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
-_ONE = Fraction(1)
-
 
 def substitute_superfunction(h: SuperFunction, skeleton: Skeleton) -> SuperFunction:
     """h composed with a skeleton whose target is h's space: the pullback of

@@ -10,7 +10,8 @@ One grammar serves every value kind:
 Variables are x<n> (even), t<n> (odd) in superfunction context and g<n>
 (generators) in Grassmann context; juxtaposed variable atoms multiply, which
 is how generator monomials like ``g1g2`` are written.  Rationals arise from
-integer division.  All parsing is line oriented and errors carry positions.
+integer division.  All parsing is line oriented and errors carry positions:
+in a file, columns count from the start of the line.
 """
 
 from __future__ import annotations
@@ -45,32 +46,31 @@ class Token:
     column: int
 
 
-def _check_literals(text: str, line: int) -> None:
+def _check_literals(text: str, line: int, column: int = 1) -> None:
     match = _LONG_LITERAL_RE.search(text)
     if match:
         raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
-                         line, match.start() + 1)
+                         line, match.start() + column)
 
 
-def tokenize(text: str, line: int = 1) -> list[Token]:
-    _check_literals(text, line)
+def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
+    """Tokens of ``text``, which starts at ``column`` of ``line``."""
+    _check_literals(text, line, column)
     tokens = []
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            stripped = text[pos:].strip()
+            rest = text[pos:]
+            stripped = rest.lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, pos + 1)
-        if match.lastgroup == "num":
-            tokens.append(Token("num", match.group("num"), line, match.start("num") + 1))
-        elif match.lastgroup == "name":
-            tokens.append(Token("name", match.group("name"), line, match.start("name") + 1))
-        else:
-            tokens.append(Token("op", match.group("op"), line, match.start("op") + 1))
+            raise ParseError(f"unexpected character {stripped[0]!r}", line,
+                             pos + len(rest) - len(stripped) + column)
+        kind = match.lastgroup
+        tokens.append(Token(kind, match.group(kind), line, match.start(kind) + column))
         pos = match.end()
-    tokens.append(Token("end", "", line, len(text) + 1))
+    tokens.append(Token("end", "", line, len(text) + column))
     return tokens
 
 
@@ -228,23 +228,24 @@ class PolynomialContext:
         return Polynomial.variable(self.nvars, index - 1)
 
 
-def parse_expression(text: str, context, line: int = 1):
-    parser = _Parser(tokenize(text, line), context)
+def parse_expression(text: str, context, line: int = 1, column: int = 1):
+    """The value of ``text``, which starts at ``column`` of ``line``."""
+    parser = _Parser(tokenize(text, line, column), context)
     return parser.finish(parser.parse_expr())
 
 
-def parse_grassmann(text: str, rank: int, line: int = 1) -> GrassmannElement:
-    return parse_expression(text, GrassmannContext(rank), line)
+def parse_grassmann(text: str, rank: int, line: int = 1, column: int = 1) -> GrassmannElement:
+    return parse_expression(text, GrassmannContext(rank), line, column)
 
 
 def parse_superfunction(text: str, space: SuperSpace,
                         domain: DeWittDomain | None = None,
-                        line: int = 1) -> SuperFunction:
-    return parse_expression(text, SuperFunctionContext(space, domain), line)
+                        line: int = 1, column: int = 1) -> SuperFunction:
+    return parse_expression(text, SuperFunctionContext(space, domain), line, column)
 
 
-def parse_body_polynomial(text: str, nvars: int, line: int = 1) -> Polynomial:
-    return parse_expression(text, PolynomialContext(nvars), line)
+def parse_body_polynomial(text: str, nvars: int, line: int = 1, column: int = 1) -> Polynomial:
+    return parse_expression(text, PolynomialContext(nvars), line, column)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +290,13 @@ _DIRECTIVE_RE = re.compile(r"^\s*([A-Za-z_]+)\s+(.*)$")
 _VAR_RE_TARGET = re.compile(r"^([yh])(\d+)$")
 
 
-def _assign(assignments: dict, var: re.Match, expr: str, line_no: int) -> None:
-    """Record ``<kind><index> = expr``; a name may be assigned only once."""
+def _assign(assignments: dict, var: re.Match, match: re.Match, line_no: int) -> None:
+    """Record the ``<kind><index> = expr`` line ``match`` as (expr, line,
+    column of expr); a name may be assigned only once."""
     key = (var.group(1), int(var.group(2)))
     if key in assignments:
         raise ParseError(f"repeated assignment for {var.group(0)}", line_no)
-    assignments[key] = (expr, line_no)
+    assignments[key] = (match.group(2), line_no, match.start(2) + 1)
 
 
 def _header(headers: dict, key: tuple, line_no: int) -> tuple:
@@ -307,27 +309,29 @@ def _header(headers: dict, key: tuple, line_no: int) -> tuple:
 
 
 def _meaningful_lines(text: str):
+    """(line number, line) for each line with content, comments cut off;
+    leading blanks stay, so match positions are columns of the line."""
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         _check_literals(line, idx)
         if line.strip():
-            yield idx, line.strip()
+            yield idx, line
 
 
 def parse_point_file(text: str, space: SuperSpace) -> LambdaPoint:
     """Parse a point in ``space``; without a ``rank`` line the rank is the
     largest generator index the file names."""
-    assignments: dict[tuple[str, int], tuple[str, int]] = {}
+    assignments: dict[tuple[str, int], tuple[str, int, int]] = {}
     declared_rank = None
     headers: dict[tuple, int] = {}
     for line_no, line in _meaningful_lines(text):
         match = _ASSIGN_RE.match(line)
         if match:
-            name, expr = match.groups()
+            name = match.group(1)
             var = _VAR_RE.match(name)
             if var is None or var.group(1) not in ("x", "t"):
                 raise ParseError(f"expected x<i> or t<j> assignment, got {name!r}", line_no)
-            _assign(assignments, var, expr, line_no)
+            _assign(assignments, var, match, line_no)
             continue
         match = _DIRECTIVE_RE.match(line)
         if match and match.group(1) == "rank":
@@ -340,24 +344,24 @@ def parse_point_file(text: str, space: SuperSpace) -> LambdaPoint:
             except SuperskelError as exc:
                 raise ParseError(str(exc), line_no)
             continue
-        raise ParseError(f"unrecognized line {line!r}", line_no)
+        raise ParseError(f"unrecognized line {line.strip()!r}", line_no)
 
     if declared_rank is None:
         declared_rank = 0
-        for expr, line_no in assignments.values():
-            for token in tokenize(expr, line_no):
+        for expr, line_no, column in assignments.values():
+            for token in tokenize(expr, line_no, column):
                 match = _VAR_RE.match(token.text) if token.kind == "name" else None
                 if match and match.group(1) == "g":
                     declared_rank = max(declared_rank, int(match.group(2)))
     evens = []
     for i in range(space.even_dim):
-        expr, line_no = assignments.get(("x", i + 1), ("0", 0))
-        evens.append(parse_grassmann(expr, declared_rank, line_no))
+        expr, line_no, column = assignments.get(("x", i + 1), ("0", 0, 1))
+        evens.append(parse_grassmann(expr, declared_rank, line_no, column))
     odds = []
     for j in range(space.odd_dim):
-        expr, line_no = assignments.get(("t", j + 1), ("0", 0))
-        odds.append(parse_grassmann(expr, declared_rank, line_no))
-    for (kind, index), (expr, line_no) in assignments.items():
+        expr, line_no, column = assignments.get(("t", j + 1), ("0", 0, 1))
+        odds.append(parse_grassmann(expr, declared_rank, line_no, column))
+    for (kind, index), (_, line_no, _) in assignments.items():
         if kind == "x" and index > space.even_dim:
             raise ParseError(f"x{index} exceeds the space's even dimension", line_no)
         if kind == "t" and index > space.odd_dim:
@@ -386,29 +390,37 @@ def format_domain_lines(domain: DeWittDomain, prefix: str = "") -> list[str]:
     return lines
 
 
-def _parse_box(args: str, p: int, line_no: int):
-    tokens = args.split()
+def _parse_box(args: str, p: int, line_no: int, column: int):
+    """The box whose bounds ``args``, starting at ``column``, lists."""
+    tokens = list(re.finditer(r"\S+", args))
     if len(tokens) != 2 * p:
         raise ParseError(f"box needs {2 * p} bounds for {p} even coordinates", line_no)
-    return tuple((parse_bound(tokens[2 * idx], line_no, 1),
-                  parse_bound(tokens[2 * idx + 1], line_no, 1)) for idx in range(p))
+    bounds = [parse_bound(t.group(), line_no, t.start() + column) for t in tokens]
+    return tuple(zip(bounds[::2], bounds[1::2]))
 
 
 class _DomainBuilder:
+    """Collects a domain's ``box`` and ``exclude`` lines and builds it once."""
+
     def __init__(self, space: SuperSpace):
         self.space = space
         self.boxes = []
         self.excluded = []
 
-    def directive(self, keyword: str, args: str, line_no: int) -> bool:
+    def directive(self, keyword: str, args: str, line_no: int, column: int) -> bool:
+        """Take one directive whose ``args`` start at ``column``; False when
+        ``keyword`` is not a domain directive."""
+        p = self.space.even_dim
         if keyword == "box":
-            self.boxes.append(_parse_box(args, self.space.even_dim, line_no))
+            self.boxes.append(_parse_box(args, p, line_no, column))
+            item = (self.boxes[-1:], ())
         elif keyword == "exclude":
-            self.excluded.append(parse_body_polynomial(args, self.space.even_dim, line_no))
+            self.excluded.append(parse_body_polynomial(args, p, line_no, column))
+            item = ([], self.excluded[-1:])
         else:
             return False
         try:
-            self.build()  # earlier lines passed, so a failure belongs to this one
+            DeWittDomain(self.space, *item)  # a line can only be wrong on its own
         except SuperskelError as exc:
             raise ParseError(str(exc), line_no)
         return True
@@ -450,7 +462,7 @@ def _build_skeleton(assignments: dict, source: SuperSpace, src_domain: DeWittDom
                     where: str = "") -> Skeleton:
     """The skeleton whose components are the y/h ``assignments``, parsed on
     the source domain; ``where`` prefixes each message."""
-    for (kind, index), (expr, line_no) in assignments.items():
+    for (kind, index), (_, line_no, _) in assignments.items():
         if index > (target.even_dim if kind == "y" else target.odd_dim):
             raise ParseError(f"{where}{kind}{index} exceeds the target dimensions", line_no)
     components = []
@@ -458,8 +470,8 @@ def _build_skeleton(assignments: dict, source: SuperSpace, src_domain: DeWittDom
         for index in range(1, count + 1):
             if (kind, index) not in assignments:
                 raise ParseError(f"{where}missing assignment for {kind}{index}")
-            expr, line_no = assignments[(kind, index)]
-            comp = parse_superfunction(expr, source, src_domain, line_no)
+            expr, line_no, column = assignments[(kind, index)]
+            comp = parse_superfunction(expr, source, src_domain, line_no, column)
             if not (comp.is_even() if parity == "even" else comp.is_odd()):
                 raise ParseError(f"{where}{kind}{index} must be parity-{parity}", line_no)
             # the file's domain directives are the author's declaration
@@ -474,17 +486,17 @@ def parse_skeleton_file(text: str) -> Skeleton:
     source = target = None
     src_builder = tgt_builder = None
     headers: dict[tuple, int] = {}
-    assignments: dict[tuple[str, int], tuple[str, int]] = {}
+    assignments: dict[tuple[str, int], tuple[str, int, int]] = {}
     for line_no, line in _meaningful_lines(text):
         match = _ASSIGN_RE.match(line)
         var = match and _VAR_RE_TARGET.match(match.group(1))
         if var:
-            _assign(assignments, var, match.group(2), line_no)
+            _assign(assignments, var, match, line_no)
             continue
         match = _DIRECTIVE_RE.match(line)
         if not match:
-            raise ParseError(f"unrecognized line {line!r}", line_no)
-        keyword, args = match.group(1), match.group(2)
+            raise ParseError(f"unrecognized line {line.strip()!r}", line_no)
+        keyword, args, column = match.group(1), match.group(2), match.start(2) + 1
         if keyword in ("source", "target"):
             _header(headers, (keyword,), line_no)
         if keyword == "source":
@@ -496,11 +508,11 @@ def parse_skeleton_file(text: str) -> Skeleton:
         elif keyword in ("box", "exclude"):
             if src_builder is None:
                 raise ParseError("domain directive before the source line", line_no)
-            src_builder.directive(keyword, args, line_no)
+            src_builder.directive(keyword, args, line_no, column)
         elif keyword in ("target_box", "target_exclude"):
             if tgt_builder is None:
                 raise ParseError("target domain directive before the target line", line_no)
-            tgt_builder.directive(keyword.removeprefix("target_"), args, line_no)
+            tgt_builder.directive(keyword.removeprefix("target_"), args, line_no, column)
         else:
             raise ParseError(f"unknown directive {keyword!r}", line_no)
     if source is None or target is None:
@@ -536,7 +548,7 @@ def parse_manifold_file(text: str) -> GluingData:
     charts: dict[str, SuperSpace] = {}
     chart_builders: dict[str, _DomainBuilder] = {}
     overlap_builders: dict[tuple[str, str], _DomainBuilder] = {}
-    transition_rows: dict[tuple[str, str], dict[tuple[str, int], tuple[str, int]]] = {}
+    transition_rows: dict[tuple[str, str], dict[tuple[str, int], tuple[str, int, int]]] = {}
     section = None  # ('chart', id) | ('overlap', i, j) | ('transition', i, j)
     headers: dict[tuple, int] = {}
 
@@ -567,23 +579,20 @@ def parse_manifold_file(text: str) -> GluingData:
                 transition_rows[(i, j)] = {}
             continue
         if section is None:
-            raise ParseError(f"line outside any section: {line!r}", line_no)
-        if section[0] == "chart":
-            builder = chart_builders[section[1]]
-            if not (match and builder.directive(keyword, match.group(2), line_no)):
-                raise ParseError(f"bad chart directive {line!r}", line_no)
-        elif section[0] == "overlap":
-            builder = overlap_builders[(section[1], section[2])]
-            if not (match and builder.directive(keyword, match.group(2), line_no)):
-                raise ParseError(f"bad overlap directive {line!r}", line_no)
+            raise ParseError(f"line outside any section: {line.strip()!r}", line_no)
+        if section[0] in ("chart", "overlap"):
+            builder = (chart_builders[section[1]] if section[0] == "chart"
+                       else overlap_builders[section[1:]])
+            if not (match and builder.directive(keyword, match.group(2), line_no,
+                                                match.start(2) + 1)):
+                raise ParseError(f"bad {section[0]} directive {line.strip()!r}", line_no)
         else:
             assign = _ASSIGN_RE.match(line)
             var = assign and _VAR_RE_TARGET.match(assign.group(1))
             if not var:
-                raise ParseError(f"expected y/h assignment in transition, got {line!r}",
-                                 line_no)
-            _assign(transition_rows[(section[1], section[2])], var, assign.group(2),
-                    line_no)
+                raise ParseError(
+                    f"expected y/h assignment in transition, got {line.strip()!r}", line_no)
+            _assign(transition_rows[section[1:]], var, assign, line_no)
 
     chart_map = {}
     for cid, space in charts.items():

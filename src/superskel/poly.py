@@ -802,21 +802,6 @@ class RationalFunction:
         return rf
 
     @classmethod
-    def _make(cls, num: Polynomial, pairs) -> "RationalFunction":
-        """num / prod(f^m over pairs) in lowest terms, for any nonzero
-        polynomials f: each is made monic (its lead folds into ``num``),
-        constants drop out, and the rest are refined into a coprime base
-        that is cancelled against ``num``."""
-        items = []
-        for factor, mult in pairs:
-            lead, factor = _monic(factor)
-            if lead != 1:
-                num = num * (_ONE / lead ** mult)
-            if not factor.is_constant():
-                items.append((factor, (mult,)))
-        return cls._raw(*_cancel(num, [(f, m) for f, (m,) in _refine(items)]))
-
-    @classmethod
     def constant(cls, nvars: int, value) -> "RationalFunction":
         return cls(Polynomial.constant(nvars, value))
 

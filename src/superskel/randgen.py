@@ -159,12 +159,10 @@ def random_pure_vector(rng, space: SuperSpace, rank: int):
     Returns (vector, coordinate parity, scalar-monomial parity); the vector's
     total parity is their sum mod 2.
     """
-    from itertools import combinations as _comb
-
     coord = rng.randrange(space.even_dim + space.odd_dim)
     coord_parity = 0 if coord < space.even_dim else 1
     pool = [labels for size in range(rank + 1)
-            for labels in _comb(range(1, rank + 1), size)]
+            for labels in combinations(range(1, rank + 1), size)]
     labels = pool[rng.randrange(len(pool))]
     coeff = random_fraction(rng, nonzero=True)
     value = GrassmannElement.monomial(rank, labels, coeff)

@@ -19,7 +19,8 @@ from itertools import combinations
 from . import randgen
 from .atlas import (GluingData, ManifoldPoint, check_cocycle, check_global_morphism,
                     projective_superline, superline_squaring_map, transport)
-from .calculus import check_def43, check_lambda_linearity, check_taylor
+from .calculus import (check_def43, check_lambda_linearity, check_taylor, hadamard_decompose,
+                       taylor_polynomial, taylor_remainder_vanishes)
 from .continuation import check_naturality, eval_subst, eval_taylor, truncation_consistent
 from .grassmann import GrassmannElement
 from .morphisms import (check_algebra_morphism, compose_formula, compose_subst,
@@ -440,8 +441,6 @@ def suite_gluing(seed: int = 9) -> CheckReport:
 
 
 def suite_factor_and_taylor(seed: int = 10) -> CheckReport:
-    from .calculus import hadamard_decompose, taylor_polynomial, taylor_remainder_vanishes
-
     rng = random.Random(seed)
     report = CheckReport("factorization and taylor polynomials")
     bad = 0

@@ -56,6 +56,11 @@ class DeWittDomain:
     ``boxes`` is a union of open boxes, each a tuple of (lo, hi) pairs with
     None for an unbounded side; ``excluded`` lists polynomials whose zero
     sets are removed.  Membership of a point depends only on its body.
+
+    The constructor is the one place an excluded polynomial is normalized:
+    it is stored monic (lex-leading coefficient 1), a nonzero constant (an
+    empty zero set) is dropped, and of equal monic polynomials only the
+    first is kept.
     """
 
     __slots__ = ("space", "boxes", "excluded")
@@ -75,14 +80,14 @@ class DeWittDomain:
                     raise SuperskelError(f"empty interval ({lo}, {hi})")
                 iv.append((lo, hi))
             norm_boxes.append(tuple(iv))
-        excl = []
+        excl = {}  # insertion-ordered set
         for poly in excluded:
             if not isinstance(poly, Polynomial) or poly.nvars != p:
                 raise SuperskelError("excluded zero sets must be polynomials in the even variables")
             if poly.is_zero():
                 raise SuperskelError("cannot exclude the zero set of the zero polynomial")
-            if poly not in excl:
-                excl.append(poly)
+            if not poly.is_constant():
+                excl.setdefault(_monic(poly)[1])
         self.space = space
         self.boxes = tuple(norm_boxes)
         self.excluded = tuple(excl)
@@ -96,21 +101,10 @@ class DeWittDomain:
         return cls(space, [tuple(bounds)])
 
     def with_excluded(self, polys) -> "DeWittDomain":
-        """This domain minus the zero sets of ``polys``.  Each new polynomial
-        is stored monic; constants, and polynomials already excluded up to a
-        constant factor, are dropped."""
-        seen = {_monic(p)[1] for p in self.excluded}
-        extra = []
-        for poly in polys:
-            if poly.is_constant():
-                continue
-            poly = _monic(poly)[1]
-            if poly not in seen:
-                seen.add(poly)
-                extra.append(poly)
-        if not extra:
-            return self
-        return DeWittDomain(self.space, self.boxes, self.excluded + tuple(extra))
+        """This domain minus the zero sets of ``polys``, normalized by the
+        constructor; ``self`` when every one of them is already excluded."""
+        merged = DeWittDomain(self.space, self.boxes, self.excluded + tuple(polys))
+        return self if len(merged.excluded) == len(self.excluded) else merged
 
     def contains_body(self, body) -> bool:
         body = tuple(body)
@@ -128,6 +122,8 @@ class DeWittDomain:
         return self.contains_body(point.body())
 
     def intersect(self, other: "DeWittDomain") -> "DeWittDomain":
+        if other is self or other == self:
+            return self
         if other.space != self.space:
             raise SpaceMismatchError("cannot intersect domains over different spaces")
         boxes = []
@@ -136,8 +132,7 @@ class DeWittDomain:
                 cut = [_interval_intersect(ia, ib) for ia, ib in zip(a, b)]
                 if all(iv is not None for iv in cut):
                     boxes.append(tuple(cut))
-        merged = DeWittDomain(self.space, boxes or [], ())
-        return merged.with_excluded(self.excluded + other.excluded)
+        return DeWittDomain(self.space, boxes, self.excluded + other.excluded)
 
     def sample_bodies(self, rng, count: int):
         """Deterministically sample rational body points inside the domain,
@@ -224,9 +219,6 @@ class Vector:
         values = [GrassmannElement.zero(rank)] * (space.even_dim + space.odd_dim)
         values[coord] = value
         return cls.of(space, rank, values)
-
-    def entry(self, coord: int) -> GrassmannElement:
-        return self.values[coord]
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)

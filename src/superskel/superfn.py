@@ -27,14 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
+from .errors import DomainError, NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
 from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
                         _parity, _power, _product, _soul, sort_sign)
 from .poly import Polynomial, RationalFunction, _negate, _scale, _signed_sum, _sum, monomial_text
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_rf(value, nvars):
@@ -172,16 +169,11 @@ class SuperFunction:
             return other
         return None
 
-    def _merged_domain(self, other: "SuperFunction") -> DeWittDomain:
-        if other.domain == self.domain:
-            return self.domain
-        return self.domain.intersect(other.domain)
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return SuperFunction._make(self.space, self._merged_domain(other),
+        return SuperFunction._make(self.space, self.domain.intersect(other.domain),
                                    _sum(self.terms, other.terms))
 
     __radd__ = __add__
@@ -206,7 +198,7 @@ class SuperFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return SuperFunction._make(self.space, self._merged_domain(other),
+        return SuperFunction._make(self.space, self.domain.intersect(other.domain),
                                    _product(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -273,13 +265,25 @@ class SuperFunction:
 
     # -- evaluation / substitution ------------------------------------------
 
-    def _expand(self, even_values, odd_values, one):
-        """Shared engine: substitute values for the coordinates.
+    def eval(self, point: LambdaPoint, check_domain: bool = True) -> GrassmannElement:
+        """Value at a lambda-point, computed in the Grassmann algebra."""
+        if point.space != self.space:
+            raise SpaceMismatchError("point lives in a different space")
+        if check_domain and not self.domain.contains(point):
+            raise DomainError("point lies outside the declared domain")
+        one = GrassmannElement.unit(point.rank)
+        try:
+            return self.substitute(point.even_values, point.odd_values, one)
+        except NotInvertibleError:
+            # a declared-nonvanishing denominator hit a zero body here
+            raise DomainError("a denominator has zero body at this point; "
+                              "the declared domain is dishonest")
 
-        Works for Grassmann values (evaluation at a point) and superfunction
-        values (composition), since both rings support +, *, Fraction scaling
-        and ``invert`` for denominators.
-        """
+    def substitute(self, even_values, odd_values, one):
+        """Plug values in for the coordinates: Grassmann values evaluate at
+        a point, superfunction values compose coordinatewise.  ``one`` is
+        the unit of the values' ring, which must support +, *, Fraction
+        scaling and ``invert`` for denominators."""
         acc = None
         for labels, coeff in self.terms.items():
             value = coeff.eval_in(even_values, one)
@@ -289,27 +293,6 @@ class SuperFunction:
         if acc is None:
             return 0 * one
         return acc
-
-    def eval(self, point: LambdaPoint, check_domain: bool = True) -> GrassmannElement:
-        """Value at a lambda-point, computed in the Grassmann algebra."""
-        from .errors import DomainError
-
-        if point.space != self.space:
-            raise SpaceMismatchError("point lives in a different space")
-        if check_domain and not self.domain.contains(point):
-            raise DomainError("point lies outside the declared domain")
-        one = GrassmannElement.unit(point.rank)
-        try:
-            return self._expand(point.even_values, point.odd_values, one)
-        except NotInvertibleError:
-            # a declared-nonvanishing denominator hit a zero body here
-            raise DomainError("a denominator has zero body at this point; "
-                              "the declared domain is dishonest")
-
-    def substitute(self, even_values, odd_values, one) -> "SuperFunction":
-        """Plug superfunctions in for the coordinates (coordinatewise
-        composition); ``one`` is the unit of the ring of the values."""
-        return self._expand(list(even_values), list(odd_values), one)
 
     # -- rendering -----------------------------------------------------------
 
@@ -367,7 +350,7 @@ def mul_shuffle(f: SuperFunction, g: SuperFunction) -> SuperFunction:
                     acc = piece if acc is None else acc + piece
             if acc is not None and not acc.is_zero():
                 terms[monomial] = acc
-    return SuperFunction(space, f._merged_domain(g), terms)
+    return SuperFunction(space, f.domain.intersect(g.domain), terms)
 
 
 class Skeleton:
@@ -401,8 +384,7 @@ class Skeleton:
                 if not comp.is_odd():
                     raise ParityError(
                         f"component for odd coordinate h{i - target_space.even_dim + 1} must be odd")
-            if comp.domain != domain:
-                domain = domain.intersect(comp.domain)
+            domain = domain.intersect(comp.domain)
         self.source_space = source_space
         self.source_domain = domain
         self.target_space = target_space

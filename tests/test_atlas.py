@@ -33,8 +33,8 @@ def test_superline_round_trip_symbolic():
     from superskel.morphisms import compose_subst
 
     line = projective_superline()
-    forward = line.transition("A", "B")
-    backward = line.transition("B", "A")
+    forward = line.transitions[("A", "B")]
+    backward = line.transitions[("B", "A")]
     both = compose_subst(backward, forward)
     assert both.components[0] == SuperFunction.even_coordinate(S11, 1)
     assert both.components[1] == SuperFunction.odd_coordinate(S11, 1)

@@ -127,8 +127,8 @@ def test_formula_with_rational_body_maps():
     from superskel.atlas import projective_superline
 
     line = projective_superline()
-    forward = line.transition("A", "B")
-    backward = line.transition("B", "A")
+    forward = line.transitions[("A", "B")]
+    backward = line.transitions[("B", "A")]
     out = compose_formula(backward, forward)
     space = SuperSpace(1, 1)
     assert out.components[0] == SuperFunction.even_coordinate(space, 1)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -144,6 +145,56 @@ y1 = x1 + x2
     assert again.source_domain == skeleton.source_domain
 
 
+def test_exclude_lines_print_monic():
+    """Excluded polynomials are stored monic and constants are dropped, so
+    the printed file is the normalized one, and it reads back unchanged."""
+    text = "source 1|0\ntarget 1|0\nexclude 2*x1 - 2\nexclude 5\ny1 = x1\n"
+    printed = parsing.format_skeleton(parsing.parse_skeleton_file(text))
+    assert printed == "source 1|0\ntarget 1|0\nexclude x1 - 1\ny1 = x1\n"
+    assert parsing.format_skeleton(parsing.parse_skeleton_file(printed)) == printed
+
+
+def test_many_exclude_lines_parse_once():
+    """Each exclude line is validated on its own and the domain is built
+    once, so 500 lines parse quickly, in a skeleton file and in a manifold
+    overlap, to the domain of one constructor call."""
+    space = SuperSpace(2, 0)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    polys = [x1 ** 2 + k * x2 - 1 for k in range(1, 501)]
+    expected = DeWittDomain(space, DeWittDomain.full(space).boxes, polys)
+    lines = "".join(f"exclude {poly.format()}\n" for poly in polys)
+    for parse, text, domain in (
+            (parsing.parse_skeleton_file, "source 2|0\ntarget 1|0\n" + lines + "y1 = x1\n",
+             lambda skeleton: skeleton.source_domain),
+            (parsing.parse_manifold_file, "chart A 2|0\nchart B 2|0\noverlap A B\n" + lines,
+             lambda data: data.overlaps[("A", "B")])):
+        start = time.perf_counter()
+        parsed = domain(parse(text))
+        assert time.perf_counter() - start < 2
+        assert parsed == expected and parsed.excluded == tuple(polys)
+
+
+def test_file_errors_count_columns_from_the_line():
+    """In a file, an error's column counts from the start of its line; a
+    direct expression parse counts from the start of its text."""
+    head = "source 1|0\ntarget 1|0\n"
+    for parse, text, line, column in (
+            (parsing.parse_skeleton_file, head + "box 0 1e5\ny1 = x1\n", 3, 7),
+            (parsing.parse_skeleton_file, head + "y1 = x1 + $\n", 3, 11),
+            (parsing.parse_skeleton_file, head + "y1 = x1 + x9\n", 3, 11),
+            (parsing.parse_skeleton_file, head + "exclude x1 + $\ny1 = x1\n", 3, 14),
+            (lambda text: parsing.parse_point_file(text, SuperSpace(1, 0)),
+             "rank 2\n  x1 = 1 + g3\n", 2, 12),
+            (parsing.parse_manifold_file, "chart A 1|0\ntransition A A\ny1 = x1 * x2\n",
+             3, 11)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column), text
+    with pytest.raises(ParseError) as err:
+        parsing.parse_superfunction("x1 + x9", SuperSpace(1, 0))
+    assert (err.value.line, err.value.column) == (1, 6)
+
+
 def test_bounds_are_grammar_literals():
     """Box bounds are ``inf`` or the grammar's integer and fraction literals;
     every bound the printer writes reads back."""
@@ -222,7 +273,7 @@ def test_manifold_file_round_trip():
     back = parsing.parse_manifold_file(text)
     assert parsing.format_manifold(back) == text
     assert check_cocycle(back, random.Random(0), samples=8, rank=3).ok
-    assert back.overlap("A", "B").excluded == (Polynomial.variable(1, 0),)
+    assert back.overlaps[("A", "B")].excluded == (Polynomial.variable(1, 0),)
 
 
 def test_manifold_file_errors():

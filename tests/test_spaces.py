@@ -65,6 +65,18 @@ def test_domain_membership():
         box.contains(LambdaPoint(SuperSpace(2, 0), 2, [G.unit(2), G.unit(2)], []))
 
 
+def test_excluded_polynomials_normalized_by_the_constructor():
+    space = SuperSpace(1, 0)
+    x1 = Polynomial.variable(1, 0)
+    boxes = [((F(-5), F(5)),)]
+    domain = DeWittDomain(space, boxes, [2 * x1 - 2, x1 - 1, Polynomial.constant(1, 3)])
+    assert domain.excluded == (x1 - 1,)
+    same = DeWittDomain(space, boxes, [x1 - 1])
+    assert domain == same
+    assert domain.with_excluded([3 * x1 - 3, Polynomial.constant(1, 7)]) is domain
+    assert domain.intersect(same) is domain
+
+
 def test_domain_intersect_and_sampling():
     space = SuperSpace(2, 0)
     a = DeWittDomain.box(space, (F(0), F(10)), (None, None))
