@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import randgen
 from .continuation import eval_subst
 from .errors import DomainError, SpaceMismatchError, SuperskelError
 from .morphisms import compose_subst
@@ -65,13 +66,8 @@ class GluingData:
         if cid not in self.charts:
             raise SuperskelError(f"unknown chart id {cid!r}")
 
-    def chart_ids(self):
-        return sorted(self.charts)
-
 
 def _sampled_points(domain: DeWittDomain, rng, count: int, rank: int):
-    from . import randgen
-
     points = []
     for body in domain.sample_bodies(rng, count):
         points.append(randgen.random_point_with_body(rng, domain.space, rank, body))
@@ -98,7 +94,7 @@ def check_cocycle(data: GluingData, rng, samples: int = 25, rank: int = 3) -> Ch
     Failures are report entries, never exceptions.
     """
     report = CheckReport("cocycle conditions")
-    ids = data.chart_ids()
+    ids = sorted(data.charts)
 
     for i in ids:
         identity = data.transitions[(i, i)]

@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
+from . import randgen
 from .continuation import eval_subst, taylor_increment, taylor_shells
 from .errors import DomainError, SuperskelError
 from .grassmann import GrassmannElement
@@ -193,26 +194,17 @@ def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:
     q = skeleton.source_space.odd_dim
     ext_space = SuperSpace(2 * p + 1, 2 * q)
     ext_domain = _extend_domain(skeleton.source_domain, ext_space)
-    pe = ext_space.even_dim
     t_index0 = 2 * p
 
-    # shift skeleton: x_i + t*v_i, t_j + t*w_j, from the extended space
-    t_poly = Polynomial.variable(pe, t_index0)
-    comps = []
-    for i in range(p):
-        poly = Polynomial.variable(pe, i) + t_poly * Polynomial.variable(pe, p + i)
-        comps.append(SuperFunction(ext_space, ext_domain, {(): poly}))
-    for j in range(q):
-        comps.append(SuperFunction(ext_space, ext_domain,
-                                   {(j + 1,): 1, (q + j + 1,): t_poly}))
-    shift = Skeleton(ext_space, ext_domain, skeleton.source_space,
-                     skeleton.source_domain, comps)
-
-    proj_comps = [SuperFunction(ext_space, ext_domain,
-                                {(): Polynomial.variable(pe, i)}) for i in range(p)]
-    proj_comps += [SuperFunction(ext_space, ext_domain, {(j + 1,): 1}) for j in range(q)]
+    # the extended coordinates x, v, t, t_j, w_j; the shift is
+    # x_i + t*v_i, t_j + t*w_j and the projection x_i, t_j
+    coords = Skeleton.identity(ext_space, ext_domain).components
+    xs, vs, t = coords[:p], coords[p:t_index0], coords[t_index0]
+    ts, ws = coords[t_index0 + 1:t_index0 + 1 + q], coords[t_index0 + 1 + q:]
+    shift = Skeleton(ext_space, ext_domain, skeleton.source_space, skeleton.source_domain,
+                     [a + t * b for a, b in zip(xs + ts, vs + ws)])
     projection = Skeleton(ext_space, ext_domain, skeleton.source_space,
-                          skeleton.source_domain, proj_comps)
+                          skeleton.source_domain, xs + ts)
 
     shifted = compose_subst(skeleton, shift)
     unshifted = compose_subst(skeleton, projection)
@@ -238,8 +230,6 @@ def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:
 def check_bgn(skeleton: Skeleton, rank: int, rng, cases: int = 5) -> CheckReport:
     """Difference-quotient certificate: f(x+tv) - f(x) = t * quotient holds
     symbolically and at sampled lambda-points of the extended space."""
-    from . import randgen
-
     report = CheckReport("difference quotient")
     quotient = bgn_quotient(skeleton)
     report.add("f(x+tv) - f(x) = t * quotient symbolically", quotient.identity_holds())
@@ -265,8 +255,6 @@ def check_lambda_linearity(skeleton: Skeleton, rank: int, rng,
                            sample_count: int = 5) -> CheckReport:
     """First derivatives are linear over the even scalars of the algebra:
     df(x)(a*v) == a*df(x)(v) for even Grassmann a."""
-    from . import randgen
-
     report = CheckReport(f"even-scalar linearity of the derivative at rank {rank}")
     data = derivative(skeleton, 1)
     for idx in range(sample_count):
@@ -284,8 +272,6 @@ def check_taylor(skeleton: Skeleton, rank: int, rng, cases: int = 10,
     """Exact Taylor law: the multi-increment expansion assembled from
     derivative data equals the substitution difference, and no Taylor shell
     survives beyond m + k = rank."""
-    from . import randgen
-
     report = CheckReport(f"exact Taylor increments at rank {rank}")
     for case in range(cases):
         x = randgen.random_point(rng, skeleton.source_space, rank,
@@ -329,19 +315,17 @@ class HadamardDecomposition:
     base_values: tuple[Fraction, ...]
     factors: list[HadamardFactor]
 
-    def reconstruct(self) -> tuple[SuperFunction, ...]:
-        out = []
-        for ci in range(len(self.skeleton.components)):
-            space = self.skeleton.source_space
+    def identity_holds(self) -> bool:
+        """Re-check that the factors reassemble every component."""
+        space = self.skeleton.source_space
+        for ci, comp in enumerate(self.skeleton.components):
             acc = SuperFunction.constant(space, self.base_values[ci],
                                          self.skeleton.source_domain)
             for factor in self.factors:
                 acc = acc + factor.generator * factor.components[ci]
-            out.append(acc)
-        return tuple(out)
-
-    def identity_holds(self) -> bool:
-        return all(a == b for a, b in zip(self.reconstruct(), self.skeleton.components))
+            if acc != comp:
+                return False
+        return True
 
 
 def hadamard_decompose(skeleton: Skeleton, base_point) -> HadamardDecomposition:
@@ -499,17 +483,11 @@ def check_def43(skeleton: Skeleton, rank: int, rng, cases: int = 5,
     Item labels read "<law> case <c> ...", with <law> one of "supersymmetry",
     "extends body derivatives", "update law" and "nilpotent Taylor sum".
     """
-    from . import randgen
-
     report = CheckReport(f"higher-derivative family at rank {rank}")
     space = skeleton.source_space
     p = space.even_dim
-    families: dict[int, DerivativeData] = {}
-
-    def family(order: int) -> DerivativeData:
-        if order not in families:
-            families[order] = derivative(skeleton, order)
-        return families[order]
+    # orders up to max(orders) + 1 for (iii) and up to rank for (iv)
+    family = [derivative(skeleton, k) for k in range(max(max(orders) + 1, rank) + 1)]
 
     for case in range(cases):
         x = randgen.random_point(rng, space, rank, skeleton.source_domain)
@@ -528,21 +506,21 @@ def check_def43(skeleton: Skeleton, rank: int, rng, cases: int = 5,
                 continue
             drawn = [randgen.random_pure_vector(rng, space, rank) for _ in range(order)]
             args = [vec for vec, _, _ in drawn]
-            value = family(order).apply(x, args)
+            value = family[order].apply(x, args)
             for pos in range(order - 1):
                 swapped = list(args)
                 swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
                 (_, d1, s1), (_, d2, s2) = drawn[pos], drawn[pos + 1]
                 sign = -1 if (d1 * d2 + s1 * s2) % 2 else 1
                 report.add(f"supersymmetry case {case} order {order} swap {pos + 1}",
-                           value == family(order).apply(x, swapped).scale(Fraction(sign)))
+                           value == family[order].apply(x, swapped).scale(Fraction(sign)))
 
         # (ii) extends the body derivatives on even basis arguments
         for order in orders:
             if order < 1 or not p:
                 continue
             dirs = [rng.randrange(p) for _ in range(order)]
-            got = family(order).apply(body_point, [Vector.basis(space, rank, d) for d in dirs])
+            got = family[order].apply(body_point, [Vector.basis(space, rank, d) for d in dirs])
             ok = True
             for ci, comp in enumerate(skeleton.components):
                 if ci < skeleton.target_space.even_dim:
@@ -564,15 +542,15 @@ def check_def43(skeleton: Skeleton, rank: int, rng, cases: int = 5,
             for order in range(max(orders) + 1):
                 a = randgen.random_increment(rng, space, rank, rng.randint(1, rank))
                 vs = [randgen.random_vector(rng, space, rank) for _ in range(order)]
-                lhs = family(order + 1).apply(x, [a] + vs)
-                rhs = family(order).apply(x + a, vs) - family(order).apply(x, vs)
+                lhs = family[order + 1].apply(x, [a] + vs)
+                rhs = family[order].apply(x + a, vs) - family[order].apply(x, vs)
                 report.add(f"update law case {case} order {order}", lhs == rhs)
 
         # (iv) nilpotent Taylor sum equals substitution
-        y = randgen.random_soul_increment(rng, space, rank)
-        acc = family(0).apply(x, [])
+        y = randgen.random_point_with_body(rng, space, rank, [0] * p)
+        acc = family[0].apply(x, [])
         for k in range(1, rank + 1):
-            acc = acc + family(k).apply(x, [y] * k).scale(Fraction(1, factorial(k)))
+            acc = acc + family[k].apply(x, [y] * k).scale(Fraction(1, factorial(k)))
         direct = eval_subst(skeleton, x + y)
         report.add(f"nilpotent Taylor sum case {case}", acc == direct)
     return report

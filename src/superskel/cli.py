@@ -30,6 +30,12 @@ _CHECKS = {
 }
 CHECK_KINDS = tuple(_CHECKS)
 
+# --route / --method value -> the routes it runs, in order
+_EVAL_ROUTES = {"subst": (eval_subst,), "taylor": (eval_taylor,),
+                "both": (eval_subst, eval_taylor)}
+_COMPOSE_METHODS = {"subst": (compose_subst,), "formula": (compose_formula,),
+                    "both": (compose_subst, compose_formula)}
+
 
 def _read(path: str) -> str:
     try:
@@ -42,36 +48,28 @@ def _load_skeleton(path: str):
     return parsing.parse_skeleton_file(_read(path))
 
 
+def _print_agreed(routes, inputs, what: str, format_result) -> int:
+    """Run ``routes`` on ``inputs`` in order and print the first result;
+    exit 1 instead when another route disagrees with it."""
+    first, *others = [route(*inputs) for route in routes]
+    if any(other != first for other in others):
+        print(f"DIVERGENCE: {what} routes disagree", file=sys.stderr)
+        return 1
+    sys.stdout.write(format_result(first))
+    return 0
+
+
 def _cmd_eval(args) -> int:
     skeleton = _load_skeleton(args.skeleton)
     point = parsing.parse_point_file(_read(args.point), skeleton.source_space)
-    route = eval_taylor if args.route == "taylor" else eval_subst
-    result = route(skeleton, point)
-    if args.route == "both":
-        other = eval_taylor(skeleton, point)
-        if other != result:
-            print("DIVERGENCE: substitution and taylor routes disagree", file=sys.stderr)
-            return 1
-    sys.stdout.write(parsing.format_point(result))
-    return 0
+    return _print_agreed(_EVAL_ROUTES[args.route], (skeleton, point),
+                         "substitution and taylor", parsing.format_point)
 
 
 def _cmd_compose(args) -> int:
-    outer = _load_skeleton(args.outer)
-    inner = _load_skeleton(args.inner)
-    if args.method in ("subst", "both"):
-        by_subst = compose_subst(outer, inner)
-    if args.method in ("formula", "both"):
-        by_formula = compose_formula(outer, inner)
-    if args.method == "both":
-        if by_subst != by_formula:
-            print("DIVERGENCE: composition routes disagree", file=sys.stderr)
-            return 1
-        result = by_subst
-    else:
-        result = by_subst if args.method == "subst" else by_formula
-    sys.stdout.write(parsing.format_skeleton(result))
-    return 0
+    return _print_agreed(_COMPOSE_METHODS[args.method],
+                         (_load_skeleton(args.outer), _load_skeleton(args.inner)),
+                         "composition", parsing.format_skeleton)
 
 
 def _cmd_diff(args) -> int:
@@ -168,14 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a skeleton at a point")
     p_eval.add_argument("skeleton")
     p_eval.add_argument("point")
-    p_eval.add_argument("--route", choices=("subst", "taylor", "both"), default="subst")
+    p_eval.add_argument("--route", choices=tuple(_EVAL_ROUTES), default="subst")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_compose = sub.add_parser("compose", help="compose two skeletons (outer inner)")
     p_compose.add_argument("outer")
     p_compose.add_argument("inner")
-    p_compose.add_argument("--method", choices=("subst", "formula", "both"),
-                           default="subst")
+    p_compose.add_argument("--method", choices=tuple(_COMPOSE_METHODS), default="subst")
     p_compose.set_defaults(func=_cmd_compose)
 
     p_diff = sub.add_parser("diff", help="print symbolic derivative data")

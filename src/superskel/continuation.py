@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
+from . import randgen
 from .errors import DomainError, RankMismatchError, SuperskelError
 from .grassmann import GrassmannElement, GrassmannMorphism, merge_sign, sort_sign
 from .report import CheckReport
@@ -173,8 +174,6 @@ def check_naturality(skeleton: Skeleton, rank: int, rng,
     """Verify eval(f, m(x)) == m(eval(f, x)) over the default morphism battery
     at points drawn in the source domain; the battery fixes bodies, so every
     mapped point stays in the domain."""
-    from . import randgen
-
     report = CheckReport(f"naturality at rank {rank}")
     battery = default_morphism_battery(rank)
     samples = [randgen.random_point(rng, skeleton.source_space, rank, skeleton.source_domain)

@@ -10,9 +10,11 @@ The arithmetic itself is written once, as private functions over ``terms``
 dicts, and works over any coefficient ring whose zero is falsy: Fractions
 here, rational functions for the odd-monomial part of a ``SuperFunction``
 (an element of C(U) tensor the exterior algebra on the odd coordinates).
-Sums, negation and scaling are the sparse-term kernel of ``poly.py``; only
-what is particular to the exterior algebra lives here: label validation,
-the sign-law ``_product``, ``_power``, ``_geometric_inverse`` and parity.
+Sums, negation, scaling and the power ``_power`` are the sparse-term kernel
+of ``poly.py``; only what is particular to the exterior algebra lives here:
+label validation, the sign-law ``_product``, ``_geometric_inverse``, parity,
+and ``_substitute``, which evaluates an exterior polynomial at images of its
+generators (a morphism applied to an element, a superfunction at a point).
 
 Morphisms between these algebras are determined by the generator images,
 which must be purely odd; this makes the induced map even and unital.
@@ -24,7 +26,7 @@ import os
 from fractions import Fraction
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import _accumulate, _as_fraction, _negate, _number_text, _scale, _signed_sum, _sum
+from .poly import _accumulate, _as_fraction, _negate, _number_text, _power, _scale, _signed_sum, _sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -129,18 +131,16 @@ def _product(a: dict, b: dict) -> dict:
     return terms
 
 
-def _power(terms: dict, n, one) -> dict:
-    """``terms ** n`` by repeated squaring; ``one`` is the ring's unit."""
-    if not isinstance(n, int) or n < 0:
-        raise SuperskelError("powers must be non-negative integers")
-    result = {(): one}
-    while n:
-        if n & 1:
-            result = _product(result, terms)
-        n >>= 1
-        if n:
-            terms = _product(terms, terms)
-    return result
+def _substitute(terms: dict, images, value_of, zero):
+    """Sum over the terms c * g_l1...g_lk of value_of(c) * images[l1 - 1] *
+    ... * images[lk - 1], in label order; ``zero`` is the empty sum."""
+    acc = None
+    for labels, coeff in terms.items():
+        value = value_of(coeff)
+        for label in labels:
+            value = value * images[label - 1]
+        acc = value if acc is None else acc + value
+    return zero if acc is None else acc
 
 
 def _has_parity(terms: dict, parity: int) -> bool:
@@ -289,7 +289,7 @@ class GrassmannElement:
         return self * other.invert()
 
     def __pow__(self, n: int):
-        return GrassmannElement._make(self.rank, _power(self.terms, n, _ONE))
+        return _power(self, n, GrassmannElement.unit(self.rank))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -386,18 +386,14 @@ class GrassmannMorphism:
         return cls(rank, rank, images)
 
     def __call__(self, element: GrassmannElement) -> GrassmannElement:
+        """The element with each generator g_l replaced by its image."""
         if element.rank != self.source_rank:
             raise RankMismatchError(
                 f"morphism expects rank {self.source_rank}, got {element.rank}")
-        acc = GrassmannElement.zero(self.target_rank)
-        for labels, coeff in element.terms.items():
-            value = GrassmannElement.unit(self.target_rank)
-            for label in labels:
-                value = value * self.images[label - 1]
-                if value.is_zero():
-                    break
-            acc = acc + value * coeff
-        return acc
+        rank = self.target_rank
+        return _substitute(element.terms, self.images,
+                           lambda c: GrassmannElement._make(rank, {(): c}),
+                           GrassmannElement.zero(rank))
 
     def after(self, other: "GrassmannMorphism") -> "GrassmannMorphism":
         """Composite self(other(.))."""

@@ -62,7 +62,7 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
     q_src = src.odd_dim
 
     body_maps = list(inner.body_maps())
-    souls = [c.soul_part() for c in inner.even_components]
+    souls = [c.soul() for c in inner.even_components]
     odds = list(inner.odd_components)
     one_rf = RationalFunction.constant(src.even_dim, 1)
 

@@ -527,7 +527,7 @@ def parse_skeleton_file(text: str) -> Skeleton:
 
 def format_manifold(data: GluingData) -> str:
     lines = []
-    for cid in data.chart_ids():
+    for cid in sorted(data.charts):
         space, domain = data.charts[cid]
         lines.append(f"chart {cid} {space.even_dim}|{space.odd_dim}")
         lines.extend(format_domain_lines(domain))

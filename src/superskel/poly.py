@@ -78,16 +78,20 @@ def _scale(terms: dict, factor) -> dict:
     return {k: c * factor for k, c in terms.items()}
 
 
-def _power(base, n: int):
-    """``base ** n`` for n >= 1 by square-and-multiply, in any ring with ``*``."""
+def _power(base, n, one):
+    """``base ** n`` by square-and-multiply, in any ring with ``*``: the one
+    power of the library, behind every ``__pow__``.  ``one`` is the ring's
+    unit, returned for n = 0."""
+    if not isinstance(n, int) or n < 0:
+        raise SuperskelError("powers must be non-negative integers")
     result = None
-    while True:
+    while n:
         if n & 1:
             result = base if result is None else result * base
         n >>= 1
-        if not n:
-            return result
-        base = base * base
+        if n:
+            base = base * base
+    return one if result is None else result
 
 
 # -- heuristic gcd -----------------------------------------------------------
@@ -402,9 +406,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise SuperskelError("polynomial powers must be non-negative integers")
-        return _power(self, n) if n else Polynomial.one(self.nvars)
+        return _power(self, n, Polynomial.one(self.nvars))
 
     def __truediv__(self, other):
         """Division by a nonzero constant only."""
@@ -511,7 +513,7 @@ class Polynomial:
         for i, value in enumerate(values[:self.nvars]):
             table, last, power = {}, 0, None
             for e in sorted({exps[i] for exps in self.terms} - {0}):
-                step = _power(value, e - last)
+                step = _power(value, e - last, one)
                 power = step if power is None else power * step
                 table[e], last = power, e
             powers.append(table)
@@ -938,14 +940,8 @@ class RationalFunction:
         return self.invert() * other
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise SuperskelError("rational powers must be non-negative integers")
-        if not self.factors:
-            return RationalFunction._raw(self.num ** n, ())
-        if n == 0:
-            return RationalFunction.constant(self.num.nvars, 1)
-        return RationalFunction._raw(self.num ** n,
-                                     tuple((f, m * n) for f, m in self.factors))
+        num = self.num ** n  # checks n
+        return RationalFunction._raw(num, tuple((f, m * n) for f, m in self.factors) if n else ())
 
     def invert(self) -> "RationalFunction":
         """``den / num``: the numerator becomes one monic factor, coprime to

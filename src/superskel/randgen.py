@@ -24,14 +24,17 @@ def random_fraction(rng, bound: int = 6, nonzero: bool = False) -> Fraction:
             return value
 
 
+def label_tuples(count: int, parity=None) -> list[tuple[int, ...]]:
+    """Every strictly increasing tuple of labels 1..count, shortest first;
+    ``parity`` 0/1 keeps the tuples of even/odd length."""
+    return [labels for size in range(count + 1) if parity is None or size % 2 == parity
+            for labels in combinations(range(1, count + 1), size)]
+
+
 def random_grassmann(rng, rank: int, parity=None, terms: int = 3,
                      nonzero_body: bool = False) -> GrassmannElement:
     """Random element; ``parity`` 0/1 restricts monomial lengths."""
-    labels_pool = []
-    for size in range(rank + 1):
-        if parity is not None and size % 2 != parity:
-            continue
-        labels_pool.extend(combinations(range(1, rank + 1), size))
+    labels_pool = label_tuples(rank, parity)
     result = {}
     if labels_pool:
         for _ in range(terms):
@@ -96,11 +99,7 @@ def random_superfunction(rng, space: SuperSpace, degree: int = 3, terms: int = 3
                          parity=None, rational: bool = False,
                          domain: DeWittDomain | None = None) -> SuperFunction:
     domain = domain or DeWittDomain.full(space)
-    pool = []
-    for size in range(space.odd_dim + 1):
-        if parity is not None and size % 2 != parity:
-            continue
-        pool.extend(combinations(range(1, space.odd_dim + 1), size))
+    pool = label_tuples(space.odd_dim, parity)
     result = {}
     for _ in range(terms):
         if not pool:
@@ -161,8 +160,7 @@ def random_pure_vector(rng, space: SuperSpace, rank: int):
     """
     coord = rng.randrange(space.even_dim + space.odd_dim)
     coord_parity = 0 if coord < space.even_dim else 1
-    pool = [labels for size in range(rank + 1)
-            for labels in combinations(range(1, rank + 1), size)]
+    pool = label_tuples(rank)
     labels = pool[rng.randrange(len(pool))]
     coeff = random_fraction(rng, nonzero=True)
     value = GrassmannElement.monomial(rank, labels, coeff)
@@ -186,14 +184,6 @@ def random_increment(rng, space: SuperSpace, rank: int, generator: int) -> Lambd
 
     evens = [supported(0) for _ in range(space.even_dim)]
     odds = [supported(1) for _ in range(space.odd_dim)]
-    return LambdaPoint(space, rank, evens, odds)
-
-
-def random_soul_increment(rng, space: SuperSpace, rank: int) -> LambdaPoint:
-    """Parity-correct increment with zero body (nilpotent in every coordinate)."""
-    evens = [random_soul(rng, rank) for _ in range(space.even_dim)]
-    odds = [random_grassmann(rng, rank, parity=1, terms=2)
-            for _ in range(space.odd_dim)]
     return LambdaPoint(space, rank, evens, odds)
 
 

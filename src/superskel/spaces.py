@@ -42,6 +42,16 @@ def _interval_contains(lo, hi, v: Fraction) -> bool:
     return True
 
 
+def _box_inside(a, b) -> bool:
+    """Whether the open box ``a`` lies inside the open box ``b``."""
+    for (lo, hi), (blo, bhi) in zip(a, b):
+        if blo is not None and (lo is None or lo < blo):
+            return False
+        if bhi is not None and (hi is None or hi > bhi):
+            return False
+    return True
+
+
 def _interval_intersect(a, b):
     lo = a[0] if b[0] is None else (b[0] if a[0] is None else max(a[0], b[0]))
     hi = a[1] if b[1] is None else (b[1] if a[1] is None else min(a[1], b[1]))
@@ -60,7 +70,8 @@ class DeWittDomain:
     The constructor is the one place an excluded polynomial is normalized:
     it is stored monic (lex-leading coefficient 1), a nonzero constant (an
     empty zero set) is dropped, and of equal monic polynomials only the
-    first is kept.
+    first is kept.  Likewise a box lying inside another one is dropped (of
+    equal boxes the first is kept), and the others keep their order.
     """
 
     __slots__ = ("space", "boxes", "excluded")
@@ -79,7 +90,12 @@ class DeWittDomain:
                 if lo is not None and hi is not None and not lo < hi:
                     raise SuperskelError(f"empty interval ({lo}, {hi})")
                 iv.append((lo, hi))
-            norm_boxes.append(tuple(iv))
+            box = tuple(iv)
+            # each box is tested only against the kept ones, newest first:
+            # pairwise cuts arrive in order, so a recent one usually holds it
+            if not any(_box_inside(box, kept) for kept in reversed(norm_boxes)):
+                norm_boxes = [kept for kept in norm_boxes if not _box_inside(kept, box)]
+                norm_boxes.append(box)
         excl = {}  # insertion-ordered set
         for poly in excluded:
             if not isinstance(poly, Polynomial) or poly.nvars != p:

@@ -6,10 +6,10 @@ odd coordinates in J, and each coefficient c_J is a rational function of the
 even coordinates.  Because |J| <= q, nilpotency of the odd part is built into
 the representation.  The monomial arithmetic is shared with
 ``GrassmannElement``, with rational-function coefficients in place of
-Fractions: sums and scaling come from the sparse-term kernel in ``poly.py``,
-the sign-law product, power, parity and geometric-series inverse from
-``grassmann.py``.  This module adds the domain bookkeeping, equality up to
-cross-multiplication, calculus and evaluation.
+Fractions: sums, scaling and the power come from the sparse-term kernel in
+``poly.py``, the sign-law product, parity, geometric-series inverse and
+generator substitution from ``grassmann.py``.  This module adds the domain
+bookkeeping, equality up to cross-multiplication, calculus and evaluation.
 
 Equivalently, a superfunction is the family of its alternating coefficient
 maps: the degree-k map sends a k-tuple of odd basis directions to the
@@ -29,8 +29,9 @@ from itertools import combinations
 
 from .errors import DomainError, NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
 from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
-                        _parity, _power, _product, _soul, sort_sign)
-from .poly import Polynomial, RationalFunction, _negate, _scale, _signed_sum, _sum, monomial_text
+                        _parity, _product, _soul, _substitute, sort_sign)
+from .poly import (Polynomial, RationalFunction, _negate, _power, _scale, _signed_sum, _sum,
+                   monomial_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 
 
@@ -138,10 +139,8 @@ class SuperFunction:
             return self.space.odd_dim + 1
         return min(len(l) for l in self.terms)
 
-    def body_coefficient(self) -> RationalFunction:
-        return self.coefficient(())
-
-    def soul_part(self) -> "SuperFunction":
+    def soul(self) -> "SuperFunction":
+        """The nilpotent part: every term with an odd coordinate."""
         return SuperFunction._make(self.space, self.domain, _soul(self.terms))
 
     def alt_coeff(self, labels) -> RationalFunction:
@@ -204,8 +203,7 @@ class SuperFunction:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        one = RationalFunction.constant(self.space.even_dim, 1)
-        return SuperFunction._make(self.space, self.domain, _power(self.terms, n, one))
+        return _power(self, n, SuperFunction.constant(self.space, 1, self.domain))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -231,7 +229,7 @@ class SuperFunction:
         """
         if not self.is_even():
             raise ParityError("only even superfunctions are invertible")
-        c0 = self.body_coefficient()
+        c0 = self.coefficient(())
         if not c0:
             raise NotInvertibleError("body coefficient is identically zero")
         domain = self.domain.with_excluded([c0.num])
@@ -284,15 +282,8 @@ class SuperFunction:
         a point, superfunction values compose coordinatewise.  ``one`` is
         the unit of the values' ring, which must support +, *, Fraction
         scaling and ``invert`` for denominators."""
-        acc = None
-        for labels, coeff in self.terms.items():
-            value = coeff.eval_in(even_values, one)
-            for l in labels:
-                value = value * odd_values[l - 1]
-            acc = value if acc is None else acc + value
-        if acc is None:
-            return 0 * one
-        return acc
+        return _substitute(self.terms, odd_values,
+                           lambda c: c.eval_in(even_values, one), 0 * one)
 
     # -- rendering -----------------------------------------------------------
 
@@ -409,7 +400,7 @@ class Skeleton:
         return self.components[self.target_space.even_dim:]
 
     def body_maps(self) -> tuple[RationalFunction, ...]:
-        return tuple(c.body_coefficient() for c in self.even_components)
+        return tuple(c.coefficient(()) for c in self.even_components)
 
     def check_body_image(self, rng, samples: int = 25) -> bool:
         """Spot-check that sampled source bodies land in the target domain."""

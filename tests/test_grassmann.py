@@ -64,6 +64,17 @@ def test_morphism_examples():
     ident = GrassmannMorphism.identity(3)
     x = randgen.random_grassmann(random.Random(0), 3, terms=4)
     assert ident(x) == x
+    # monomials holding a killed generator vanish, the others stay
+    kill = GrassmannMorphism.kill_generator(3, 2)
+    a = G.scalar(3, 2) + gens(3, 1) + 5 * gens(3, 1, 2) - gens(3, 2, 3) + 7 * gens(3, 1, 3)
+    assert kill(a) == G.scalar(3, 2) + gens(3, 1) + 7 * gens(3, 1, 3)
+    assert kill(gens(3, 1, 2, 3)) == G.zero(3)
+    assert body(a - G.scalar(3, 2)) == G.zero(0)
+    rng = random.Random(1)
+    for _ in range(20):
+        x = randgen.random_grassmann(rng, 3, terms=6)
+        assert kill(x) == G(3, {l: c for l, c in x.terms.items() if 2 not in l})
+        assert body(x) == G.scalar(0, x.body())
 
 
 def test_morphism_validation():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from superskel import randgen
+from superskel import parsing, randgen
 from superskel.errors import ParityError, SpaceMismatchError
 from superskel.grassmann import GrassmannElement, GrassmannMorphism
 from superskel.poly import Polynomial
@@ -89,6 +89,48 @@ def test_domain_intersect_and_sampling():
     rng = random.Random(0)
     for body in both.sample_bodies(rng, 25):
         assert both.contains_body(body)
+
+
+def test_boxes_inside_another_are_dropped():
+    space = SuperSpace(2, 0)
+    wide = ((F(0), F(4)), (None, F(1)))
+    inner = ((F(1), F(2)), (F(-3), F(0)))
+    left = ((None, F(1)), (None, None))
+    domain = DeWittDomain(space, [inner, wide, wide, ((F(1), F(3)), (None, F(0))), left,
+                                  ((None, F(-1)), (F(5), F(6)))])
+    assert domain.boxes == (wide, left)  # survivors in input order, equal ones once
+
+    # chart A has 60 boxes (k, k+3), and its overlaps with B and C the same
+    # boxes shifted by 1/2 and 1/3; every pairwise cut used to be kept
+    def boxes(shift):
+        return [(k + shift, k + shift + 3) for k in range(60)]
+
+    lines = ["chart A 1|0"] + [f"box {lo} {hi}" for lo, hi in boxes(0)]
+    lines += ["chart B 1|0", "chart C 1|0"]
+    for cid, shift in (("B", F(1, 2)), ("C", F(1, 3))):
+        lines += [f"overlap A {cid}"] + [f"box {lo} {hi}" for lo, hi in boxes(shift)]
+    text = "\n".join(lines) + "\n"
+    data = parsing.parse_manifold_file(text)
+    o_ab, o_ac = data.overlaps[("A", "B")], data.overlaps[("A", "C")]
+    both = o_ab.intersect(o_ac)
+    assert len(o_ab.boxes) <= 120 and len(both.boxes) <= 180
+
+    def cuts(a, b):
+        out = []
+        for (alo, ahi) in a:
+            for (blo, bhi) in b:
+                if max(alo, blo) < min(ahi, bhi):
+                    out.append((max(alo, blo), min(ahi, bhi)))
+        return out
+
+    uncut_ab = cuts(boxes(0), boxes(F(1, 2)))
+    uncut_both = cuts(uncut_ab, cuts(boxes(0), boxes(F(1, 3))))
+    for k in range(-12, 400):
+        v = F(k, 6) + F(1, 60)
+        for domain, uncut in ((o_ab, uncut_ab), (both, uncut_both)):
+            assert domain.contains_body((v,)) == any(lo < v < hi for lo, hi in uncut)
+    printed = parsing.format_manifold(data)
+    assert parsing.format_manifold(parsing.parse_manifold_file(printed)) == printed
 
 
 def test_point_map_functoriality():

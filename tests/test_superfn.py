@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superskel import randgen
-from superskel.errors import NotInvertibleError, ParityError, SpaceMismatchError
+from superskel.errors import NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
+from superskel.grassmann import GrassmannElement
 from superskel.poly import Polynomial, RationalFunction
 from superskel.spaces import DeWittDomain, SuperSpace
 from superskel.superfn import Skeleton, SuperFunction, mul_shuffle
@@ -69,6 +70,33 @@ def test_supercommutativity_and_associativity():
         assert (f * g) * h == f * (g * h)
         one = SuperFunction.constant(space, 1)
         assert f * one == f and one * f == f
+
+
+def test_powers_share_one_routine():
+    """Every ``**`` refuses a negative or fractional exponent with one
+    message, gives the ring's one at 0 and equals the repeated product."""
+    x1 = Polynomial.variable(1, 0)
+    punctured = DeWittDomain.full(S12).with_excluded([x1])
+    f = SuperFunction(S12, punctured, {(): RationalFunction(x1 + 1, x1), (1, 2): 3})
+    cases = [(x1 + 1, Polynomial.one(1)),
+             (RationalFunction(Polynomial.one(1), x1), RationalFunction.constant(1, 1)),
+             (GrassmannElement.generator(2, 1) + 3, GrassmannElement.unit(2)),
+             (f, SuperFunction.constant(S12, 1))]
+    for value, one in cases:
+        for bad in (-1, F(1, 2)):
+            with pytest.raises(SuperskelError, match="^powers must be non-negative integers$"):
+                value ** bad
+        assert value ** 0 == one
+    assert (f ** 0).domain is punctured and (f ** 3).domain is punctured
+
+    rng = random.Random(13)
+    for case in range(12):
+        space = randgen.random_spaces(rng, 2, 3)
+        g = randgen.random_superfunction(rng, space, degree=2, rational=case % 2 == 0)
+        product = SuperFunction.constant(space, 1)
+        for n in range(6):
+            assert g ** n == product
+            product = product * g
 
 
 def test_invert():
