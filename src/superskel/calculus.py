@@ -178,9 +178,9 @@ class BGNQuotient:
 def _extend_domain(domain: DeWittDomain, space: SuperSpace) -> DeWittDomain:
     p = domain.space.even_dim
     extra = ((None, None),) * (space.even_dim - p)
-    boxes = [box + extra for box in domain.boxes]
-    excluded = [poly.pad(space.even_dim) for poly in domain.excluded]
-    return DeWittDomain(space, boxes, excluded)
+    extended = DeWittDomain(space, (), [poly.pad(space.even_dim) for poly in domain.excluded])
+    extended.boxes = tuple(box + extra for box in domain.boxes)  # padding keeps them outer
+    return extended
 
 
 def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:

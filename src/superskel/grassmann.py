@@ -133,14 +133,14 @@ def _product(a: dict, b: dict) -> dict:
 
 def _substitute(terms: dict, images, value_of, zero):
     """Sum over the terms c * g_l1...g_lk of value_of(c) * images[l1 - 1] *
-    ... * images[lk - 1], in label order; ``zero`` is the empty sum."""
+    ... * images[lk - 1], in label order; ``zero()`` gives the empty sum."""
     acc = None
     for labels, coeff in terms.items():
         value = value_of(coeff)
         for label in labels:
             value = value * images[label - 1]
         acc = value if acc is None else acc + value
-    return zero if acc is None else acc
+    return zero() if acc is None else acc
 
 
 def _has_parity(terms: dict, parity: int) -> bool:
@@ -393,7 +393,7 @@ class GrassmannMorphism:
         rank = self.target_rank
         return _substitute(element.terms, self.images,
                            lambda c: GrassmannElement._make(rank, {(): c}),
-                           GrassmannElement.zero(rank))
+                           lambda: GrassmannElement.zero(rank))
 
     def after(self, other: "GrassmannMorphism") -> "GrassmannMorphism":
         """Composite self(other(.))."""

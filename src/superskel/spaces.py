@@ -11,8 +11,10 @@ membership of a rational body point is exactly decidable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .errors import DomainError, ParityError, RankMismatchError, SpaceMismatchError, SuperskelError
 from .grassmann import GrassmannElement, GrassmannMorphism
@@ -34,22 +36,27 @@ class SuperSpace:
         return f"SuperSpace({self.even_dim}|{self.odd_dim})"
 
 
-def _interval_contains(lo, hi, v: Fraction) -> bool:
-    if lo is not None and not v > lo:
-        return False
-    if hi is not None and not v < hi:
-        return False
-    return True
-
-
-def _box_inside(a, b) -> bool:
-    """Whether the open box ``a`` lies inside the open box ``b``."""
-    for (lo, hi), (blo, bhi) in zip(a, b):
-        if blo is not None and (lo is None or lo < blo):
-            return False
-        if bhi is not None and (hi is None or hi > bhi):
-            return False
-    return True
+def _outer_boxes(boxes: list) -> list:
+    """The boxes inside no other one (of equal ones the first), in input
+    order.  Sorted by sides, a box follows every box holding it; it is tested
+    only against kept boxes holding its interval on one axis, by bisection."""
+    if len(boxes) < 2 or not boxes[0]:
+        return boxes[:1]
+    inf = float("inf")
+    # lower ends and negated upper ends as ranks: a box holds another iff <=
+    flat = [[v for lo, hi in box for v in (-inf if lo is None else lo, -inf if hi is None else -hi)]
+            for box in boxes]
+    ranks = [{v: r for r, v in enumerate(sorted(set(col)))} for col in zip(*flat)]
+    keys = [tuple(rank[v] for rank, v in zip(ranks, key)) for key in flat]
+    # the axis with the most distinct intervals keeps stacked strips apart
+    axis = 2 * max(range(len(boxes[0])), key=lambda i: len({key[2 * i:2 * i + 2] for key in keys}))
+    ends, kept = [], []  # kept boxes by decreasing upper end on the axis
+    for j in sorted(range(len(boxes)), key=lambda j: (keys[j][axis:axis + 2], keys[j])):
+        at = bisect_right(ends, keys[j][axis + 1])
+        if not any(all(map(le, keys[i], keys[j])) for i in kept[:at]):
+            ends.insert(at, keys[j][axis + 1])
+            kept.insert(at, j)
+    return [boxes[j] for j in sorted(kept)]
 
 
 def _interval_intersect(a, b):
@@ -90,12 +97,7 @@ class DeWittDomain:
                 if lo is not None and hi is not None and not lo < hi:
                     raise SuperskelError(f"empty interval ({lo}, {hi})")
                 iv.append((lo, hi))
-            box = tuple(iv)
-            # each box is tested only against the kept ones, newest first:
-            # pairwise cuts arrive in order, so a recent one usually holds it
-            if not any(_box_inside(box, kept) for kept in reversed(norm_boxes)):
-                norm_boxes = [kept for kept in norm_boxes if not _box_inside(kept, box)]
-                norm_boxes.append(box)
+            norm_boxes.append(tuple(iv))
         excl = {}  # insertion-ordered set
         for poly in excluded:
             if not isinstance(poly, Polynomial) or poly.nvars != p:
@@ -105,7 +107,7 @@ class DeWittDomain:
             if not poly.is_constant():
                 excl.setdefault(_monic(poly)[1])
         self.space = space
-        self.boxes = tuple(norm_boxes)
+        self.boxes = tuple(_outer_boxes(norm_boxes))
         self.excluded = tuple(excl)
 
     @classmethod
@@ -117,17 +119,18 @@ class DeWittDomain:
         return cls(space, [tuple(bounds)])
 
     def with_excluded(self, polys) -> "DeWittDomain":
-        """This domain minus the zero sets of ``polys``, normalized by the
-        constructor; ``self`` when every one of them is already excluded."""
-        merged = DeWittDomain(self.space, self.boxes, self.excluded + tuple(polys))
+        """This domain minus the zero sets of ``polys``, exclusions normalized
+        by the constructor; ``self`` when every one is already excluded."""
+        merged = DeWittDomain(self.space, (), self.excluded + tuple(polys))
+        merged.boxes = self.boxes  # already checked and outer
         return self if len(merged.excluded) == len(self.excluded) else merged
 
     def contains_body(self, body) -> bool:
         body = tuple(body)
         if len(body) != self.space.even_dim:
             raise SpaceMismatchError("body point has the wrong dimension")
-        in_box = any(all(_interval_contains(lo, hi, v) for (lo, hi), v in zip(box, body))
-                     for box in self.boxes)
+        in_box = any(all((lo is None or lo < v) and (hi is None or v < hi)
+                         for (lo, hi), v in zip(box, body)) for box in self.boxes)
         if not in_box:
             return False
         return all(poly.eval(body) != 0 for poly in self.excluded)

@@ -283,7 +283,7 @@ class SuperFunction:
         the unit of the values' ring, which must support +, *, Fraction
         scaling and ``invert`` for denominators."""
         return _substitute(self.terms, odd_values,
-                           lambda c: c.eval_in(even_values, one), 0 * one)
+                           lambda c: c.eval_in(even_values, one), lambda: 0 * one)
 
     # -- rendering -----------------------------------------------------------
 

@@ -65,13 +65,18 @@ def test_bgn_constant():
 
 
 def test_bgn_rational_identity():
-    domain = DeWittDomain.full(S10).with_excluded([Polynomial.variable(1, 0)])
-    inv = Skeleton(S10, domain, S10, DeWittDomain.full(S10),
-                   [SuperFunction(S10, domain,
-                                  {(): RationalFunction(Polynomial.one(1),
-                                                        Polynomial.variable(1, 0))})])
-    q = bgn_quotient(inv)
-    assert q.identity_holds()
+    boxed = DeWittDomain(S10, [((F(-2), F(-1)),), ((F(1), F(3)),)])
+    for body_domain in (DeWittDomain.full(S10), boxed):
+        domain = body_domain.with_excluded([Polynomial.variable(1, 0)])
+        inv = Skeleton(S10, domain, S10, DeWittDomain.full(S10),
+                       [SuperFunction(S10, domain,
+                                      {(): RationalFunction(Polynomial.one(1),
+                                                            Polynomial.variable(1, 0))})])
+        q = bgn_quotient(inv)
+        assert q.identity_holds()
+        # the new coordinates v and t are unbounded on every box
+        assert q.extended_domain.boxes == tuple(box + ((None, None),) * 2 for box in domain.boxes)
+        assert q.extended_domain.excluded == (Polynomial.variable(3, 0),)
 
 
 def test_bgn_identity_random_skeletons():

@@ -174,6 +174,26 @@ def test_many_exclude_lines_parse_once():
         assert parsed == expected and parsed.excluded == tuple(polys)
 
 
+def test_many_box_lines_parse_once():
+    """2000 box lines, none inside another, parse quickly to all 2000 boxes
+    in file order: squares apart on both axes, and strips that share their
+    first interval, in a skeleton file and in a manifold overlap."""
+    squares = [((F(2 * k), F(2 * k + 1)),) * 2 for k in range(2000)]
+    strips = [((None, None), (F(2 * k), F(2 * k + 1))) for k in range(2000)]
+    for boxes in (squares, strips):
+        lines = "".join("box " + " ".join(f"{'-inf' if lo is None else lo} {'inf' if hi is None else hi}"
+                                          for lo, hi in box) + "\n" for box in boxes)
+        for parse, text, domain in (
+                (parsing.parse_skeleton_file, "source 2|0\ntarget 1|0\n" + lines + "y1 = x1\n",
+                 lambda skeleton: skeleton.source_domain),
+                (parsing.parse_manifold_file, "chart A 2|0\nchart B 2|0\noverlap A B\n" + lines,
+                 lambda data: data.overlaps[("A", "B")])):
+            start = time.perf_counter()
+            parsed = domain(parse(text))
+            assert time.perf_counter() - start < 2
+            assert parsed.boxes == tuple(boxes)
+
+
 def test_file_errors_count_columns_from_the_line():
     """In a file, an error's column counts from the start of its line; a
     direct expression parse counts from the start of its text."""

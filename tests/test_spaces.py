@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -131,6 +132,16 @@ def test_boxes_inside_another_are_dropped():
             assert domain.contains_body((v,)) == any(lo < v < hi for lo, hi in uncut)
     printed = parsing.format_manifold(data)
     assert parsing.format_manifold(parsing.parse_manifold_file(printed)) == printed
+
+    # 60 x-strips against 60 y-strips: 3600 cuts, none inside another, all
+    # kept in order and quickly; an exclusion keeps them as they are
+    xs = DeWittDomain(space, [((F(2 * k), F(2 * k + 1)), (None, None)) for k in range(60)])
+    ys = DeWittDomain(space, [((None, None), (F(2 * k), F(2 * k + 1))) for k in range(60)])
+    start = time.perf_counter()
+    grid = xs.intersect(ys)
+    punctured = grid.with_excluded([Polynomial.variable(2, 0)])
+    assert time.perf_counter() - start < 2
+    assert grid.boxes == punctured.boxes == tuple((a[0], b[1]) for a in xs.boxes for b in ys.boxes)
 
 
 def test_point_map_functoriality():
