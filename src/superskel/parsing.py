@@ -23,16 +23,19 @@ from fractions import Fraction
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
 from .grassmann import GrassmannElement
-from .poly import MAX_LITERAL_DIGITS, Polynomial, _number_text
+from .poly import _LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, _monic, _number_text
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
 # Input limits that keep small inputs from ending in an interpreter error:
 # each level of parentheses costs five parser frames of Python's recursion
 # limit, and integer literals stop at MAX_LITERAL_DIGITS (from poly, where it
-# caps printed numbers too), below Python's int-to-text limit.
+# caps printed numbers too), below Python's int-to-text limit.  A number
+# written as a power obeys the same cap (``_power_too_long``), so ``3^10000000``
+# is refused before it is computed.
 MAX_NESTING = 100
 
+_LITERAL_BITS = _LITERAL_BOUND.bit_length()
 _LONG_LITERAL_RE = re.compile(r"\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()=|]))")
 _VAR_RE = re.compile(r"^([gxt])(\d+)$")
@@ -137,8 +140,12 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer",
                                  token.line, token.column)
             self.next()
+            n = int(token.text)
+            if _power_too_long(value, n):
+                raise ParseError(f"the power has a number longer than {MAX_LITERAL_DIGITS} "
+                                 "digits", op.line, op.column)
             try:
-                value = value ** int(token.text)
+                value = value ** n
             except SuperskelError as exc:
                 raise ParseError(str(exc), op.line, op.column)
         return value
@@ -172,6 +179,34 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {token.text!r}",
                              token.line, token.column)
         return value
+
+
+def _power_too_long(value, n: int) -> bool:
+    """True when ``value ** n`` would hold a number longer than
+    ``MAX_LITERAL_DIGITS``: a number written as a power obeys the cap of one
+    written out.  The test is on the n-th power of one coefficient c of
+    ``value`` such that c ** n is a coefficient of ``value ** n``: the
+    lex-leading one of a polynomial, that of the body's numerator for a
+    superfunction, and the body of a Grassmann element.  It is decided
+    from n and the bit lengths of c's numerator and denominator before
+    anything large is computed."""
+    if isinstance(value, SuperFunction):
+        value = value.coefficient(()).num
+    if isinstance(value, Polynomial):
+        if value.is_zero():
+            return False
+        lead = _monic(value)[0]
+    elif isinstance(value, GrassmannElement):
+        lead = value.body()
+    else:
+        return False
+    for part in lead.as_integer_ratio():
+        bits = abs(part).bit_length()
+        # |part| ** n >= 2 ** (n (bits - 1)); when that is below the bound,
+        # |part| ** n < 2 ** (2 n (bits - 1)) has under twice its bits
+        if bits > 1 and (n * (bits - 1) >= _LITERAL_BITS or abs(part) ** n >= _LITERAL_BOUND):
+            return True
+    return False
 
 
 class GrassmannContext:

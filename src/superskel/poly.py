@@ -1,10 +1,16 @@
 """Sparse multivariate polynomials and rational functions over exact rationals.
 
 These are the coefficient functions of superfunctions: every even coordinate
-dependency is a quotient of polynomials with Fraction coefficients, so every
-identity in the library is decidable by exact arithmetic.  A rational
-function keeps its denominator as a coprime base of monic factors with
-multiplicities, and its numerator coprime to each factor.  Greatest common
+dependency is a quotient of polynomials with rational coefficients, so every
+identity in the library is decidable by exact arithmetic.  A polynomial is
+stored as a positive rational content times a primitive integer part (int
+coefficients with gcd 1), so its kernels run on plain ints: a product
+multiplies the integer parts and the two contents (Gauss's lemma: the
+product of primitive polynomials is primitive), scaling by a rational
+changes only the content, and GCDHEU and exact division read the integer
+parts as stored.  ``Polynomial.terms`` is a Fraction view built on each
+read.  A rational function keeps its denominator as a coprime base of monic
+factors with multiplicities, and its numerator coprime to each factor.  Greatest common
 divisors come from the heuristic GCDHEU (``Polynomial.gcd``), whose every
 candidate is checked by exact division, after one trial division
 (``Polynomial.exact_quotient``) for the common case of an argument that
@@ -22,10 +28,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import DigitCapError, DomainError, NotInvertibleError, SuperskelError
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # The parser refuses integer literals longer than this, below Python's own
@@ -44,11 +50,12 @@ def _as_fraction(value):
 
 
 # -- sparse-term kernel ------------------------------------------------------
-# A ``terms`` dict maps keys (exponent tuples here, label tuples for Grassmann
-# elements and superfunctions) to coefficients of a ring whose zero is falsy,
-# in canonical form: each key once, no zero coefficient; ``__eq__``,
-# ``__hash__`` and ``RationalFunction.__bool__`` rely on it.  ``_accumulate``
-# updates a dict in place; the others return new ones.
+# A ``terms`` dict maps keys (exponent tuples of a polynomial's integer part,
+# label tuples for Grassmann elements and superfunctions) to coefficients of
+# a ring whose zero is falsy, in canonical form: each key once, no zero
+# coefficient; ``__eq__``, ``__hash__`` and ``RationalFunction.__bool__``
+# rely on it.  ``_accumulate`` updates a dict in place; the others return
+# new ones.
 
 
 def _accumulate(terms: dict, key, coeff) -> None:
@@ -100,19 +107,13 @@ def _power(base, n, one):
 # polynomials a, b and an integer xi >= 2 min(|a|, |b|) + 2 (max-norms), the
 # primitive part G of the xi-adic reading of gcd(a(xi), b(xi)) is gcd(a, b)
 # whenever G divides both; several variables are evaluated one at a time,
-# recursively.  Integer polynomials are term dicts with int coefficients.
+# recursively.  Integer polynomials are term dicts with int coefficients,
+# such as the integer part ``Polynomial._ints``.
 
 _HEU_TRIES = 6
 # Give up when xi's bit length times the degree passes this, GCL's bound of
 # 5000 decimal digits on the evaluated integers.
 _HEU_MAX_BITS = 16000
-
-
-def _integer_form(terms: dict):
-    """(ints, den): Fraction ``terms`` as an integer polynomial over the
-    lcm of its denominators, terms = ints / den."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _evaluate_at(ints: dict, var: int, xi: int) -> dict:
@@ -146,14 +147,13 @@ def _xi_adic(ints: dict, var: int, xi: int) -> dict:
 
 
 def _lex_quotient(terms: dict, dterms: dict, room: int) -> dict | None:
-    """terms / dterms by lex leading-term division, or None when it is not
-    exact: a quotient monomial is not a monomial of total degree at most
-    ``room``, or, for int coefficients, a quotient coefficient is not an
+    """terms / dterms for integer polynomials by lex leading-term division,
+    or None when it is not exact: a quotient monomial is not a monomial of
+    total degree at most ``room``, or a quotient coefficient is not an
     integer (for a primitive divisor, exactly when it does not divide over
-    Q, by Gauss's lemma).  Fraction coefficients divide freely."""
+    Q, by Gauss's lemma)."""
     dlead = max(dterms)
     dcoeff = dterms[dlead]
-    integral = type(dcoeff) is int
     rest = [(e, -c) for e, c in dterms.items() if e != dlead]
     rem = dict(terms)
     quotient = {}
@@ -164,12 +164,9 @@ def _lex_quotient(terms: dict, dterms: dict, room: int) -> dict | None:
             return None
         coeff = rem.pop(lead)
         if dcoeff != 1:
-            if integral:
-                coeff, r = divmod(coeff, dcoeff)
-                if r:
-                    return None
-            else:
-                coeff /= dcoeff
+            coeff, r = divmod(coeff, dcoeff)
+            if r:
+                return None
         quotient[mono] = coeff
         for e, c in rest:
             _accumulate(rem, tuple(a + b for a, b in zip(mono, e)), coeff * c)
@@ -218,40 +215,20 @@ def _heuristic_gcd(a: dict, b: dict, variables):
     return None
 
 
-def _coprime_at_one_value(p: dict, q: dict) -> bool:
-    """True when one GCDHEU evaluation proves two univariate polynomials
-    coprime, straight from their Fraction terms.  Content may stay in the
-    integer forms P and Q: every root of a common divisor is below
-    1 + min(|P|, |Q|) in size, so at xi = 2 min(|P|, |Q|) + 2 a nonconstant
-    common divisor exceeds xi / 2, and gcd(P(xi), Q(xi)) <= xi / 2 proves
-    gcd 1.  Plain loops: this runs for every rational function read."""
-    forms, norm, degree = [], None, 0
-    for terms in (p, q):
-        den = 1  # a common denominator; it need not be the least
-        for c in terms.values():
-            d = c.denominator
-            if d != 1:
-                den *= d
-        form, top = [], 0
-        for (e, ), c in terms.items():
-            n, d = c.as_integer_ratio()
-            if d != den:
-                n *= den // d
-            form.append((e, n))
-            if n > top or -n > top:
-                top = abs(n)
-            if e > degree:
-                degree = e
-        forms.append(form)
-        if norm is None or top < norm:
-            norm = top
-    xi = 2 * norm + 2
+def _coprime_at_one_value(a: dict, b: dict) -> bool:
+    """True when one GCDHEU evaluation proves two univariate primitive
+    integer polynomials coprime: every root of a common divisor is below
+    1 + min(|a|, |b|) in size, so at xi = 2 min(|a|, |b|) + 2 a nonconstant
+    common divisor exceeds xi / 2, and gcd(a(xi), b(xi)) <= xi / 2 proves
+    gcd 1.  This runs for every rational function read."""
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    degree = max(max(a)[0], max(b)[0])
     if xi.bit_length() * degree > _HEU_MAX_BITS:
         return False
     common = 0
-    for form in forms:
+    for ints in (a, b):
         value = 0
-        for e, n in form:
+        for (e, ), n in ints.items():
             value += n * xi ** e
         common = math.gcd(common, value)
     return common <= xi >> 1
@@ -263,12 +240,13 @@ def _gcd_cofactors(p: "Polynomial", q: "Polynomial"):
     gcd that ``Polynomial.gcd`` returns, with the quotients its division
     check computed.  Cheaper tests come first: a one-evaluation coprimality
     certificate for univariate pairs, constant arguments, and trial division
-    of p by q."""
+    of p by q.  GCDHEU reads the primitive integer parts as they are stored."""
     nvars = p.nvars
-    if nvars == 1 and _coprime_at_one_value(p.terms, q.terms):
+    a, b = p._ints, q._ints
+    if nvars == 1 and _coprime_at_one_value(a, b):
         return None, p, q
     zero = (0,) * nvars
-    if len(p.terms) == 1 and zero in p.terms or len(q.terms) == 1 and zero in q.terms:
+    if len(a) == 1 and zero in a or len(b) == 1 and zero in b:
         return None, p, q
     # q divides p in about 30% of the gcds of rational compositions, and trial
     # division settles those faster than GCDHEU: without this test the
@@ -277,7 +255,6 @@ def _gcd_cofactors(p: "Polynomial", q: "Polynomial"):
     if quotient is not None:
         lead, g = _monic(q)
         return g, quotient * lead if lead != 1 else quotient, Polynomial.constant(nvars, lead)
-    (a, da), (b, db) = _integer_form(p.terms), _integer_form(q.terms)
     found = _heuristic_gcd(a, b, (0,) if nvars == 1 else tuple(
         v for v in range(nvars) if any(e[v] for e in a) or any(e[v] for e in b)))
     if found is None:
@@ -285,59 +262,135 @@ def _gcd_cofactors(p: "Polynomial", q: "Polynomial"):
     g, qa, qb = found
     if len(g) == 1 and zero in g:
         return None, p, q
-    # p = content(a) / da * primitive(a), primitive(a) = g / content(g) * qa,
-    # and the monic gcd is g / lead
-    lead = g[max(g)]
-    g_content = math.gcd(*g.values())
-    sa = Fraction(math.gcd(*a.values()) * lead, da * g_content)
-    sb = Fraction(math.gcd(*b.values()) * lead, db * g_content)
-    return (Polynomial._make(nvars, {e: Fraction(c, lead) for e, c in g.items()}),
-            Polynomial._make(nvars, {e: c * sa for e, c in qa.items()}),
-            Polynomial._make(nvars, {e: c * sb for e, c in qb.items()}))
+    # a = g * qa and b = g * qb with all five primitive (Gauss's lemma); the
+    # monic gcd is g / top, so p / gcd = content(p) * top * qa
+    top = g[max(g)]
+    if top < 0:
+        top, g, qa, qb = -top, _negate(g), _negate(qa), _negate(qb)
+    return (Polynomial._make(nvars, g, _ONE if top == 1 else Fraction(1, top)),
+            Polynomial._make(nvars, qa, p._content * top if top != 1 else p._content),
+            Polynomial._make(nvars, qb, q._content * top if top != 1 else q._content))
+
+
+def _primitive(nvars: int, ints: dict, scale) -> "Polynomial":
+    """``scale`` times an integer polynomial, for a dict of nonzero ints and
+    a positive rational ``scale``: its content moves into ``scale``."""
+    if not ints:
+        return Polynomial._make(nvars, {})
+    g = math.gcd(*ints.values())
+    if g != 1:
+        ints = {e: c // g for e, c in ints.items()}
+        scale = scale * g
+        if scale == 1:
+            scale = _ONE
+    return Polynomial._make(nvars, ints, scale)
+
+
+def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
+    """a + sign * b, with both integer parts raised to one common
+    denominator and the content of the common numerator taken out."""
+    if not b._ints:
+        return a
+    if not a._ints:
+        return b if sign > 0 else -b
+    ca, cb = a._content, b._content
+    if ca == cb:
+        sa, sb, scale = 1, sign, ca
+    else:
+        # ca = g (na/g) / da and cb = g (nb/g) / db over the common
+        # denominator da db / h: the integer multipliers of a and b
+        na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+        g, h = math.gcd(na, nb), math.gcd(da, db)
+        sa, sb = na // g * (db // h), sign * (nb // g) * (da // h)
+        scale = Fraction(g, da // h * db)
+    terms = dict(a._ints) if sa == 1 else {e: c * sa for e, c in a._ints.items()}
+    for e, c in b._ints.items():
+        old = terms.get(e)
+        new = c * sb if old is None else old + c * sb
+        if new:
+            terms[e] = new
+        else:
+            del terms[e]
+    return _primitive(a.nvars, terms, scale)
 
 
 class Polynomial:
-    """Polynomial in ``nvars`` commuting variables.
+    """Polynomial in ``nvars`` commuting variables over the rationals.
 
-    ``terms`` maps exponent tuples (length ``nvars``) to nonzero Fractions.
-    Instances are immutable by convention and hashable.
+    Stored as a rational content times a primitive integer part: ``_ints``
+    maps exponent tuples (length ``nvars``) to nonzero ints whose gcd is 1,
+    and ``_content`` is a positive Fraction; the zero polynomial is ``{}``
+    with content 1.  That form is unique, so ``__eq__`` and ``__hash__``
+    compare (content, ints).  By Gauss's lemma a product of primitive parts
+    is primitive, so a product multiplies ints and the two contents, and
+    scaling by a rational changes only the content.
+
+    ``terms``, the map from exponent tuples to Fraction coefficients, is a
+    view built on each read and not kept.  Instances are immutable by
+    convention (polynomials that differ by a positive factor may share one
+    integer part) and hashable.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_ints", "_content", "_hash")
 
     def __init__(self, nvars: int, terms=None):
-        clean = {}
+        # numerators, and the lcm of the denominators, in one pass over the
+        # input; only a denominator other than 1 costs a second pass
+        ints, dens = {}, []
+        den = 1
         for exps, coeff in (terms or {}).items():
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(coeff).__name__}")
+            n, d = coeff.as_integer_ratio()
+            if not n:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            exps = tuple(map(int, exps))
+            if len(exps) != nvars or nvars and min(exps) < 0:
                 raise SuperskelError(f"bad exponent tuple {exps} for {nvars} variables")
-            _accumulate(clean, exps, coeff)
+            if exps in ints:  # two keys of one tuple, such as (1,) and ("1",)
+                merged = {}
+                for e, c in terms.items():
+                    _accumulate(merged, tuple(map(int, e)), _as_fraction(c))
+                self.__init__(nvars, merged)
+                return
+            if d != 1 and den % d:
+                den = den // math.gcd(den, d) * d
+            ints[exps] = n
+            dens.append(d)
+        if den != 1:
+            ints = {e: n * (den // d) for (e, n), d in zip(ints.items(), dens)}
+        g = math.gcd(*ints.values()) if ints else den
+        if g != 1 and ints:
+            ints = {e: c // g for e, c in ints.items()}
         self.nvars = nvars
-        self.terms = clean
+        self._ints = ints
+        self._content = _ONE if g == den else Fraction(g, den)
         self._hash = None
 
     @classmethod
-    def _make(cls, nvars, terms):
-        # trusted constructor for internal use: terms already canonical
+    def _make(cls, nvars, ints, content=_ONE):
+        # trusted constructor for internal use: ints primitive, content > 0
+        # (1 for the zero polynomial)
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = terms
+        poly._ints = ints
+        poly._content = content
         poly._hash = None
         return poly
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        value = _as_fraction(value)
-        return cls._make(nvars, {(0,) * nvars: value} if value else {})
+        n, d = _as_fraction(value).as_integer_ratio()
+        if not n:
+            return cls._make(nvars, {})
+        content = _ONE if d == 1 and (n == 1 or n == -1) else Fraction(abs(n), d)
+        return cls._make(nvars, {(0,) * nvars: 1 if n > 0 else -1}, content)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         """The coordinate polynomial for 0-based variable ``index``."""
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._make(nvars, {exps: _ONE})
+        return cls._make(nvars, {exps: 1})
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -345,63 +398,103 @@ class Polynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls.constant(nvars, 1)
+        return cls._make(nvars, {(0,) * nvars: 1})
+
+    @property
+    def terms(self) -> dict:
+        """A new dict from exponent tuples to the nonzero Fraction
+        coefficients; changing it does not change the polynomial."""
+        content = self._content
+        return {e: content * c for e, c in self._ints.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        ints = self._ints
+        return not ints or len(ints) == 1 and not any(next(iter(ints)))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise SuperskelError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, _ZERO)
+        return self._content * self._ints.get((0,) * self.nvars, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._ints))
 
     def _check(self, other):
         if self.nvars != other.nvars:
             raise SuperskelError("polynomials over different variable sets")
 
-    def __add__(self, other):
+    def _scaled(self, factor) -> "Polynomial":
+        """self * factor for an int or Fraction: a new content, and a negated
+        integer part for a negative factor."""
+        if not factor:
+            return Polynomial._make(self.nvars, {})
+        if not self._ints:
+            return self
+        content = self._content * factor
+        ints = self._ints
+        if content < 0:
+            content, ints = -content, _negate(ints)
+        return Polynomial._make(self.nvars, ints, _ONE if content == 1 else content)
+
+    def _operand(self, other):
+        """``other`` as a polynomial over the same variables, or None for a
+        foreign type.  The own type is tested first: ``isinstance`` against
+        ``Fraction``, an abstract base class, is slow for other types."""
+        if isinstance(other, Polynomial):
+            self._check(other)
+            return other
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        return Polynomial._make(self.nvars, _sum(self.terms, other.terms))
+            return Polynomial.constant(self.nvars, other)
+        return None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._make(self.nvars, _negate(self.terms))
+        return Polynomial._make(self.nvars, _negate(self._ints), self._content)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else _combine(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial._make(self.nvars, _scale(self.terms, _as_fraction(other)))
         if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
             return NotImplemented
         self._check(other)
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return Polynomial._make(self.nvars, {})
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Polynomial._make(self.nvars, terms)
+        get = terms.get
+        if self.nvars == 1:  # most products; adding two 1-tuples costs half
+            for (e1,), c1 in a.items():
+                for (e2,), c2 in b.items():
+                    key = (e1 + e2,)
+                    terms[key] = get(key, 0) + c1 * c2
+        else:
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    key = tuple(map(_add, e1, e2))
+                    terms[key] = get(key, 0) + c1 * c2
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        ca, cb = self._content, other._content
+        return Polynomial._make(self.nvars, terms,
+                                cb if ca is _ONE else ca if cb is _ONE else ca * cb)
 
     __rmul__ = __mul__
 
@@ -417,43 +510,46 @@ class Polynomial:
         other = _as_fraction(other)
         if other == 0:
             raise NotInvertibleError("division by zero")
-        return self * (_ONE / other)
+        return self._scaled(_ONE / other)
 
     def __eq__(self, other):
+        if isinstance(other, Polynomial):
+            return self.nvars == other.nvars and self._content == other._content and \
+                self._ints == other._ints
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+            return self == Polynomial.constant(self.nvars, other)
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, self._content, frozenset(self._ints.items())))
         return self._hash
 
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative with respect to 0-based variable ``index``."""
         # lowering one exponent is injective on the surviving terms
-        terms = {}
-        for exps, coeff in self.terms.items():
+        ints = {}
+        for exps, coeff in self._ints.items():
             e = exps[index]
             if e:
-                terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
-        return Polynomial._make(self.nvars, terms)
+                ints[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
+        return _primitive(self.nvars, ints, self._content)
 
     def exact_quotient(self, divisor: "Polynomial") -> "Polynomial | None":
         """``self / divisor`` when ``divisor`` divides ``self`` exactly, else None.
 
-        Lex leading-term division.  Cheap tests reject first: the quotient's
-        total degree, and the lex-leading and lex-trailing monomials, which
-        must each be divisible by the divisor's; when the degrees are equal
-        the quotient is a constant, so supports and proportionality decide.
+        Lex leading-term division of the primitive integer parts, whose
+        quotient, when there is one, is a primitive integer polynomial by
+        Gauss's lemma; the contents divide.  Cheap tests reject first: the
+        quotient's total degree, and the lex-leading and lex-trailing
+        monomials, which must each be divisible by the divisor's; when the
+        degrees are equal the integer parts must be equal or opposite.
         """
         self._check(divisor)
-        dterms = divisor.terms
+        dterms = divisor._ints
         if not dterms:
             raise NotInvertibleError("division by the zero polynomial")
-        terms = self.terms
+        terms = self._ints
         if not terms:
             return self
         room = self.degree() - divisor.degree()
@@ -464,26 +560,31 @@ class Polynomial:
                 any(a < b for a, b in zip(min(terms), min(dterms))):
             return None
         if room == 0:
-            ratio = terms[lead] / dterms[dlead]
-            if terms.keys() != dterms.keys() or \
-                    any(terms[e] != ratio * c for e, c in dterms.items()):
+            if terms == dterms:
+                quotient = {(0,) * self.nvars: 1}
+            elif terms.keys() == dterms.keys() and \
+                    all(terms[e] == -c for e, c in dterms.items()):
+                quotient = {(0,) * self.nvars: -1}
+            else:
                 return None
-            return Polynomial._make(self.nvars, {(0,) * self.nvars: ratio})
-        quotient = _lex_quotient(terms, dterms, room)
-        return None if quotient is None else Polynomial._make(self.nvars, quotient)
+        else:
+            quotient = _lex_quotient(terms, dterms, room)
+            if quotient is None:
+                return None
+        return Polynomial._make(self.nvars, quotient, self._content / divisor._content)
 
     def gcd(self, other: "Polynomial") -> "Polynomial | None":
         """The monic greatest common divisor, or None when GCDHEU gives up.
 
         An ``other`` that divides ``self`` is found by trial division first.
-        Otherwise both inputs are cleared of denominators and content; gcd(0,
-        0) is 0, and a nonzero constant argument gives 1.  A nonconstant
+        Otherwise GCDHEU runs on the two primitive integer parts; gcd(0, 0)
+        is 0, and a nonzero constant argument gives 1.  A nonconstant
         candidate is returned only after it divided both inputs exactly.
         """
         self._check(other)
-        if not self.terms or not other.terms:
-            nonzero = self if self.terms else other
-            return _monic(nonzero)[1] if nonzero.terms else nonzero
+        if not self._ints or not other._ints:
+            nonzero = self if self._ints else other
+            return _monic(nonzero)[1] if nonzero._ints else nonzero
         parts = _gcd_cofactors(self, other)
         if parts is None:
             return None
@@ -491,35 +592,35 @@ class Polynomial:
 
     def eval(self, values) -> Fraction:
         """Evaluate at a tuple of Fractions."""
-        acc = _ZERO
-        for exps, coeff in self.terms.items():
+        acc = 0
+        for exps, coeff in self._ints.items():
             term = coeff
             for v, e in zip(values, exps):
                 if e:
                     term *= v ** e
             acc += term
-        return acc
+        return self._content * acc
 
     def eval_in(self, values, one):
         """Evaluate at elements of an arbitrary commutative-enough ring.
 
         ``values[i]`` substitutes variable i; ``one`` is the ring unit used
-        for the empty product. Ring elements must support +, * and Fraction
-        scaling from the left.
+        for the empty product. Ring elements must support +, * and int and
+        Fraction scaling from the left.
         """
         # powers[i][e] = values[i]**e for the exponents that occur, each the
         # next lower one times values[i]**gap (one product for a gap of 1)
         powers = []
         for i, value in enumerate(values[:self.nvars]):
             table, last, power = {}, 0, None
-            for e in sorted({exps[i] for exps in self.terms} - {0}):
+            for e in sorted({exps[i] for exps in self._ints} - {0}):
                 step = _power(value, e - last, one)
                 power = step if power is None else power * step
                 table[e], last = power, e
             powers.append(table)
 
         acc = None
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._ints.items():
             term = one
             for i, e in enumerate(exps):
                 if e:
@@ -528,7 +629,7 @@ class Polynomial:
             acc = term if acc is None else acc + term
         if acc is None:
             return 0 * one
-        return acc
+        return acc if self._content == 1 else self._content * acc
 
     def partial_eval(self, assignment: dict[int, Fraction]) -> "Polynomial":
         """Substitute Fractions for a subset of variables (0-based indices).
@@ -536,7 +637,7 @@ class Polynomial:
         The arity is preserved; substituted variables simply no longer occur.
         """
         terms = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._ints.items():
             c = coeff
             new = list(exps)
             for i, v in assignment.items():
@@ -545,7 +646,7 @@ class Polynomial:
                     c *= v ** e
                 new[i] = 0
             _accumulate(terms, tuple(new), c)
-        return Polynomial._make(self.nvars, terms)
+        return Polynomial(self.nvars, terms) * self._content
 
     def divide_by_linear(self, index: int, root: Fraction) -> "Polynomial":
         """Exact quotient (self - self|_{x_index=root}) / (x_index - root).
@@ -554,36 +655,42 @@ class Polynomial:
         """
         root = _as_fraction(root)
         terms = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._ints.items():
             d = exps[index]
             for l in range(d):
                 _accumulate(terms, exps[:index] + (l,) + exps[index + 1:],
                             coeff * root ** (d - 1 - l))
-        return Polynomial._make(self.nvars, terms)
+        return Polynomial(self.nvars, terms) * self._content
 
     def divide_by_variable(self, index: int) -> "Polynomial":
         """Exact quotient by x_index; every monomial must contain it."""
-        terms = {}
-        for exps, coeff in self.terms.items():
+        ints = {}
+        for exps, coeff in self._ints.items():
             if exps[index] == 0:
                 raise SuperskelError("polynomial is not divisible by the variable")
-            terms[exps[:index] + (exps[index] - 1,) + exps[index + 1:]] = coeff
-        return Polynomial._make(self.nvars, terms)
+            ints[exps[:index] + (exps[index] - 1,) + exps[index + 1:]] = coeff
+        return Polynomial._make(self.nvars, ints, self._content)
 
     def pad(self, new_nvars: int) -> "Polynomial":
         """Reinterpret over a larger variable set (existing indices kept)."""
         if new_nvars < self.nvars:
             raise SuperskelError("cannot shrink a polynomial's variable set")
         extra = (0,) * (new_nvars - self.nvars)
-        return Polynomial._make(new_nvars, {e + extra: c for e, c in self.terms.items()})
+        return Polynomial._make(new_nvars, {e + extra: c for e, c in self._ints.items()},
+                                self._content)
+
+    def _print_order(self):
+        """(exponents, coefficient) pairs in printing order, total degree
+        first, then lex from the top; a coefficient is the stored int when
+        the content is 1, else a Fraction."""
+        content, ints = self._content, self._ints
+        for exps in sorted(ints, key=lambda e: (-sum(e), tuple(-x for x in e))):
+            yield exps, ints[exps] if content == 1 else content * ints[exps]
 
     def format(self) -> str:
         """Canonical rendering, e.g. ``x1^2 - 2*x1*x2 + 1``."""
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            coeff = self.terms[exps]
-            parts.append((coeff < 0, monomial_text(abs(coeff), exps)))
-        return _signed_sum(parts)
+        return _signed_sum([(c < 0, monomial_text(abs(c), exps))
+                            for exps, c in self._print_order()])
 
     def __repr__(self):
         return f"Polynomial({self.format()!r})"
@@ -628,11 +735,18 @@ def _signed_sum(parts) -> str:
 
 
 def _monic(poly: Polynomial):
-    """(lead, poly / lead) for the lex-leading coefficient ``lead``."""
-    lead = poly.terms[max(poly.terms)]
-    if lead == 1:
-        return _ONE, poly
-    return lead, Polynomial._make(poly.nvars, _scale(poly.terms, _ONE / lead))
+    """(lead, poly / lead) for the lex-leading coefficient ``lead``: the
+    integer part over its leading int."""
+    ints, content = poly._ints, poly._content
+    top = ints[max(ints)]
+    if top == 1:
+        if content == 1:
+            return _ONE, poly
+        return content, Polynomial._make(poly.nvars, ints)
+    lead = content * top
+    if top < 0:
+        top, ints = -top, _negate(ints)
+    return lead, Polynomial._make(poly.nvars, ints, _ONE if top == 1 else Fraction(1, top))
 
 
 def _expand(nvars: int, pairs) -> Polynomial:
@@ -716,7 +830,7 @@ def _cancel(num: Polynomial, factors, keep=()):
     splits f^m into d^(m-1) (f/d)^m, refined and cancelled in turn.  When
     the gcd is undecided, the factor is kept whole.
     """
-    if not num.terms:
+    if not num._ints:
         return num, ()
     if num.is_constant():
         return num, tuple(factors) + tuple(keep)
@@ -778,7 +892,7 @@ class RationalFunction:
                 raise SuperskelError("numerator/denominator variable sets differ")
             if den.is_zero():
                 raise NotInvertibleError("denominator is identically zero")
-            if num.terms:
+            if num._ints:
                 lead, den = _monic(den)
                 if lead != 1:
                     num = num * (_ONE / lead)
@@ -828,10 +942,10 @@ class RationalFunction:
         return self._den
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num._ints
 
     def __bool__(self) -> bool:
-        return bool(self.num.terms)
+        return bool(self.num._ints)
 
     def is_polynomial(self) -> bool:
         return not self.factors
@@ -897,7 +1011,7 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalFunction) and isinstance(other, (int, Fraction)):
             if not other:
                 return RationalFunction._raw(Polynomial.zero(self.num.nvars), ())
             return RationalFunction._raw(self.num * other, self.factors, self._den)
@@ -906,7 +1020,7 @@ class RationalFunction:
             return NotImplemented
         b, fb = parts
         a, fa = self.num, self.factors
-        if not fa and not fb or not a.terms or not b.terms:
+        if not fa and not fb or not a._ints or not b._ints:
             return RationalFunction._raw(a * b, ())
         # a factor of one operand only can cancel only against the other
         # operand's numerator (I2); shared pieces add their multiplicities
@@ -928,7 +1042,7 @@ class RationalFunction:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        if not parts[0].terms:
+        if not parts[0]._ints:
             raise NotInvertibleError("division by the zero rational function")
         return self * RationalFunction._raw(*parts).invert()
 
@@ -969,7 +1083,7 @@ class RationalFunction:
         num = self.num.derivative(index)
         if not self.factors:
             return RationalFunction._raw(num, ())
-        moving = [(f, m, df) for f, m in self.factors if (df := f.derivative(index)).terms]
+        moving = [(f, m, df) for f, m in self.factors if (df := f.derivative(index))._ints]
         if moving:
             nvars = self.num.nvars
             num = num * _expand(nvars, [(f, 1) for f, _, _ in moving])

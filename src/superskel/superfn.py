@@ -294,9 +294,7 @@ class SuperFunction:
             coeff = self.terms[labels]
             gens = [f"t{j}" for j in labels]
             if coeff.is_polynomial():
-                for exps in sorted(coeff.num.terms,
-                                   key=lambda e: (-sum(e), tuple(-x for x in e))):
-                    c = coeff.num.terms[exps]
+                for exps, c in coeff.num._print_order():
                     # negative unit coefficients stay explicit: -1*t1*t2
                     parts.append((c < 0, monomial_text(abs(c), exps, list(gens),
                                                        force_coeff=c < 0)))

@@ -170,12 +170,16 @@ def test_exit_codes(files, tmp_path):
                 ".pt": ["eval", files["f"], str(path)],
                 ".man": ["glue", "check", str(path)]}[path.suffix]
         assert run(argv)[0] == 2, name
-    # deep nesting and overlong literals stop at the parser, not the interpreter
+    # deep nesting and overlong literals stop at the parser, not the interpreter;
+    # so does a literal written as a power, before the power is computed
     for name, expr in (("deep.sk", "(" * 3000 + "x1" + ")" * 3000),
-                       ("long.sk", "7" * 5000 + "*x1")):
+                       ("long.sk", "7" * 5000 + "*x1"),
+                       ("long-power.sk", "3^10000000*x1")):
         path = tmp_path / name
         path.write_text(f"source 1|2\ntarget 1|0\ny1 = {expr}\n")
+        start = time.perf_counter()
         assert run(["eval", str(path), files["point"]])[0] == 2, name
+        assert time.perf_counter() - start < 1, name
     # a result number longer than the parser's literal cap is not printed
     # (2^20000 has 6021 digits), and one at the cap prints and parses back;
     # x1^100000 is refused by every route within a second, as substitution

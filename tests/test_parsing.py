@@ -227,6 +227,36 @@ def test_bounds_are_grammar_literals():
             parsing.parse_bound(token, 1, 1)
 
 
+def test_powers_obey_the_literal_cap():
+    """A number written as a power obeys the cap of one written out: a power
+    whose leading coefficient would pass MAX_LITERAL_DIGITS is refused at
+    its ``^`` before anything is computed, in every value context."""
+    head = "source 1|0\ntarget 1|0\n"
+    start = time.perf_counter()
+    for text, column in (("y1 = 3^10000000*x1", 7), ("y1 = x1 + (2*x1)^99999999999", 17),
+                         ("y1 = x1/10^4000", 11), ("y1 = (x1/3)^8400", 12)):
+        with pytest.raises(ParseError) as err:
+            parsing.parse_skeleton_file(head + text + "\n")
+        assert (err.value.line, err.value.column) == (3, column), text
+        assert "longer than 4000 digits" in err.value.message
+    for parse in (lambda text: parsing.parse_grassmann(text, 2),
+                  lambda text: parsing.parse_superfunction(text, SuperSpace(1, 2)),
+                  lambda text: parsing.parse_body_polynomial(text, 1)):
+        with pytest.raises(ParseError):
+            parse("(1/3 + 0)^10000")
+        assert parse("(1/3 + 0)^8000") == parse("1/3^8000")
+    assert time.perf_counter() - start < 1
+    # at the cap: 10^3999 has 4000 digits, 3^8383 has 4000 and 3^8384 4001
+    skeleton = parsing.parse_skeleton_file(head + "y1 = 10^3999*x1 + x1^1000000000\n")
+    assert skeleton.components[0].coefficient(()).num.terms == {
+        (1,): F(10) ** 3999, (1000000000,): F(1)}
+    assert parsing.parse_body_polynomial("3^8383", 1) == 3 ** 8383
+    with pytest.raises(ParseError):
+        parsing.parse_body_polynomial("3^8384", 1)
+    # a nilpotent base has no body to grow: its powers vanish
+    assert parsing.parse_grassmann("(2*g1g2)^10000000", 2) == G.scalar(2, 0)
+
+
 def test_body_polynomial_directives():
     poly = parsing.parse_body_polynomial("x1/2 - 1", 1)
     assert poly == Polynomial.variable(1, 0) * F(1, 2) - 1

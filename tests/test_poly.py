@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superskel.errors import NotInvertibleError, SuperskelError
-from superskel.poly import Polynomial, RationalFunction
+from superskel.poly import Polynomial, RationalFunction, _gcd_cofactors
 
 
 def poly(nvars, terms):
@@ -132,6 +134,104 @@ def test_results_canonical_and_equal_to_sympy(pair, scalar, power, index):
         assert all(result.terms.values())
         assert Polynomial(result.nvars, result.terms).terms == result.terms
         assert sympy.expand(expr(result) - expected) == 0
+
+
+# Coefficients whose denominators share primes, so common denominators and
+# contents are not plain products; negative numerators included.
+_SHARED_PRIMES = st.builds(F, st.integers(-30, 30), st.sampled_from((1, 2, 3, 6, 10, 15)))
+
+
+@st.composite
+def _dense_or_sparse(draw, nvars):
+    """A dense polynomial (every monomial up to a total degree) or a sparse
+    one (a few monomials of degree up to 6 in each variable)."""
+    if draw(st.booleans()):
+        degree = draw(st.integers(0, 3))
+        monomials = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+        return Polynomial(nvars, {e: draw(_SHARED_PRIMES) for e in monomials})
+    exps = st.tuples(*[st.integers(0, 6)] * nvars)
+    return Polynomial(nvars, draw(st.dictionaries(exps, _SHARED_PRIMES, max_size=4)))
+
+
+@st.composite
+def _representation_cases(draw):
+    nvars = draw(st.integers(1, 3))
+    a, b, c = (draw(_dense_or_sparse(nvars)) for _ in range(3))
+    return nvars, a, b, c
+
+
+def _assert_stored_form(p):
+    """Content a positive Fraction (1 for zero), integer part primitive with
+    no zero entry, exponent tuples of the polynomial's arity."""
+    assert type(p._content) is F and p._content > 0
+    assert all(type(c) is int and c for c in p._ints.values())
+    assert all(len(e) == p.nvars and min(e, default=0) >= 0 for e in p._ints)
+    if p._ints:
+        assert math.gcd(*p._ints.values()) == 1
+    else:
+        assert p._content == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_representation_cases(), _SHARED_PRIMES.filter(bool), st.integers(0, 2))
+def test_content_times_primitive_part_after_every_operation(case, scalar, index):
+    """Every operation returns the stored form, agrees with sympy's
+    polynomial ring over QQ, reads back from its own ``terms``, and hashes
+    equal to the same value built by another route."""
+    sympy = pytest.importorskip("sympy")
+    nvars, a, b, c = case
+    index %= nvars
+    ring, *gens = sympy.ring(",".join(f"x{i}" for i in range(nvars)), sympy.QQ)
+
+    def element(p):
+        out = ring.zero
+        for exps, coeff in p.terms.items():
+            term = ring(sympy.QQ(coeff.numerator, coeff.denominator))
+            for gen, e in zip(gens, exps):
+                term *= gen ** e
+            out += term
+        return out
+
+    A, B = element(a), element(b)
+    s = sympy.QQ(scalar.numerator, scalar.denominator)
+    cases = [(a + b, A + B), (a - b, A - B), (-a, -A), (a * b, A * B), (a * scalar, A * s),
+             (a / scalar, A / s), (a * 0, ring.zero), (a.derivative(index), A.diff(gens[index]))]
+    if not b.is_zero():
+        cases.append(((a * b).exact_quotient(b), A))
+        quotient = a.exact_quotient(b)
+        if A.rem(B) == 0:
+            cases.append((quotient, A.quo(B)))
+        else:
+            assert quotient is None
+    if not a.is_zero() and not b.is_zero():
+        parts = _gcd_cofactors(a, b)
+        assert parts is not None  # inputs this small never exhaust GCDHEU's tries
+        g = Polynomial.one(nvars) if parts[0] is None else parts[0]
+        assert g * parts[1] == a and g * parts[2] == b
+        cases += [(g, A.gcd(B).monic()), (a.gcd(b), A.gcd(B).monic()),
+                  (parts[1], None), (parts[2], None)]
+    for result, expected in cases:
+        _assert_stored_form(result)
+        if expected is not None:
+            assert element(result) == expected
+        assert Polynomial(nvars, result.terms) == result
+        assert hash(Polynomial(nvars, result.terms)) == hash(result)
+    padded = a.pad(nvars + 1)
+    _assert_stored_form(padded)
+    assert padded.terms == {e + (0,): v for e, v in a.terms.items()}
+    for left, right in [((a * b) * c, a * (b * c)), (a + b - b, a), ((a + b) + c, a + (b + c)),
+                        (a * scalar / scalar, a), (a * b - b * a, Polynomial.zero(nvars))]:
+        assert left == right and hash(left) == hash(right)
+
+
+def test_terms_is_a_fresh_fraction_view():
+    p = Polynomial(1, {(2,): F(2, 3), (0,): F(-4, 9)})
+    assert (p._content, p._ints) == (F(2, 9), {(2,): 3, (0,): -2})
+    view = p.terms
+    assert view == {(2,): F(2, 3), (0,): F(-4, 9)}
+    assert all(type(c) is F for c in view.values())
+    view[(1,)] = F(1)
+    assert p.terms == {(2,): F(2, 3), (0,): F(-4, 9)} and p.terms is not p.terms
 
 
 # Denominator factors come from pools of irreducible, pairwise non-associate
