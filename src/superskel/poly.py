@@ -380,10 +380,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        n, d = _as_fraction(value).as_integer_ratio()
+        value = _as_fraction(value)
+        n, d = value.as_integer_ratio()
         if not n:
             return cls._make(nvars, {})
-        content = _ONE if d == 1 and (n == 1 or n == -1) else Fraction(abs(n), d)
+        if d == 1 and (n == 1 or n == -1):
+            content = _ONE
+        else:
+            content = value if n > 0 else -value
         return cls._make(nvars, {(0,) * nvars: 1 if n > 0 else -1}, content)
 
     @classmethod
@@ -680,17 +684,20 @@ class Polynomial:
                                 self._content)
 
     def _print_order(self):
-        """(exponents, coefficient) pairs in printing order, total degree
-        first, then lex from the top; a coefficient is the stored int when
+        """(exponents, negative, magnitude) of each term in printing order,
+        total degree first, then lex from the top.  The sign is the stored
+        int's, as the content is positive; the magnitude is that int when
         the content is 1, else a Fraction."""
         content, ints = self._content, self._ints
-        for exps in sorted(ints, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            yield exps, ints[exps] if content == 1 else content * ints[exps]
+        unit = content == 1
+        for exps in sorted(ints, key=lambda e: (sum(e), e), reverse=True):
+            c = ints[exps]
+            yield exps, c < 0, abs(c) if unit else content * abs(c)
 
     def format(self) -> str:
         """Canonical rendering, e.g. ``x1^2 - 2*x1*x2 + 1``."""
-        return _signed_sum([(c < 0, monomial_text(abs(c), exps))
-                            for exps, c in self._print_order()])
+        return _signed_sum([(negative, monomial_text(c, exps))
+                            for exps, negative, c in self._print_order()])
 
     def __repr__(self):
         return f"Polynomial({self.format()!r})"

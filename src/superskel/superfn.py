@@ -294,10 +294,10 @@ class SuperFunction:
             coeff = self.terms[labels]
             gens = [f"t{j}" for j in labels]
             if coeff.is_polynomial():
-                for exps, c in coeff.num._print_order():
+                for exps, negative, c in coeff.num._print_order():
                     # negative unit coefficients stay explicit: -1*t1*t2
-                    parts.append((c < 0, monomial_text(abs(c), exps, list(gens),
-                                                       force_coeff=c < 0)))
+                    parts.append((negative, monomial_text(c, exps, list(gens),
+                                                          force_coeff=negative)))
             else:
                 text = coeff.format()
                 if gens:
