@@ -484,7 +484,7 @@ class Polynomial:
             return Polynomial._make(self.nvars, {})
         terms = {}
         get = terms.get
-        if self.nvars == 1:  # most products; adding two 1-tuples costs half
+        if self.nvars == 1:  # most products: 1-tuples added directly cost half
             for (e1,), c1 in a.items():
                 for (e2,), c2 in b.items():
                     key = (e1 + e2,)
