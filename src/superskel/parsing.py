@@ -23,7 +23,7 @@ from fractions import Fraction
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
 from .grassmann import GrassmannElement
-from .poly import _LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, _monic, _number_text
+from .poly import _LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, _number_text
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
@@ -35,7 +35,6 @@ from .superfn import Skeleton, SuperFunction
 # is refused before it is computed.
 MAX_NESTING = 100
 
-_LITERAL_BITS = _LITERAL_BOUND.bit_length()
 _LONG_LITERAL_RE = re.compile(r"\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()=|]))")
 _VAR_RE = re.compile(r"^([gxt])(\d+)$")
@@ -184,28 +183,31 @@ class _Parser:
 def _power_too_long(value, n: int) -> bool:
     """True when ``value ** n`` would hold a number longer than
     ``MAX_LITERAL_DIGITS``: a number written as a power obeys the cap of one
-    written out.  The test is on the n-th power of one coefficient c of
-    ``value`` such that c ** n is a coefficient of ``value ** n``: the
-    lex-leading one of a polynomial, that of the body's numerator for a
+    written out.  The test is on the coefficients c of ``value`` whose n-th
+    powers are coefficients of ``value ** n``: the lex-leading and
+    lex-trailing ones of a polynomial, of the body's numerator for a
     superfunction, and the body of a Grassmann element.  It is decided
-    from n and the bit lengths of c's numerator and denominator before
+    from n and the bit lengths of each c's numerator and denominator before
     anything large is computed."""
     if isinstance(value, SuperFunction):
         value = value.coefficient(()).num
     if isinstance(value, Polynomial):
         if value.is_zero():
             return False
-        lead = _monic(value)[0]
+        terms = value.terms
+        coefficients = [terms[max(terms)], terms[min(terms)]]
     elif isinstance(value, GrassmannElement):
-        lead = value.body()
+        coefficients = [value.body()]
     else:
         return False
-    for part in lead.as_integer_ratio():
-        bits = abs(part).bit_length()
-        # |part| ** n >= 2 ** (n (bits - 1)); when that is below the bound,
-        # |part| ** n < 2 ** (2 n (bits - 1)) has under twice its bits
-        if bits > 1 and (n * (bits - 1) >= _LITERAL_BITS or abs(part) ** n >= _LITERAL_BOUND):
-            return True
+    cap_bits = _LITERAL_BOUND.bit_length()
+    for c in coefficients:
+        for part in c.as_integer_ratio():
+            bits = abs(part).bit_length()
+            # |part| ** n >= 2 ** (n (bits - 1)); when that is below the bound,
+            # |part| ** n < 2 ** (2 n (bits - 1)) has under twice its bits
+            if bits > 1 and (n * (bits - 1) >= cap_bits or abs(part) ** n >= _LITERAL_BOUND):
+                return True
     return False
 
 

@@ -293,16 +293,13 @@ def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
         return a
     if not a._ints:
         return b if sign > 0 else -b
+    # ca = g (na/g) / da and cb = g (nb/g) / db over the common denominator
+    # da db / h: the integer multipliers of a and b
     ca, cb = a._content, b._content
-    if ca == cb:
-        sa, sb, scale = 1, sign, ca
-    else:
-        # ca = g (na/g) / da and cb = g (nb/g) / db over the common
-        # denominator da db / h: the integer multipliers of a and b
-        na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
-        g, h = math.gcd(na, nb), math.gcd(da, db)
-        sa, sb = na // g * (db // h), sign * (nb // g) * (da // h)
-        scale = Fraction(g, da // h * db)
+    na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+    g, h = math.gcd(na, nb), math.gcd(da, db)
+    sa, sb = na // g * (db // h), sign * (nb // g) * (da // h)
+    scale = Fraction(g, da // h * db)
     terms = dict(a._ints) if sa == 1 else {e: c * sa for e, c in a._ints.items()}
     for e, c in b._ints.items():
         old = terms.get(e)
@@ -484,16 +481,10 @@ class Polynomial:
             return Polynomial._make(self.nvars, {})
         terms = {}
         get = terms.get
-        if self.nvars == 1:  # most products: 1-tuples added directly cost half
-            for (e1,), c1 in a.items():
-                for (e2,), c2 in b.items():
-                    key = (e1 + e2,)
-                    terms[key] = get(key, 0) + c1 * c2
-        else:
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    key = tuple(map(_add, e1, e2))
-                    terms[key] = get(key, 0) + c1 * c2
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(map(_add, e1, e2))
+                terms[key] = get(key, 0) + c1 * c2
         if 0 in terms.values():
             terms = {e: c for e, c in terms.items() if c}
         ca, cb = self._content, other._content

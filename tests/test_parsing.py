@@ -229,12 +229,14 @@ def test_bounds_are_grammar_literals():
 
 def test_powers_obey_the_literal_cap():
     """A number written as a power obeys the cap of one written out: a power
-    whose leading coefficient would pass MAX_LITERAL_DIGITS is refused at
-    its ``^`` before anything is computed, in every value context."""
+    whose lex-leading or lex-trailing coefficient would pass
+    MAX_LITERAL_DIGITS is refused at its ``^`` before anything is computed,
+    in every value context."""
     head = "source 1|0\ntarget 1|0\n"
     start = time.perf_counter()
     for text, column in (("y1 = 3^10000000*x1", 7), ("y1 = x1 + (2*x1)^99999999999", 17),
-                         ("y1 = x1/10^4000", 11), ("y1 = (x1/3)^8400", 12)):
+                         ("y1 = x1/10^4000", 11), ("y1 = (x1/3)^8400", 12),
+                         ("y1 = (x1 + 3)^9000", 14), ("y1 = 1/(x1 + 3)^9000", 16)):
         with pytest.raises(ParseError) as err:
             parsing.parse_skeleton_file(head + text + "\n")
         assert (err.value.line, err.value.column) == (3, column), text
