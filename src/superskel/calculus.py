@@ -274,6 +274,10 @@ def check_taylor(skeleton: Skeleton, rank: int, rng, cases: int = 10,
     survives beyond m + k = rank."""
     report = CheckReport(f"exact Taylor increments at rank {rank}")
     for case in range(cases):
+        if rank == 0:
+            report.add_skip(f"increment case {case}",
+                            "no generator to carry an increment at rank 0")
+            continue
         x = randgen.random_point(rng, skeleton.source_space, rank,
                                  skeleton.source_domain)
         k = rng.randint(1, max_increments)
@@ -468,7 +472,7 @@ def taylor_remainder_vanishes(skeleton: Skeleton, approx: Skeleton, base_point,
 def check_def43(skeleton: Skeleton, rank: int, rng, cases: int = 5,
                 orders=(1, 2)) -> CheckReport:
     """Certificate for the higher-derivative family: the one implementation
-    of its four laws, also driven by ``selftest.suite_higher_order``.
+    of its four laws, also driven by the selftest suite "higher".
 
     Per case, at a random point x:
     (i) supersymmetry: at each order >= 2 in ``orders``, swapping any two

@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the property suites")
     p_self.add_argument("--suite", action="append",
                         help="restrict to named suites (repeatable)")
-    p_self.add_argument("--seed", type=int, default=None)
+    p_self.add_argument("--seed", type=int, default=1)
     p_self.add_argument("--verbose", action="store_true")
     p_self.set_defaults(func=_cmd_selftest)
     return parser

@@ -239,14 +239,17 @@ class GrassmannElement:
         return self.terms.get(tuple(labels), _ZERO)
 
     def _coerce(self, other):
+        """``other`` as an element of the same rank, or None for a foreign
+        type.  The own type is tested first: ``isinstance`` against
+        ``Fraction``, an abstract base class, is slow for other types."""
+        if isinstance(other, GrassmannElement):
+            if self.rank != other.rank:
+                raise RankMismatchError(
+                    f"elements of rank {self.rank} and {other.rank} are incompatible")
+            return other
         if isinstance(other, (int, Fraction)):
             return GrassmannElement.scalar(self.rank, other)
-        if not isinstance(other, GrassmannElement):
-            return None
-        if self.rank != other.rank:
-            raise RankMismatchError(
-                f"elements of rank {self.rank} and {other.rank} are incompatible")
-        return other
+        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -269,33 +272,32 @@ class GrassmannElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GrassmannElement._make(self.rank, _scale(self.terms, _as_fraction(other)))
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, GrassmannElement):
+            if isinstance(other, (int, Fraction)):
+                return GrassmannElement._make(self.rank, _scale(self.terms, _as_fraction(other)))
             return NotImplemented
-        return GrassmannElement._make(self.rank, _product(self.terms, other.terms))
+        return GrassmannElement._make(self.rank, _product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                raise NotInvertibleError("division by zero")
-            return self * (_ONE / other)
-        if not isinstance(other, GrassmannElement):
+        if isinstance(other, GrassmannElement):
+            return self * other.invert()
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * other.invert()
+        other = _as_fraction(other)
+        if other == 0:
+            raise NotInvertibleError("division by zero")
+        return self * (_ONE / other)
 
     def __pow__(self, n: int):
         return _power(self, n, GrassmannElement.unit(self.rank))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.scalar(self.rank, other)
         if not isinstance(other, GrassmannElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GrassmannElement.scalar(self.rank, other)
         return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):

@@ -1,13 +1,20 @@
 """Property suites: one per acceptance area, all exact, all seeded.
 
-Each suite returns a CheckReport; the CLI `selftest` subcommand runs them and
-the acceptance tests assert them under their time budgets.  Item labels state
-their counts and the acceptance tests assert the labels, so a count changes
-only together with them; each main case count is stated once, as a module
-constant that bounds its loop and appears in its label.  Where a library
-certificate exists, the suite only draws seeded inputs and drives it:
-``suite_exact_taylor`` runs ``check_taylor``, ``suite_higher_order`` runs
-``check_def43`` and ``suite_continuation`` runs ``truncation_consistent``.
+Each property is a case function ``case(rng, index)`` that draws one case
+from ``rng`` and returns a tuple of flags, one per item label it checks;
+``_tally`` runs it ``count`` times and adds each label once, as passed when
+every case passed and otherwise with the index of its first failing case.
+Item labels state their counts and the acceptance tests assert the labels, so
+each count is written once, in its ``_tally`` call, and reaches the label
+through ``{n}``.  Where a library certificate exists, the suite only draws
+seeded inputs and drives it: the "taylor" suite runs ``check_taylor``,
+"higher" runs ``check_def43`` and "continuation" runs
+``truncation_consistent``.
+
+``ALL_SUITES`` maps each suite name to its report title and its body;
+``run_suite(name, seed)`` runs one on ``random.Random(seed + i)``, with i the
+suite's position in ``ALL_SUITES``, so a seed reproduces every report of
+``run_suites`` and ``superskel selftest --seed``, whichever suites it runs.
 """
 
 from __future__ import annotations
@@ -28,88 +35,68 @@ from .report import CheckReport
 from .spaces import DeWittDomain, SuperSpace
 from .superfn import Skeleton, SuperFunction, mul_shuffle
 
-CONTINUATION_CASES = 200
-CONTINUATION_RATIONAL_CASES = 20
-TAYLOR_CASES = 100
-CERTIFICATE_CASES = 100
-ALGEBRA_PAIRS = 100
-ALGEBRA_PRODUCT_PAIRS = 200
-COMPOSITION_PAIRS = 100
-COMPOSITION_TRIPLES = 30
-POINT_FUNCTOR_POINTS = 100
-POINT_FUNCTOR_TRIPLES = 50
-HIGHER_ORDER_CASES = 100
-HIGHER_ORDER_WIDE_CASES = 30
-GLUING_ROUND_TRIPS = 50
-FACTOR_CASES = 50
-FORMAT_VALUES = 500
+
+def _tally(report: CheckReport, rng, count: int, case, *labels: str) -> None:
+    """Run ``case(rng, index)`` for each index below ``count``; each call
+    returns one flag per label.  Each label is added once, with ``{n}``
+    filled in from ``count``; a failing one names its first failing case."""
+    first_failure = [None] * len(labels)
+    for index in range(count):
+        for which, passed in enumerate(case(rng, index)):
+            if not passed and first_failure[which] is None:
+                first_failure[which] = index
+    for label, failed_at in zip(labels, first_failure):
+        report.add(label.format(n=count), failed_at is None,
+                   "" if failed_at is None else f"first failure at case {failed_at}")
 
 
-def suite_grassmann_laws(seed: int = 1) -> CheckReport:
+def _grassmann_laws(report: CheckReport, rng) -> None:
     """Ring laws, supercommutativity, inversion and nilpotency."""
-    rng = random.Random(seed)
-    report = CheckReport("grassmann laws")
-    bad_assoc = bad_dist = 0
-    for _ in range(500):
-        a = randgen.random_grassmann(rng, 6, terms=4)
-        b = randgen.random_grassmann(rng, 6, terms=4)
-        c = randgen.random_grassmann(rng, 6, terms=4)
-        if (a * b) * c != a * (b * c):
-            bad_assoc += 1
-        if a * (b + c) != a * b + a * c:
-            bad_dist += 1
-    report.add("associativity on 500 random triples in rank 6", bad_assoc == 0)
-    report.add("distributivity on 500 random triples in rank 6", bad_dist == 0)
+    def ring_laws(rng, index):
+        a, b, c = [randgen.random_grassmann(rng, 6, terms=4) for _ in range(3)]
+        return (a * b) * c == a * (b * c), a * (b + c) == a * b + a * c
 
-    bad = 0
-    for _ in range(500):
+    _tally(report, rng, 500, ring_laws, "associativity on {n} random triples in rank 6",
+           "distributivity on {n} random triples in rank 6")
+
+    def supercommutes(rng, index):
         pa, pb = rng.randint(0, 1), rng.randint(0, 1)
         a = randgen.random_grassmann(rng, 6, parity=pa, terms=3)
         b = randgen.random_grassmann(rng, 6, parity=pb, terms=3)
-        sign = -1 if pa and pb else 1
-        if a * b != sign * (b * a):
-            bad += 1
-    report.add("supercommutativity on 500 homogeneous pairs", bad == 0)
+        return (a * b == (-1 if pa and pb else 1) * (b * a),)
+
+    _tally(report, rng, 500, supercommutes, "supercommutativity on {n} homogeneous pairs")
 
     # exhaustive on basis monomials at rank 5
-    labels = randgen.label_tuples(5)
-    bad = 0
-    for la in labels:
-        for lb in labels:
-            a = GrassmannElement.monomial(5, la)
-            b = GrassmannElement.monomial(5, lb)
-            sign = -1 if len(la) % 2 and len(lb) % 2 else 1
-            if a * b != sign * (b * a):
-                bad += 1
-    report.add("supercommutativity on all rank-5 basis pairs", bad == 0)
+    basis = randgen.label_tuples(5)
 
-    one = GrassmannElement.unit(5)
-    bad = 0
-    for _ in range(100):
+    def basis_pair_supercommutes(rng, index):
+        la, lb = basis[index // len(basis)], basis[index % len(basis)]
+        a, b = GrassmannElement.monomial(5, la), GrassmannElement.monomial(5, lb)
+        return (a * b == (-1 if len(la) % 2 and len(lb) % 2 else 1) * (b * a),)
+
+    _tally(report, rng, len(basis) ** 2, basis_pair_supercommutes,
+           "supercommutativity on all rank-5 basis pairs")
+
+    def inverts(rng, index):
         a = randgen.random_grassmann(rng, 5, terms=4, nonzero_body=True)
-        if a * a.invert() != one:
-            bad += 1
-    report.add("inversion round trip on 100 body-invertible elements", bad == 0)
+        return (a * a.invert() == GrassmannElement.unit(5),)
 
-    bad = 0
-    for _ in range(50):
+    _tally(report, rng, 100, inverts, "inversion round trip on {n} body-invertible elements")
+
+    def soul_nilpotent(rng, index):
         a = randgen.random_grassmann(rng, 5, terms=4)
-        a = a - a.body()
-        if a ** 6 != GrassmannElement.zero(5):
-            bad += 1
-    report.add("soul nilpotency at rank 5", bad == 0)
+        return ((a - a.body()) ** 6 == GrassmannElement.zero(5),)
 
-    bad = 0
-    for _ in range(100):
+    _tally(report, rng, 50, soul_nilpotent, "soul nilpotency at rank 5")
+
+    def multiplicative(rng, index):
         a = randgen.random_grassmann(rng, 4, terms=3)
         b = randgen.random_grassmann(rng, 4, terms=3)
-        if (a * b).body() != a.body() * b.body():
-            bad += 1
         m = randgen.random_morphism(rng, 4, 4)
-        if m(a * b) != m(a) * m(b):
-            bad += 1
-    report.add("body and morphisms are multiplicative", bad == 0)
-    return report
+        return ((a * b).body() == a.body() * b.body() and m(a * b) == m(a) * m(b),)
+
+    _tally(report, rng, 100, multiplicative, "body and morphisms are multiplicative")
 
 
 def _random_case_spaces(rng, max_even=3, max_odd=3):
@@ -118,188 +105,140 @@ def _random_case_spaces(rng, max_even=3, max_odd=3):
     return src, tgt
 
 
-def suite_continuation(seed: int = 2) -> CheckReport:
+def _continuation(report: CheckReport, rng) -> None:
     """Taylor route equals substitution route on random skeletons and points."""
-    rng = random.Random(seed)
-    report = CheckReport("continuation equivalence")
-    bad = 0
-    for case in range(CONTINUATION_CASES):
-        rational = case < CONTINUATION_RATIONAL_CASES
-        src, tgt = _random_case_spaces(rng)
-        f = randgen.random_skeleton(rng, src, tgt, degree=4, terms=3, rational=rational)
-        rank = rng.randint(1, 6)
-        x = randgen.random_point(rng, src, rank)
-        if eval_subst(f, x) != eval_taylor(f, x):
-            bad += 1
-    report.add(f"taylor = subst on {CONTINUATION_CASES} cases "
-               f"({CONTINUATION_RATIONAL_CASES} rational)", bad == 0)
+    rational = 20  # the first cases draw rational skeletons
 
-    bad = 0
-    for _ in range(20):
+    def routes_agree(rng, index):
+        src, tgt = _random_case_spaces(rng)
+        f = randgen.random_skeleton(rng, src, tgt, degree=4, terms=3, rational=index < rational)
+        x = randgen.random_point(rng, src, rng.randint(1, 6))
+        return (eval_subst(f, x) == eval_taylor(f, x),)
+
+    _tally(report, rng, 200, routes_agree, f"taylor = subst on {{n}} cases ({rational} rational)")
+
+    def truncates(rng, index):
         src, tgt = _random_case_spaces(rng)
         f = randgen.random_skeleton(rng, src, tgt, degree=3)
-        x = randgen.random_point(rng, src, rng.randint(1, 5))
-        bad += not truncation_consistent(f, x)
-    report.add("truncation consistency on 20 cases", bad == 0)
-    return report
+        return (truncation_consistent(f, randgen.random_point(rng, src, rng.randint(1, 5))),)
+
+    _tally(report, rng, 20, truncates, "truncation consistency on {n} cases")
 
 
-def suite_exact_taylor(seed: int = 3) -> CheckReport:
+def _exact_taylor(report: CheckReport, rng) -> None:
     """``check_taylor`` on random skeletons: the multi-increment expansion
     equals the substitution difference, and no Taylor shell survives beyond
     the rank."""
-    rng = random.Random(seed)
-    report = CheckReport("exact taylor increments")
-    bad_increments = bad_shells = 0
-    for _ in range(TAYLOR_CASES):
+    def taylor_case(rng, index):
         src, tgt = _random_case_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3)
-        rank = rng.randint(2, 5)
         # one increment case, then the shell bound, in check_taylor's order
-        increments, shells = check_taylor(f, rank, rng, cases=1, max_increments=4).items
-        bad_increments += not increments.passed
-        bad_shells += not shells.passed
-    report.add(f"increment expansion on {TAYLOR_CASES} cases (up to 4 increments)",
-               bad_increments == 0)
-    report.add(f"no taylor shell beyond the rank on {TAYLOR_CASES} cases", bad_shells == 0)
-    return report
+        items = check_taylor(f, rng.randint(2, 5), rng, cases=1, max_increments=4).items
+        return tuple(item.passed for item in items)
+
+    _tally(report, rng, 100, taylor_case, "increment expansion on {n} cases (up to 4 increments)",
+           "no taylor shell beyond the rank on {n} cases")
 
 
-def suite_smoothness_certificate(seed: int = 4) -> CheckReport:
+def _smoothness_certificate(report: CheckReport, rng) -> None:
     """Naturality battery plus even-scalar linearity of derivatives."""
-    rng = random.Random(seed)
-    report = CheckReport("smoothness certificate")
-    bad_nat = bad_lin = 0
-    for case in range(CERTIFICATE_CASES):
+    def certified(rng, index):
         src, tgt = _random_case_spaces(rng, 2, 2)
-        rational = case % 10 == 0
-        f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3, rational=rational)
+        f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3, rational=index % 10 == 0)
         rank = rng.randint(2, 5)
-        rep = check_naturality(f, rank, rng=rng, sample_count=2)
-        if not rep.ok:
-            bad_nat += 1
-        rep = check_lambda_linearity(f, rank, rng=rng, sample_count=2)
-        if not rep.ok:
-            bad_lin += 1
-    report.add(f"naturality battery on {CERTIFICATE_CASES} skeletons", bad_nat == 0)
-    report.add(f"even-scalar linearity on {CERTIFICATE_CASES} skeletons", bad_lin == 0)
-    return report
+        return (check_naturality(f, rank, rng=rng, sample_count=2).ok,
+                check_lambda_linearity(f, rank, rng=rng, sample_count=2).ok)
+
+    _tally(report, rng, 100, certified, "naturality battery on {n} skeletons",
+           "even-scalar linearity on {n} skeletons")
 
 
-def suite_algebra_isomorphism(seed: int = 5) -> CheckReport:
+def _algebra_isomorphism(report: CheckReport, rng) -> None:
     """Evaluation is an algebra map; the two product routes coincide."""
-    rng = random.Random(seed)
-    report = CheckReport("function algebra")
-    bad = 0
-    for _ in range(ALGEBRA_PAIRS):
+    def evaluation_multiplies(rng, index):
         space = randgen.random_spaces(rng, 2, 3)
         h1 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         h2 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         x = randgen.random_point(rng, space, rng.randint(1, 5))
-        if (h1 * h2).eval(x) != h1.eval(x) * h2.eval(x):
-            bad += 1
-    report.add(f"evaluation of products on {ALGEBRA_PAIRS} pairs", bad == 0)
+        return ((h1 * h2).eval(x) == h1.eval(x) * h2.eval(x),)
 
-    bad = 0
-    for case in range(ALGEBRA_PRODUCT_PAIRS):
+    _tally(report, rng, 100, evaluation_multiplies, "evaluation of products on {n} pairs")
+
+    def products_agree(rng, index):
         space = randgen.random_spaces(rng, 2, 4)
-        h1 = randgen.random_superfunction(rng, space, degree=3, terms=3,
-                                          rational=case % 7 == 0)
+        h1 = randgen.random_superfunction(rng, space, degree=3, terms=3, rational=index % 7 == 0)
         h2 = randgen.random_superfunction(rng, space, degree=3, terms=3)
-        if mul_shuffle(h1, h2) != h1 * h2:
-            bad += 1
-    report.add(f"shuffle product = monomial product on {ALGEBRA_PRODUCT_PAIRS} pairs",
-               bad == 0)
+        return (mul_shuffle(h1, h2) == h1 * h2,)
 
-    bad = 0
-    for _ in range(50):
+    _tally(report, rng, 200, products_agree, "shuffle product = monomial product on {n} pairs")
+
+    def supercommutes(rng, index):
         space = randgen.random_spaces(rng, 2, 3)
         pa, pb = rng.randint(0, 1), rng.randint(0, 1)
         h1 = randgen.random_superfunction(rng, space, degree=2, terms=2, parity=pa)
         h2 = randgen.random_superfunction(rng, space, degree=2, terms=2, parity=pb)
-        sign = Fraction(-1 if pa and pb else 1)
-        if h1 * h2 != sign * (h2 * h1):
-            bad += 1
-    report.add("supercommutativity on 50 homogeneous pairs", bad == 0)
+        return (h1 * h2 == Fraction(-1 if pa and pb else 1) * (h2 * h1),)
 
-    bad = 0
-    for _ in range(50):
+    _tally(report, rng, 50, supercommutes, "supercommutativity on {n} homogeneous pairs")
+
+    def inverts(rng, index):
         space = randgen.random_spaces(rng, 2, 3)
         f = randgen.random_superfunction(rng, space, degree=2, terms=3, parity=0,
                                          rational=rng.random() < 0.3)
         if f.coefficient(()).is_zero():
             f = f + Fraction(rng.randint(1, 5))
-        if f * f.invert() != SuperFunction.constant(space, 1):
-            bad += 1
-    report.add("inversion round trip on 50 even superfunctions", bad == 0)
-    return report
+        return (f * f.invert() == SuperFunction.constant(space, 1),)
+
+    _tally(report, rng, 50, inverts, "inversion round trip on {n} even superfunctions")
 
 
-def suite_composition(seed: int = 6) -> CheckReport:
+def _composition(report: CheckReport, rng) -> None:
     """Combinatorial composition equals substitution; category laws hold."""
-    rng = random.Random(seed)
-    report = CheckReport("composition")
-    bad_sym = bad_sampled = 0
-    for case in range(COMPOSITION_PAIRS):
-        src = randgen.random_spaces(rng, 2, 2)
-        mid = randgen.random_spaces(rng, 2, 2)
-        tgt = randgen.random_spaces(rng, 2, 2)
-        f = randgen.random_skeleton(rng, src, mid, degree=3, terms=2,
-                                    rational=case % 5 == 0)
-        g = randgen.random_skeleton(rng, mid, tgt, degree=3, terms=2)
-        by_subst = compose_subst(g, f)
-        by_formula = compose_formula(g, f)
-        if by_subst != by_formula:
-            bad_sym += 1
-            continue
-        bodies = f.source_domain.sample_bodies(rng, 20)
-        for body in bodies:
-            for ca, cb in zip(by_subst.components, by_formula.components):
-                for labels in set(ca.terms) | set(cb.terms):
-                    if ca.coefficient(labels).eval(body) != cb.coefficient(labels).eval(body):
-                        bad_sampled += 1
-    report.add(f"formula = substitution symbolically on {COMPOSITION_PAIRS} pairs",
-               bad_sym == 0)
-    report.add("formula = substitution at 20 body points per pair, all ascending tuples",
-               bad_sampled == 0)
+    bodies = 20  # body points sampled per symbolically equal pair
 
-    bad = 0
-    for _ in range(COMPOSITION_TRIPLES):
-        s1 = randgen.random_spaces(rng, 2, 2)
-        s2 = randgen.random_spaces(rng, 2, 2)
-        s3 = randgen.random_spaces(rng, 2, 2)
-        s4 = randgen.random_spaces(rng, 2, 2)
+    def routes_agree(rng, index):
+        src, mid, tgt = [randgen.random_spaces(rng, 2, 2) for _ in range(3)]
+        f = randgen.random_skeleton(rng, src, mid, degree=3, terms=2, rational=index % 5 == 0)
+        g = randgen.random_skeleton(rng, mid, tgt, degree=3, terms=2)
+        by_subst, by_formula = compose_subst(g, f), compose_formula(g, f)
+        if by_subst != by_formula:
+            return False, True
+        # every body is drawn before the first comparison
+        return True, all(ca.coefficient(labels).eval(body) == cb.coefficient(labels).eval(body)
+                         for body in f.source_domain.sample_bodies(rng, bodies)
+                         for ca, cb in zip(by_subst.components, by_formula.components)
+                         for labels in set(ca.terms) | set(cb.terms))
+
+    _tally(report, rng, 100, routes_agree, "formula = substitution symbolically on {n} pairs",
+           f"formula = substitution at {bodies} body points per pair, all ascending tuples")
+
+    def category_laws(rng, index):
+        s1, s2, s3, s4 = [randgen.random_spaces(rng, 2, 2) for _ in range(4)]
         f = randgen.random_skeleton(rng, s1, s2, degree=2, terms=2)
         g = randgen.random_skeleton(rng, s2, s3, degree=2, terms=2)
         h = randgen.random_skeleton(rng, s3, s4, degree=2, terms=2)
-        left = compose_subst(h, compose_subst(g, f))
-        right = compose_subst(compose_subst(h, g), f)
-        bad += left != right
-        bad += compose_subst(f, Skeleton.identity(s1)) != f
-        bad += compose_subst(Skeleton.identity(s2), f) != f
-    report.add(f"associativity and identity laws on {COMPOSITION_TRIPLES} triples", bad == 0)
+        return (compose_subst(h, compose_subst(g, f)) == compose_subst(compose_subst(h, g), f)
+                and compose_subst(f, Skeleton.identity(s1)) == f
+                and compose_subst(Skeleton.identity(s2), f) == f,)
 
-    bad = 0
-    for _ in range(20):
+    _tally(report, rng, 30, category_laws, "associativity and identity laws on {n} triples")
+
+    def functorial(rng, index):
         src = randgen.random_spaces(rng, 2, 2)
         mid = randgen.random_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, mid, degree=2, terms=2)
         g = randgen.random_skeleton(rng, mid, randgen.random_spaces(rng, 2, 2),
                                     degree=2, terms=2)
         x = randgen.random_point(rng, src, rng.randint(1, 6))
-        if eval_subst(compose_subst(g, f), x) != \
-                eval_subst(g, eval_subst(f, x), check_domain=False):
-            bad += 1
-    report.add("continuation is functorial on 20 cases", bad == 0)
-    return report
+        return (eval_subst(compose_subst(g, f), x)
+                == eval_subst(g, eval_subst(f, x), check_domain=False),)
+
+    _tally(report, rng, 20, functorial, "continuation is functorial on {n} cases")
 
 
-def suite_point_functor(seed: int = 7) -> CheckReport:
+def _point_functor(report: CheckReport, rng) -> None:
     """Points are exactly the evaluation morphisms."""
-    rng = random.Random(seed)
-    report = CheckReport("point functor")
-    bad = 0
-    for _ in range(POINT_FUNCTOR_POINTS):
+    def round_trips(rng, index):
         space = randgen.random_spaces(rng, 2, 2)
         rank = rng.randint(0, 5)
         x = randgen.random_point(rng, space, rank)
@@ -308,20 +247,18 @@ def suite_point_functor(seed: int = 7) -> CheckReport:
                  for i in range(space.even_dim)]
         odds = [ev(SuperFunction.odd_coordinate(space, j + 1))
                 for j in range(space.odd_dim)]
-        if decode_point(space, rank, evens, odds) != x:
-            bad += 1
-    report.add(f"encode/decode round trip on {POINT_FUNCTOR_POINTS} points", bad == 0)
+        return (decode_point(space, rank, evens, odds) == x,)
 
-    bad = 0
-    for _ in range(POINT_FUNCTOR_TRIPLES):
+    _tally(report, rng, 100, round_trips, "encode/decode round trip on {n} points")
+
+    def evaluation_multiplies(rng, index):
         space = randgen.random_spaces(rng, 2, 2)
-        x = randgen.random_point(rng, space, rng.randint(1, 5))
-        ev = encode_point(x)
+        ev = encode_point(randgen.random_point(rng, space, rng.randint(1, 5)))
         h1 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         h2 = randgen.random_superfunction(rng, space, degree=3, terms=3)
-        if ev(h1 * h2) != ev(h1) * ev(h2):
-            bad += 1
-    report.add(f"evaluation is multiplicative on {POINT_FUNCTOR_TRIPLES} pairs", bad == 0)
+        return (ev(h1 * h2) == ev(h1) * ev(h2),)
+
+    _tally(report, rng, 50, evaluation_multiplies, "evaluation is multiplicative on {n} pairs")
 
     space = SuperSpace(1, 1)
     x = randgen.random_point(rng, space, 3)
@@ -336,43 +273,36 @@ def suite_point_functor(seed: int = 7) -> CheckReport:
               (square, square.eval(x) + 1)]
     report.add("forced inconsistency detected",
                not check_algebra_morphism(space, 3, broken).ok)
-    return report
 
 
-def suite_higher_order(seed: int = 8) -> CheckReport:
+def _higher_order(report: CheckReport, rng) -> None:
     """``check_def43`` on random skeletons, failures counted per law.
 
-    The first ``HIGHER_ORDER_WIDE_CASES`` skeletons (rank 2..4) run orders
-    1..3, so every adjacent swap at orders 2 and 3 and the update law at
-    orders 0..3; the rest (rank 1..6) run order 1.  Every tenth skeleton is
-    rational.
+    The first ``wide`` skeletons (rank 2..4) run orders 1..3, so every
+    adjacent swap at orders 2 and 3 and the update law at orders 0..3; the
+    rest (rank 1..6) run order 1.  Every tenth skeleton is rational.
     """
-    rng = random.Random(seed)
-    report = CheckReport("higher-derivative family")
-    wide = HIGHER_ORDER_WIDE_CASES
-    bad = {"supersymmetry": 0, "extends body derivatives": 0, "update law": 0,
-           "nilpotent Taylor sum": 0}
-    for case in range(HIGHER_ORDER_CASES):
-        if case < wide:
+    wide = 30
+    laws = ("supersymmetry", "extends body derivatives", "update law", "nilpotent Taylor sum")
+
+    def laws_hold(rng, index):
+        if index < wide:
             src = randgen.random_spaces(rng, 2, 2, min_total=1)
             rank, orders = rng.randint(2, 4), (1, 2, 3)
         else:
             src = randgen.random_spaces(rng, 2, 2)
             rank, orders = rng.randint(1, 6), (1,)
         tgt = randgen.random_spaces(rng, 2, 2)
-        f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3,
-                                    rational=case % 10 == 0)
-        for item in check_def43(f, rank, rng, cases=1, orders=orders).items:
-            bad[item.label.split(" case ")[0]] += not item.passed
-    report.add(f"supersymmetry signs on all adjacent swaps (orders 2, 3) on {wide} cases",
-               bad["supersymmetry"] == 0)
-    report.add(f"body derivatives extended (orders 1..3 on {wide} cases, 1 on the rest)",
-               bad["extends body derivatives"] == 0)
-    report.add(f"increment update law (orders 0..3 on {wide} cases, 0..1 on the rest)",
-               bad["update law"] == 0)
-    report.add(f"nilpotent taylor sum = substitution on {HIGHER_ORDER_CASES} cases",
-               bad["nilpotent Taylor sum"] == 0)
-    return report
+        f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3, rational=index % 10 == 0)
+        items = check_def43(f, rank, rng, cases=1, orders=orders).items
+        return tuple(all(item.passed for item in items if item.label.split(" case ")[0] == law)
+                     for law in laws)
+
+    _tally(report, rng, 100, laws_hold,
+           f"supersymmetry signs on all adjacent swaps (orders 2, 3) on {wide} cases",
+           f"body derivatives extended (orders 1..3 on {wide} cases, 1 on the rest)",
+           f"increment update law (orders 0..3 on {wide} cases, 0..1 on the rest)",
+           "nilpotent taylor sum = substitution on {n} cases")
 
 
 def _corrupted_gluing() -> GluingData:
@@ -393,26 +323,22 @@ def _inconsistent_squaring_map():
     return {("A", "A"): f_a, ("B", "B"): f_a}
 
 
-def suite_gluing(seed: int = 9) -> CheckReport:
-    rng = random.Random(seed)
-    report = CheckReport("gluing")
+def _gluing(report: CheckReport, rng) -> None:
     line = projective_superline()
     cocycle = check_cocycle(line, rng, samples=25, rank=3)
     report.add("projective superline cocycle", cocycle.ok,
                "" if cocycle.ok else cocycle.summary())
 
     space = SuperSpace(1, 1)
-    bad = 0
-    for _ in range(GLUING_ROUND_TRIPS):
+
+    def round_trips(rng, index):
         rank = rng.randint(1, 4)
         body = [randgen.random_fraction(rng, nonzero=True)]
         x = randgen.random_point_with_body(rng, space, rank, body)
-        mp = ManifoldPoint("A", x)
-        there = transport(line, mp, "B")
-        back = transport(line, there, "A")
-        if back.point != x or back.chart != "A":
-            bad += 1
-    report.add(f"transport round trips on {GLUING_ROUND_TRIPS} points", bad == 0)
+        back = transport(line, transport(line, ManifoldPoint("A", x), "B"), "A")
+        return (back.point == x and back.chart == "A",)
+
+    _tally(report, rng, 50, round_trips, "transport round trips on {n} points")
 
     good = check_global_morphism(line, line, superline_squaring_map(), rng,
                                  samples=8, rank=3)
@@ -425,41 +351,30 @@ def suite_gluing(seed: int = 9) -> CheckReport:
 
     corrupted = check_cocycle(_corrupted_gluing(), rng, samples=10, rank=2)
     report.add("corrupted cocycle detected", not corrupted.ok)
-    return report
 
 
-def suite_factor_and_taylor(seed: int = 10) -> CheckReport:
-    rng = random.Random(seed)
-    report = CheckReport("factorization and taylor polynomials")
-    bad = 0
-    for _ in range(FACTOR_CASES):
+def _factor_and_taylor(report: CheckReport, rng) -> None:
+    def telescopes(rng, index):
         src, tgt = _random_case_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3)
         x0 = DeWittDomain.full(src).sample_bodies(rng, 1)[0]
-        if not hadamard_decompose(f, x0).identity_holds():
-            bad += 1
-    report.add(f"telescoped factorization on {FACTOR_CASES} polynomial skeletons", bad == 0)
+        return (hadamard_decompose(f, x0).identity_holds(),)
 
-    bad = 0
-    for case in range(FACTOR_CASES):
+    _tally(report, rng, 50, telescopes, "telescoped factorization on {n} polynomial skeletons")
+
+    def remainder_vanishes(rng, index):
         src, tgt = _random_case_spaces(rng, 2, 2)
-        f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3,
-                                    rational=case % 3 == 0)
+        f = randgen.random_skeleton(rng, src, tgt, degree=3, terms=3, rational=index % 3 == 0)
         x0 = f.source_domain.sample_bodies(rng, 1)[0]
         degree = rng.randint(0, 3)
-        p = taylor_polynomial(f, x0, degree)
-        if not taylor_remainder_vanishes(f, p, x0, degree):
-            bad += 1
-    report.add(f"taylor remainder order on {FACTOR_CASES} cases", bad == 0)
-    return report
+        return (taylor_remainder_vanishes(f, taylor_polynomial(f, x0, degree), x0, degree),)
+
+    _tally(report, rng, 50, remainder_vanishes, "taylor remainder order on {n} cases")
 
 
-def suite_cli_roundtrip(seed: int = 11) -> CheckReport:
-    rng = random.Random(seed)
-    report = CheckReport("cli formats")
-    bad = 0
-    for case in range(FORMAT_VALUES):
-        kind = case % 3
+def _cli_roundtrip(report: CheckReport, rng) -> None:
+    def value_round_trips(rng, index):
+        kind = index % 3
         if kind == 0:
             rank = rng.randint(0, 6)
             value = randgen.random_grassmann(rng, rank, terms=4)
@@ -467,48 +382,49 @@ def suite_cli_roundtrip(seed: int = 11) -> CheckReport:
         elif kind == 1:
             space = randgen.random_spaces(rng, 3, 3)
             value = randgen.random_superfunction(rng, space, degree=3, terms=4,
-                                                 rational=case % 6 == 0)
+                                                 rational=index % 6 == 0)
             back = parsing.parse_superfunction(value.format(), space)
         else:
             space = randgen.random_spaces(rng, 2, 2)
             value = randgen.random_point(rng, space, rng.randint(0, 5))
             back = parsing.parse_point_file(parsing.format_point(value), space)
-        if back != value:
-            bad += 1
-    report.add(f"parse/format round trip on {FORMAT_VALUES} values", bad == 0)
+        return (back == value,)
 
-    bad = 0
-    for _ in range(20):
+    _tally(report, rng, 500, value_round_trips, "parse/format round trip on {n} values")
+
+    def skeleton_round_trips(rng, index):
         src = randgen.random_spaces(rng, 2, 2)
         tgt = randgen.random_spaces(rng, 2, 2)
         f = randgen.random_skeleton(rng, src, tgt, degree=3, rational=rng.random() < 0.3)
         text = parsing.format_skeleton(f)
         back = parsing.parse_skeleton_file(text)
-        bad += back != f
-        bad += parsing.format_skeleton(back) != text
-    report.add("skeleton files round trip and are idempotent", bad == 0)
-    return report
+        return (back == f and parsing.format_skeleton(back) == text,)
+
+    _tally(report, rng, 20, skeleton_round_trips, "skeleton files round trip and are idempotent")
 
 
 ALL_SUITES = {
-    "grassmann": suite_grassmann_laws,
-    "continuation": suite_continuation,
-    "taylor": suite_exact_taylor,
-    "certificate": suite_smoothness_certificate,
-    "algebra": suite_algebra_isomorphism,
-    "composition": suite_composition,
-    "points": suite_point_functor,
-    "higher": suite_higher_order,
-    "gluing": suite_gluing,
-    "factor": suite_factor_and_taylor,
-    "formats": suite_cli_roundtrip,
+    "grassmann": ("grassmann laws", _grassmann_laws),
+    "continuation": ("continuation equivalence", _continuation),
+    "taylor": ("exact taylor increments", _exact_taylor),
+    "certificate": ("smoothness certificate", _smoothness_certificate),
+    "algebra": ("function algebra", _algebra_isomorphism),
+    "composition": ("composition", _composition),
+    "points": ("point functor", _point_functor),
+    "higher": ("higher-derivative family", _higher_order),
+    "gluing": ("gluing", _gluing),
+    "factor": ("factorization and taylor polynomials", _factor_and_taylor),
+    "formats": ("cli formats", _cli_roundtrip),
 }
 
 
-def run_suites(names=None, seed: int | None = None) -> list[CheckReport]:
-    reports = []
-    for index, (name, suite) in enumerate(ALL_SUITES.items()):
-        if names and name not in names:
-            continue
-        reports.append(suite() if seed is None else suite(seed + index))
-    return reports
+def run_suite(name: str, seed: int = 1) -> CheckReport:
+    """Run one suite on ``random.Random(seed + i)``, i its position in ``ALL_SUITES``."""
+    title, suite = ALL_SUITES[name]
+    report = CheckReport(title)
+    suite(report, random.Random(seed + list(ALL_SUITES).index(name)))
+    return report
+
+
+def run_suites(names=None, seed: int = 1) -> list[CheckReport]:
+    return [run_suite(name, seed) for name in ALL_SUITES if not names or name in names]

@@ -160,12 +160,15 @@ class SuperFunction:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
-            return SuperFunction(self.space, self.domain, {(): other})
+        """``other`` as a superfunction on the same space, or None for a
+        foreign type.  ``Fraction``, an abstract base class whose
+        ``isinstance`` test is slow for other types, is tested last."""
         if isinstance(other, SuperFunction):
             if other.space != self.space:
                 raise SpaceMismatchError("superfunctions live on different spaces")
             return other
+        if isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
+            return SuperFunction(self.space, self.domain, {(): other})
         return None
 
     def __add__(self, other):
@@ -191,12 +194,12 @@ class SuperFunction:
 
     def __mul__(self, other):
         """Monomial-route product: exterior sign law on the odd labels."""
-        if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
-            factor = _as_rf(other, self.space.even_dim)
-            return SuperFunction._make(self.space, self.domain, _scale(self.terms, factor))
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SuperFunction):
+            if isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
+                factor = _as_rf(other, self.space.even_dim)
+                return SuperFunction._make(self.space, self.domain, _scale(self.terms, factor))
             return NotImplemented
+        other = self._coerce(other)
         return SuperFunction._make(self.space, self.domain.intersect(other.domain),
                                    _product(self.terms, other.terms))
 

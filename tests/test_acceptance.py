@@ -25,15 +25,15 @@ def _run(number, label, budget_seconds, report, counted):
     assert elapsed < budget_seconds, f"{line}: over budget"
 
 
-def _timed(suite):
+def _timed(name):
     started = time.perf_counter()
-    report = suite()
+    report = selftest.run_suite(name)
     report._elapsed = time.perf_counter() - started
     return report
 
 
 def test_criterion_01_grassmann_laws():
-    _run(1, "grassmann laws", 10, _timed(selftest.suite_grassmann_laws),
+    _run(1, "grassmann laws", 10, _timed("grassmann"),
          ["associativity on 500 random triples in rank 6",
           "distributivity on 500 random triples in rank 6",
           "supercommutativity on 500 homogeneous pairs",
@@ -41,23 +41,23 @@ def test_criterion_01_grassmann_laws():
 
 
 def test_criterion_02_continuation_equivalence():
-    _run(2, "continuation equivalence", 60, _timed(selftest.suite_continuation),
+    _run(2, "continuation equivalence", 60, _timed("continuation"),
          ["taylor = subst on 200 cases (20 rational)", "truncation consistency on 20 cases"])
 
 
 def test_criterion_03_exact_taylor():
-    _run(3, "exact taylor", 30, _timed(selftest.suite_exact_taylor),
+    _run(3, "exact taylor", 30, _timed("taylor"),
          ["increment expansion on 100 cases (up to 4 increments)",
           "no taylor shell beyond the rank on 100 cases"])
 
 
 def test_criterion_04_smoothness_certificate():
-    _run(4, "smoothness certificate", 60, _timed(selftest.suite_smoothness_certificate),
+    _run(4, "smoothness certificate", 60, _timed("certificate"),
          ["naturality battery on 100 skeletons", "even-scalar linearity on 100 skeletons"])
 
 
 def test_criterion_05_algebra_isomorphism():
-    _run(5, "algebra isomorphism", 30, _timed(selftest.suite_algebra_isomorphism),
+    _run(5, "algebra isomorphism", 30, _timed("algebra"),
          ["evaluation of products on 100 pairs",
           "shuffle product = monomial product on 200 pairs",
           "supercommutativity on 50 homogeneous pairs",
@@ -65,7 +65,7 @@ def test_criterion_05_algebra_isomorphism():
 
 
 def test_criterion_06_composition_formula():
-    _run(6, "composition formula", 120, _timed(selftest.suite_composition),
+    _run(6, "composition formula", 120, _timed("composition"),
          ["formula = substitution symbolically on 100 pairs",
           "formula = substitution at 20 body points per pair, all ascending tuples",
           "associativity and identity laws on 30 triples",
@@ -73,12 +73,12 @@ def test_criterion_06_composition_formula():
 
 
 def test_criterion_07_point_functor():
-    _run(7, "point functor", 20, _timed(selftest.suite_point_functor),
+    _run(7, "point functor", 20, _timed("points"),
          ["encode/decode round trip on 100 points", "evaluation is multiplicative on 50 pairs"])
 
 
 def test_criterion_08_higher_order_family():
-    _run(8, "higher-order family", 60, _timed(selftest.suite_higher_order),
+    _run(8, "higher-order family", 60, _timed("higher"),
          ["supersymmetry signs on all adjacent swaps (orders 2, 3) on 30 cases",
           "body derivatives extended (orders 1..3 on 30 cases, 1 on the rest)",
           "increment update law (orders 0..3 on 30 cases, 0..1 on the rest)",
@@ -86,19 +86,19 @@ def test_criterion_08_higher_order_family():
 
 
 def test_criterion_09_gluing():
-    _run(9, "gluing", 20, _timed(selftest.suite_gluing),
+    _run(9, "gluing", 20, _timed("gluing"),
          ["transport round trips on 50 points"])
 
 
 def test_criterion_10_factorization_taylor():
     _run(10, "factorization and taylor polynomials", 20,
-         _timed(selftest.suite_factor_and_taylor),
+         _timed("factor"),
          ["telescoped factorization on 50 polynomial skeletons",
           "taylor remainder order on 50 cases"])
 
 
 def test_criterion_11_cli():
-    report = _timed(selftest.suite_cli_roundtrip)
+    report = _timed("formats")
     # fold the CLI end-to-end checks into the same criterion
     started = time.perf_counter()
     import io

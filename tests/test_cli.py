@@ -103,6 +103,10 @@ def test_checks_pass(files):
         for rank, samples in (("3", "3"), ("0", "1")):
             code, _ = run(["check", kind, files["f"], "--rank", rank, "--samples", samples])
             assert code == 0, (kind, rank)
+    # no generator carries an increment at rank 0: each increment case is a
+    # skip, and the shell item still checks
+    code, out = run(["check", "taylor", files["f"], "--rank", "0", "--samples", "2"])
+    assert code == 0 and out.endswith(": 1 passed, 0 failed, 2 skipped\n")
 
 
 def test_glue_check(files):
