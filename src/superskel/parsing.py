@@ -12,6 +12,16 @@ Variables are x<n> (even), t<n> (odd) in superfunction context and g<n>
 is how generator monomials like ``g1g2`` are written.  Rationals arise from
 integer division.  All parsing is line oriented and errors carry positions:
 in a file, columns count from the start of the line.
+
+A term is evaluated as one monomial, not one ring product per atom.  Its
+atoms fold into a pending monomial as they are read: numbers, powers of
+numbers, unary minus and division by a nonzero number into a rational
+coefficient, variables (with their exponents) into a list in reading order.
+The value context builds that monomial once (``monomial``), sorting odd
+labels with their sign.  Ring arithmetic happens only at a non-atom factor,
+a parenthesis or a division by anything but a nonzero number (``/0``
+included, so it raises the ring's own error at its ``/``); the pending
+monomial is multiplied in first, so odd factors keep their order.
 """
 
 from __future__ import annotations
@@ -22,13 +32,14 @@ from fractions import Fraction
 
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
-from .grassmann import GrassmannElement
-from .poly import _LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, _number_text
+from .grassmann import GrassmannElement, sort_sign
+from .poly import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, RationalFunction, _as_fraction,
+                   _number_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
 # Input limits that keep small inputs from ending in an interpreter error:
-# each level of parentheses costs five parser frames of Python's recursion
+# each level of parentheses costs four parser frames of Python's recursion
 # limit, and integer literals stop at MAX_LITERAL_DIGITS (from poly, where it
 # caps printed numbers too), below Python's int-to-text limit.  A number
 # written as a power obeys the same cap (``_power_too_long``), so ``3^10000000``
@@ -110,67 +121,114 @@ class _Parser:
         return value
 
     def parse_term(self):
-        value = self.parse_factor()
-        while self.at_op("*", "/"):
+        """The product of a term's factors.  Atoms fold into a pending
+        monomial (a coefficient and the variable atoms in reading order),
+        which meets ring arithmetic only at a non-atom factor: before a
+        parenthesis, or a division by anything but a nonzero number, it is
+        multiplied into ``value``, so odd factors keep their order."""
+        value = None  # the factors multiplied out so far; None stands for 1
+        coeff, atoms = 1, []
+        op = None
+        while True:
+            factor_coeff, factor_atoms, ring = self.parse_factor()
+            if op is None or op.text == "*":
+                if ring is not None:
+                    value = self.times_monomial(value, coeff, atoms)
+                    value = ring if value is None else value * ring
+                    coeff, atoms = 1, []
+                coeff *= factor_coeff
+                atoms += factor_atoms
+            elif ring is None and not factor_atoms and factor_coeff:
+                coeff = Fraction(coeff, factor_coeff)
+            else:
+                value = self.times_monomial(value, coeff, atoms)
+                if value is None:
+                    value = self.context.monomial(1, [])
+                divisor = self.times_monomial(ring, factor_coeff, factor_atoms)
+                try:
+                    value = value / divisor
+                except SuperskelError as exc:
+                    raise ParseError(str(exc), op.line, op.column)
+                coeff, atoms = 1, []
+            if not self.at_op("*", "/"):
+                break
             op = self.next()
-            rhs = self.parse_factor()
-            try:
-                value = value * rhs if op.text == "*" else value / rhs
-            except SuperskelError as exc:
-                raise ParseError(str(exc), op.line, op.column)
-        return value
+        value = self.times_monomial(value, coeff, atoms)
+        return self.context.monomial(1, []) if value is None else value
+
+    def times_monomial(self, value, coeff, atoms):
+        """``value`` times the monomial ``coeff`` * ``atoms``, where None
+        stands for 1 and a monomial 1 is no factor."""
+        if coeff == 1 and not atoms:
+            return value
+        monomial = self.context.monomial(coeff, atoms)
+        return monomial if value is None else value * monomial
 
     def parse_factor(self):
-        negate = False
+        """A factor as (coefficient, variable atoms (kind, index, exponent),
+        ring value of its leading parenthesis or None): the factor is that
+        value times the monomial."""
+        coeff, ring = 1, None
         if self.at_op("-"):
             self.next()
-            negate = True
-        value = self.parse_powered_atom()
-        while self.peek().kind == "name" and _VAR_RE.match(self.peek().text):
-            value = value * self.parse_powered_atom()
-        return -value if negate else value
-
-    def parse_powered_atom(self):
-        value = self.parse_atom()
-        if self.at_op("^"):
-            op = self.next()
-            token = self.peek()
-            if token.kind != "num":
-                raise ParseError("exponent must be a non-negative integer",
-                                 token.line, token.column)
-            self.next()
-            n = int(token.text)
-            if _power_too_long(value, n):
-                raise ParseError(f"the power has a number longer than {MAX_LITERAL_DIGITS} "
-                                 "digits", op.line, op.column)
-            try:
-                value = value ** n
-            except SuperskelError as exc:
-                raise ParseError(str(exc), op.line, op.column)
-        return value
-
-    def parse_atom(self):
+            coeff = -1
         token = self.peek()
         if token.kind == "num":
             self.next()
-            return self.context.const(Fraction(int(token.text)))
-        if token.kind == "name":
-            match = _VAR_RE.match(token.text)
-            if match is None:
+            base = int(token.text)
+            coeff *= base ** self.parse_exponent(base)[0]
+        elif token.kind == "name":
+            if _VAR_RE.match(token.text) is None:
                 raise ParseError(f"unknown name {token.text!r}", token.line, token.column)
-            self.next()
-            return self.context.var(match.group(1), int(match.group(2)), token)
-        if self.at_op("("):
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 token.line, token.column)
-            self.next()
-            self.depth += 1
-            value = self.parse_expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return value
-        raise ParseError("expected a value", token.line, token.column)
+        elif self.at_op("("):
+            ring = self.parse_parenthesis()
+            n, op = self.parse_exponent(ring)
+            if op is not None:
+                try:
+                    ring = ring ** n
+                except SuperskelError as exc:
+                    raise ParseError(str(exc), op.line, op.column)
+        else:
+            raise ParseError("expected a value", token.line, token.column)
+        atoms = []
+        while self.peek().kind == "name":
+            match = _VAR_RE.match(self.peek().text)
+            if match is None:
+                break
+            kind, index = match.group(1), int(match.group(2))
+            self.context.atom(kind, index, self.next())
+            atoms.append((kind, index, self.parse_exponent()[0]))
+        return coeff, atoms, ring
+
+    def parse_exponent(self, base=None):
+        """(n, the '^' token) for an atom's ``^ n``, (1, None) without one.
+        A number or parenthesis ``base`` obeys the literal cap: its power
+        is refused at the '^' when ``_power_too_long``."""
+        if not self.at_op("^"):
+            return 1, None
+        op = self.next()
+        token = self.peek()
+        if token.kind != "num":
+            raise ParseError("exponent must be a non-negative integer",
+                             token.line, token.column)
+        self.next()
+        n = int(token.text)
+        if base is not None and _power_too_long(base, n):
+            raise ParseError(f"the power has a number longer than {MAX_LITERAL_DIGITS} "
+                             "digits", op.line, op.column)
+        return n, op
+
+    def parse_parenthesis(self):
+        token = self.peek()
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                             token.line, token.column)
+        self.next()
+        self.depth += 1
+        value = self.parse_expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return value
 
     def finish(self, value):
         token = self.peek()
@@ -184,14 +242,16 @@ def _power_too_long(value, n: int) -> bool:
     """True when ``value ** n`` would hold a number longer than
     ``MAX_LITERAL_DIGITS``: a number written as a power obeys the cap of one
     written out.  The test is on the coefficients c of ``value`` whose n-th
-    powers are coefficients of ``value ** n``: the lex-leading and
-    lex-trailing ones of a polynomial, of the body's numerator for a
-    superfunction, and the body of a Grassmann element.  It is decided
+    powers are coefficients of ``value ** n``: an int itself, the
+    lex-leading and lex-trailing ones of a polynomial, of the body's
+    numerator for a superfunction, and the body of a Grassmann element.  It is decided
     from n and the bit lengths of each c's numerator and denominator before
     anything large is computed."""
     if isinstance(value, SuperFunction):
         value = value.coefficient(()).num
-    if isinstance(value, Polynomial):
+    if isinstance(value, int):
+        coefficients = [value]
+    elif isinstance(value, Polynomial):
         if value.is_zero():
             return False
         terms = value.terms
@@ -211,58 +271,93 @@ def _power_too_long(value, n: int) -> bool:
     return False
 
 
+def _odd_labels(odd):
+    """(sign, labels) of the product of odd atoms, (index, exponent) pairs
+    in reading order: the sorted labels and the sign of sorting them, sign
+    0 when a label repeats or an exponent passes 1."""
+    labels = []
+    for index, k in odd:
+        if k > 1:
+            return 0, ()
+        if k:
+            labels.append(index)
+    return sort_sign(labels)
+
+
+def _exponents(nvars, even):
+    """The exponent tuple of the product of even atoms (index, exponent)."""
+    exps = [0] * nvars
+    for index, k in even:
+        exps[index - 1] += k
+    return tuple(exps)
+
+
+# A value context checks each variable atom as it is read (``atom``) and
+# builds each term's monomial once (``monomial``), from an int or Fraction
+# coefficient and the validated atoms (kind, index, exponent) in reading order.
+
+
 class GrassmannContext:
     def __init__(self, rank: int):
+        GrassmannElement.zero(rank)  # the rank's sign and cap
         self.rank = rank
 
-    def const(self, value: Fraction):
-        return GrassmannElement.scalar(self.rank, value)
-
-    def var(self, kind, index, token):
+    def atom(self, kind, index, token):
         if kind != "g":
             raise ParseError(f"only generators g1..g{self.rank} are allowed here",
                              token.line, token.column)
         if not 1 <= index <= self.rank:
             raise ParseError(f"generator g{index} exceeds rank {self.rank}",
                              token.line, token.column)
-        return GrassmannElement.generator(self.rank, index)
+
+    def monomial(self, coeff, atoms):
+        sign, labels = _odd_labels((index, k) for _, index, k in atoms)
+        coeff *= sign
+        return GrassmannElement._make(self.rank, {labels: _as_fraction(coeff)} if coeff else {})
 
 
 class SuperFunctionContext:
     def __init__(self, space: SuperSpace, domain: DeWittDomain | None = None):
         self.space = space
-        self.domain = domain or DeWittDomain.full(space)
+        self.domain = SuperFunction.zero(space, domain).domain  # checks its space
 
-    def const(self, value: Fraction):
-        return SuperFunction.constant(self.space, value, self.domain)
-
-    def var(self, kind, index, token):
+    def atom(self, kind, index, token):
         if kind == "x":
             if not 1 <= index <= self.space.even_dim:
                 raise ParseError(f"no even coordinate x{index} on {self.space}",
                                  token.line, token.column)
-            return SuperFunction.even_coordinate(self.space, index, self.domain)
-        if kind == "t":
+        elif kind == "t":
             if not 1 <= index <= self.space.odd_dim:
                 raise ParseError(f"no odd coordinate t{index} on {self.space}",
                                  token.line, token.column)
-            return SuperFunction.odd_coordinate(self.space, index, self.domain)
-        raise ParseError("generators are not allowed in coordinate expressions",
-                         token.line, token.column)
+        else:
+            raise ParseError("generators are not allowed in coordinate expressions",
+                             token.line, token.column)
+
+    def monomial(self, coeff, atoms):
+        sign, labels = _odd_labels((index, k) for kind, index, k in atoms if kind == "t")
+        coeff *= sign
+        if not coeff:
+            return SuperFunction._make(self.space, self.domain, {})
+        p = self.space.even_dim
+        exps = _exponents(p, ((index, k) for kind, index, k in atoms if kind == "x"))
+        num = Polynomial._monomial(p, exps, coeff)
+        return SuperFunction._make(self.space, self.domain,
+                                   {labels: RationalFunction._raw(num, ())})
 
 
 class PolynomialContext:
     def __init__(self, nvars: int):
         self.nvars = nvars
 
-    def const(self, value: Fraction):
-        return Polynomial.constant(self.nvars, value)
-
-    def var(self, kind, index, token):
+    def atom(self, kind, index, token):
         if kind != "x" or not 1 <= index <= self.nvars:
             raise ParseError(f"only x1..x{self.nvars} may appear in body polynomials",
                              token.line, token.column)
-        return Polynomial.variable(self.nvars, index - 1)
+
+    def monomial(self, coeff, atoms):
+        exps = _exponents(self.nvars, ((index, k) for _, index, k in atoms))
+        return Polynomial._monomial(self.nvars, exps, coeff)
 
 
 def parse_expression(text: str, context, line: int = 1, column: int = 1):

@@ -42,10 +42,12 @@ _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
 
 def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
+    # int first: ``isinstance`` against Fraction, an abstract base class, is
+    # slow for other types
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -377,6 +379,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
+        return cls._monomial(nvars, (0,) * nvars, value)
+
+    @classmethod
+    def _monomial(cls, nvars: int, exps: tuple, value) -> "Polynomial":
+        # trusted: exps a tuple of nvars ints >= 0; value an int or Fraction
         value = _as_fraction(value)
         n, d = value.as_integer_ratio()
         if not n:
@@ -385,7 +392,7 @@ class Polynomial:
             content = _ONE
         else:
             content = value if n > 0 else -value
-        return cls._make(nvars, {(0,) * nvars: 1 if n > 0 else -1}, content)
+        return cls._make(nvars, {exps: 1 if n > 0 else -1}, content)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":

@@ -1,17 +1,21 @@
 import random
 import time
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superskel import parsing, randgen
-from superskel.errors import ParseError
+from superskel.errors import ParseError, SuperskelError
 from superskel.grassmann import GrassmannElement as G
 from superskel.poly import Polynomial
 from superskel.spaces import DeWittDomain, SuperSpace
 from superskel.superfn import SuperFunction
 
 S12 = SuperSpace(1, 2)
+S33 = SuperSpace(3, 3)
 
 
 def test_expression_examples():
@@ -45,6 +49,169 @@ def test_positions_in_errors():
         parsing.parse_grassmann("g9", 2)
     with pytest.raises(ParseError):
         parsing.parse_superfunction("x1 x1 +", SuperSpace(1, 0))
+    # a term's atoms fold into one monomial; an atom or a division is still
+    # refused at its own column, with the value context's own message
+    s11, s22 = SuperSpace(1, 1), SuperSpace(2, 2)
+    for parse, text, message, column in (
+            (partial(parsing.parse_superfunction, space=s11), "x1 + 1/0",
+             "body coefficient is identically zero", 7),
+            (partial(parsing.parse_grassmann, rank=1), "g1 + 1/0",
+             "element has zero body, hence no inverse", 7),
+            (partial(parsing.parse_body_polynomial, nvars=1), "x1 + 1/0", "division by zero", 7),
+            (partial(parsing.parse_superfunction, space=s22), "x3*t1",
+             "no even coordinate x3 on SuperSpace(2|2)", 1),
+            (partial(parsing.parse_superfunction, space=s22), "2*t3",
+             "no odd coordinate t3 on SuperSpace(2|2)", 3),
+            (partial(parsing.parse_superfunction, space=s22), "g1",
+             "generators are not allowed in coordinate expressions", 1),
+            (partial(parsing.parse_superfunction, space=s11), "x1/t1",
+             "only even superfunctions are invertible", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, 1, column), text
+
+
+# -- the parser against operator arithmetic -----------------------------------
+# An expression tree is drawn once and read in all three value contexts: its
+# text must parse to the value the ring operators give for the tree, and where
+# those raise, the parse must raise ParseError with the same message.  A
+# variable leaf is a slot 0..5, named per context.
+
+_NAMES = {"superfunction": ("x1", "x2", "x3", "t1", "t2", "t3"),
+          "grassmann": ("g1", "g2", "g3") * 2,
+          "polynomial": ("x1", "x2", "x3") * 2}
+_PARSE = {"superfunction": lambda text: parsing.parse_superfunction(text, S33),
+          "grassmann": lambda text: parsing.parse_grassmann(text, 3),
+          "polynomial": lambda text: parsing.parse_body_polynomial(text, 3)}
+_NUMBER = {"superfunction": lambda n: SuperFunction.constant(S33, n),
+           "grassmann": lambda n: G.scalar(3, n),
+           "polynomial": lambda n: Polynomial.constant(3, n)}
+_VARIABLE = {"superfunction": lambda s: (SuperFunction.even_coordinate(S33, s + 1) if s < 3
+                                         else SuperFunction.odd_coordinate(S33, s - 2)),
+             "grassmann": lambda s: G.generator(3, s % 3 + 1),
+             "polynomial": lambda s: Polynomial.variable(3, s % 3)}
+
+
+def _num(n):
+    return ("num", n)
+
+
+def _var(slot):
+    return ("var", slot)
+
+
+def _is_var_atom(tree):
+    return tree[0] == "var" or tree[0] == "pow" and tree[1][0] == "var"
+
+
+def _render(tree, names):
+    """(text, precedence) of a tree: 0 for an atom, 1 for a power, 2 for a
+    factor (unary minus, juxtaposition), 3 for a term, 4 for a sum."""
+    kind = tree[0]
+
+    def wrapped(sub, above):
+        text, level = _render(sub, names)
+        return f"({text})" if level > above else text
+
+    if kind == "num":
+        return str(tree[1]), 0
+    if kind == "var":
+        return names[tree[1]], 0
+    if kind == "paren":
+        return f"({_render(tree[1], names)[0]})", 0
+    if kind == "pow":
+        return f"{wrapped(tree[1], 0)}^{tree[2]}", 1
+    if kind == "neg":
+        text = wrapped(tree[1], 2)
+        return f"-({text})" if text.startswith("-") else f"-{text}", 2
+    if kind == "mul":
+        a, b, sep = tree[1:]
+        if sep in (" ", "") and _is_var_atom(b):  # juxtaposition
+            left, level = _render(a, names)
+            if level == 4 or a[0] == "div":  # a divisor would take b in
+                left, level = f"({left})", 0
+            return left + sep + _render(b, names)[0], max(level, 2)
+        sep = sep if "*" in sep else "*"
+        return wrapped(a, 3) + sep + wrapped(b, 2), 3
+    if kind == "div":
+        return f"{wrapped(tree[1], 3)}/{wrapped(tree[2], 2)}", 3
+    return f"{_render(tree[1], names)[0]} {tree[3]} {wrapped(tree[2], 3)}", 4
+
+
+def _evaluate(tree, context):
+    kind = tree[0]
+    if kind == "num":
+        return _NUMBER[context](tree[1])
+    if kind == "var":
+        return _VARIABLE[context](tree[1])
+    if kind in ("paren", "neg", "pow"):
+        value = _evaluate(tree[1], context)
+        return value if kind == "paren" else -value if kind == "neg" else value ** tree[2]
+    a, b = _evaluate(tree[1], context), _evaluate(tree[2], context)
+    if kind == "mul":
+        return a * b
+    if kind == "div":
+        return a / b
+    return a + b if tree[3] == "+" else a - b
+
+
+_ATOM = st.one_of(st.integers(0, 12).map(_num), st.integers(0, 5).map(_var))
+_LEAF = st.one_of(_ATOM, st.tuples(st.just("pow"), _ATOM, st.integers(0, 4)))
+
+
+def _trees(depth):
+    if depth == 0:
+        return _LEAF
+    sub = _trees(depth - 1)
+    divisor = st.one_of(st.integers(0, 12).map(_num), st.integers(0, 5).map(_var),
+                        st.tuples(st.just("paren"), st.tuples(st.just("add"), sub, sub,
+                                                              st.sampled_from("+-"))),
+                        sub)
+    return st.one_of(_LEAF,
+                     st.tuples(st.just("neg"), sub),
+                     st.tuples(st.just("pow"), sub, st.integers(0, 4)),
+                     st.tuples(st.just("mul"), sub, sub, st.sampled_from(["*", " * ", " ", ""])),
+                     st.tuples(st.just("div"), sub, divisor),
+                     st.tuples(st.just("add"), sub, sub, st.sampled_from("+-")),
+                     st.tuples(st.just("paren"), sub))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(3))
+@example(("mul", _var(4), _var(3), "*"))                                    # t2*t1
+@example(("mul", ("mul", _var(3), _var(4), "*"), _var(3), "*"))             # t1*t2*t1
+@example(("pow", _var(3), 2))                                               # t1^2
+@example(("pow", _var(3), 0))                                               # t1^0
+@example(("mul", ("mul", ("mul", _num(2), _var(0), " "), _var(4), " "), _var(3), " "))
+@example(("mul", _var(0), ("neg", _num(2)), " * "))                         # x1 * -2
+@example(("add", ("mul", ("div", ("neg", _num(3)), _num(2)), _num(1), "*"),
+          ("mul", _num(2), ("mul", _var(5), _var(3), ""), "*"), "-"))       # -3/2*1 - 2*g3g1
+def test_parse_equals_operator_evaluation(tree):
+    for context, names in _NAMES.items():
+        text = _render(tree, names)[0]
+        try:
+            expected = _evaluate(tree, context)
+        except SuperskelError as exc:
+            with pytest.raises(ParseError) as err:
+                _PARSE[context](text)
+            assert err.value.message == str(exc), (context, text)
+            continue
+        value = _PARSE[context](text)
+        assert value == expected and value.format() == expected.format(), (context, text)
+        if context == "superfunction":
+            assert value.domain.excluded == expected.domain.excluded, text
+
+
+def test_rendered_examples():
+    """The pinned examples above render to the texts they stand for."""
+    for tree, context, text in (
+            (("mul", ("mul", ("mul", _num(2), _var(0), " "), _var(4), " "), _var(3), " "),
+             "superfunction", "2 x1 t2 t1"),
+            (("mul", _var(0), ("neg", _num(2)), " * "), "polynomial", "x1 * -2"),
+            (("add", ("mul", ("div", ("neg", _num(3)), _num(2)), _num(1), "*"),
+              ("mul", _num(2), ("mul", _var(5), _var(3), ""), "*"), "-"),
+             "grassmann", "-3/2*1 - 2*g3g1")):
+        assert _render(tree, _NAMES[context])[0] == text
 
 
 def test_grassmann_format_spec():
