@@ -271,25 +271,22 @@ def _power_too_long(value, n: int) -> bool:
     return False
 
 
-def _odd_labels(odd):
-    """(sign, labels) of the product of odd atoms, (index, exponent) pairs
-    in reading order: the sorted labels and the sign of sorting them, sign
-    0 when a label repeats or an exponent passes 1."""
-    labels = []
-    for index, k in odd:
-        if k > 1:
-            return 0, ()
-        if k:
-            labels.append(index)
-    return sort_sign(labels)
-
-
-def _exponents(nvars, even):
-    """The exponent tuple of the product of even atoms (index, exponent)."""
+def _monomial_parts(atoms, nvars: int):
+    """(exponent tuple of the x atoms, sign, labels of the t and g atoms)
+    for variable atoms (kind, index, exponent) in reading order: the labels
+    sorted, and the sign of sorting them, 0 when a label repeats or an odd
+    atom's exponent passes 1."""
     exps = [0] * nvars
-    for index, k in even:
-        exps[index - 1] += k
-    return tuple(exps)
+    labels = []
+    for kind, index, k in atoms:
+        if kind == "x":
+            exps[index - 1] += k
+        elif k > 1:
+            return (), 0, ()
+        elif k:
+            labels.append(index)
+    sign, labels = sort_sign(labels)
+    return tuple(exps), sign, labels
 
 
 # A value context checks each variable atom as it is read (``atom``) and
@@ -311,7 +308,7 @@ class GrassmannContext:
                              token.line, token.column)
 
     def monomial(self, coeff, atoms):
-        sign, labels = _odd_labels((index, k) for _, index, k in atoms)
+        _, sign, labels = _monomial_parts(atoms, 0)
         coeff *= sign
         return GrassmannElement._make(self.rank, {labels: _as_fraction(coeff)} if coeff else {})
 
@@ -335,12 +332,11 @@ class SuperFunctionContext:
                              token.line, token.column)
 
     def monomial(self, coeff, atoms):
-        sign, labels = _odd_labels((index, k) for kind, index, k in atoms if kind == "t")
+        p = self.space.even_dim
+        exps, sign, labels = _monomial_parts(atoms, p)
         coeff *= sign
         if not coeff:
             return SuperFunction._make(self.space, self.domain, {})
-        p = self.space.even_dim
-        exps = _exponents(p, ((index, k) for kind, index, k in atoms if kind == "x"))
         num = Polynomial._monomial(p, exps, coeff)
         return SuperFunction._make(self.space, self.domain,
                                    {labels: RationalFunction._raw(num, ())})
@@ -356,8 +352,7 @@ class PolynomialContext:
                              token.line, token.column)
 
     def monomial(self, coeff, atoms):
-        exps = _exponents(self.nvars, ((index, k) for _, index, k in atoms))
-        return Polynomial._monomial(self.nvars, exps, coeff)
+        return Polynomial._monomial(self.nvars, _monomial_parts(atoms, self.nvars)[0], coeff)
 
 
 def parse_expression(text: str, context, line: int = 1, column: int = 1):
