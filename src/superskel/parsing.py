@@ -244,9 +244,9 @@ def _power_too_long(value, n: int) -> bool:
     written out.  The test is on the coefficients c of ``value`` whose n-th
     powers are coefficients of ``value ** n``: an int itself, the
     lex-leading and lex-trailing ones of a polynomial, of the body's
-    numerator for a superfunction, and the body of a Grassmann element.  It is decided
-    from n and the bit lengths of each c's numerator and denominator before
-    anything large is computed."""
+    numerator for a superfunction, and the body of a Grassmann element.  It
+    is decided from n and the bit lengths of each c's numerator and
+    denominator before anything large is computed."""
     if isinstance(value, SuperFunction):
         value = value.coefficient(()).num
     if isinstance(value, int):
