@@ -212,12 +212,10 @@ def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:
     quotient_comps = []
     for f1, f0 in zip(shifted.components, unshifted.components):
         diff = f1 - f0
-        terms = {}
-        for labels, coeff in diff.terms.items():
-            # a factor dividing num / t would divide num: no new cancellation
-            terms[labels] = RationalFunction._raw(coeff.num.divide_by_variable(t_index0),
-                                                  coeff.factors)
-        quotient_comps.append(SuperFunction(ext_space, diff.domain, terms))
+        # a factor dividing num / t would divide num: no new cancellation
+        coeffs = {m: RationalFunction._raw(c.num.divide_by_variable(t_index0), c.factors)
+                  for m, c in diff._coeffs.items()}
+        quotient_comps.append(SuperFunction._make(ext_space, diff.domain, coeffs))
     quotient = Skeleton(ext_space, ext_domain, skeleton.target_space,
                         skeleton.target_domain, quotient_comps)
     return BGNQuotient(skeleton, ext_space, ext_domain, shifted, unshifted, quotient)

@@ -1,20 +1,38 @@
 """Exact arithmetic in finite-rank Grassmann algebras over the rationals.
 
-Elements are sparse sums of monomials in anticommuting generators g1..gN,
-indexed by strictly increasing label tuples; the empty tuple is the body
-(scalar) component.  The product follows the usual exterior-algebra sign law:
-two monomials sharing a generator multiply to zero, otherwise the result is
-the merged monomial times (-1)^(number of label inversions).
+Elements are sparse sums of monomials in anticommuting generators g1..gN.
+A monomial g_l1...g_lk with l1 < ... < lk is keyed by the int bitmask whose
+bit l - 1 is set for each label l; mask 0 is the body (scalar) component.
+The product follows the usual exterior-algebra sign law: two monomials
+sharing a generator (``m1 & m2``) multiply to zero, otherwise the result is
+the monomial ``m1 | m2`` times (-1)^(number of label inversions).  That sign
+is read from a row of signs per left mask, built on first use and cached per
+rank (``_sign_row``), so a product runs no merge of label sequences.
 
-The arithmetic itself is written once, as private functions over ``terms``
-dicts, and works over any coefficient ring whose zero is falsy: Fractions
-here, rational functions for the odd-monomial part of a ``SuperFunction``
-(an element of C(U) tensor the exterior algebra on the odd coordinates).
-Sums, negation, scaling and the power ``_power`` are the sparse-term kernel
-of ``poly.py``; only what is particular to the exterior algebra lives here:
-label validation, the sign-law ``_product``, ``_geometric_inverse``, parity,
-and ``_substitute``, which evaluates an exterior polynomial at images of its
-generators (a morphism applied to an element, a superfunction at a point).
+The exterior-algebra kernel is written once, as private functions over
+mask-keyed dicts with coefficients in any ring whose zero is falsy: int
+numerators here, rational functions for the odd-monomial part of a
+``SuperFunction`` (an element of C(U) tensor the exterior algebra on the odd
+coordinates).  Sums, negation, scaling and the power ``_power`` are the
+sparse-term kernel of ``poly.py``; only what is particular to the exterior
+algebra lives here: label validation, the sign-law ``_product``, parity,
+``_geometric_inverse`` and ``_substitute``, which evaluates an exterior
+polynomial at images of its generators (a morphism applied to an element, a
+superfunction at a point).
+
+A ``GrassmannElement`` is stored as int numerators ``_ints`` over one
+positive int denominator ``_den`` with gcd(_den, *_ints) = 1.  That form is
+unique, so equality and hashing compare (rank, _den, _ints).  Gauss's lemma
+does not hold here (the algebra has zero divisors: (g1 + 3g2)(g1 - 3g2) =
+-6 g1g2), so every product, sum and part is reduced against ``_den``
+afterwards.
+
+Label tuples appear only at the boundary: the public constructors,
+``coefficient`` (which reads any label sequence up to sign), ``format``,
+the parser's monomials and the read-only ``terms`` view, a new dict from
+label tuples to Fractions built on each read.  ``merge_sign`` and
+``sort_sign`` work on such tuples; the product shares neither, so they stay
+independent oracles for the Taylor and formula routes that use them.
 
 Morphisms between these algebras are determined by the generator images,
 which must be purely odd; this makes the induced map even and unital.
@@ -22,14 +40,14 @@ which must be purely odd; this makes the induced map even and unital.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import _accumulate, _as_fraction, _negate, _number_text, _power, _scale, _signed_sum, _sum
+from .poly import _accumulate, _as_fraction, _number_text, _power, _scale, _signed_sum, _sum
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_MAX_RANK = 8
 MAX_RANK_ENV = "SUPERSKEL_MAX_RANK"
@@ -90,44 +108,136 @@ def sort_sign(labels) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(labels)
 
 
+# -- masks and label tuples ----------------------------------------------------
+
+_LABELS: dict[int, tuple[int, ...]] = {0: ()}
+
+
+def _labels(mask: int) -> tuple[int, ...]:
+    """The ascending labels of a mask (cached)."""
+    labels = _LABELS.get(mask)
+    if labels is None:
+        labels = _LABELS[mask] = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    return labels
+
+
+def _mask(labels) -> int:
+    """The mask of distinct labels >= 1."""
+    mask = 0
+    for label in labels:
+        mask |= 1 << (label - 1)
+    return mask
+
+
+def _label_mask(labels, top: int, what: str) -> int:
+    """The mask of outside input: labels in 1..top, strictly increasing."""
+    labels = tuple(int(l) for l in labels)
+    mask = previous = 0
+    increasing = True
+    for label in labels:
+        if label < 1 or label > top:
+            raise SuperskelError(f"{what} label out of range in {labels} (at most {top})")
+        if label <= previous:
+            increasing = False
+        previous = label
+        mask |= 1 << (label - 1)
+    if not increasing:
+        raise SuperskelError(f"{what} labels must be strictly increasing, got {labels}")
+    return mask
+
+
+def _signed_mask(labels) -> tuple[int, int]:
+    """(sign, mask) with g_labels = sign * g_mask for any label sequence; the
+    sign is 0 when a label repeats or is below 1 (no such monomial)."""
+    sign, ordered = sort_sign(labels)
+    if not sign or ordered and ordered[0] < 1:
+        return 0, 0
+    return sign, _mask(ordered)
+
+
+def _label_key(mask: int):
+    """Sort key of the printed order: by length, then by labels."""
+    return mask.bit_count(), _labels(mask)
+
+
+# -- sign rows -------------------------------------------------------------------
+# _SIGN_ROWS[rank][m1][m2] is the sign of g_m1 * g_m2 in the rank's algebra:
+# 0 when the masks share a generator, else (-1)^inversions.  A row is built on
+# first use, so a high rank costs only the rows that its products reach.
+
+_SIGN_ROWS: dict[int, list] = {}
+
+
+def _sign_rows(rank: int) -> list:
+    rows = _SIGN_ROWS.get(rank)
+    if rows is None:
+        rows = _SIGN_ROWS[rank] = [None] * (1 << rank)
+    return rows
+
+
+def _sign_row(rows: list, m1: int) -> list:
+    """Build and cache rows[m1]."""
+    row = [0] * len(rows)
+    row[0] = 1
+    for m2 in range(1, len(rows)):
+        low = m2 & -m2
+        rest = row[m2 ^ low]
+        if rest and not m1 & low:
+            # the lowest label of m2 passes every label of m1 above it
+            row[m2] = -rest if (m1 >> low.bit_length()).bit_count() & 1 else rest
+    rows[m1] = row
+    return row
+
+
 # -- exterior-algebra kernel -------------------------------------------------
-# ``terms`` dicts (canonical, as in poly.py) keyed by strictly increasing label
-# tuples.  ``_canonical`` builds one from raw input; the others leave their
-# arguments alone and return new canonical dicts.
+# Mask-keyed ``terms`` dicts, canonical as in poly.py.  ``_canonical`` builds
+# one from raw input; the others leave their arguments alone and return new
+# canonical dicts.
 
 
 def _canonical(terms, top: int, coerce, what: str) -> dict:
-    """Validate raw input: coerce coefficients, drop zeros, require labels in
-    1..top and strictly increasing, and sum repeated labels."""
+    """Validate raw input keyed by label tuples: coerce coefficients, drop
+    zeros, require labels in 1..top and strictly increasing, and sum
+    repeated labels."""
     clean = {}
     for labels, coeff in (terms or {}).items():
         coeff = coerce(coeff)
-        if not coeff:
-            continue
-        labels = tuple(int(l) for l in labels)
-        if any(l < 1 or l > top for l in labels):
-            raise SuperskelError(f"{what} label out of range in {labels} (at most {top})")
-        if any(a >= b for a, b in zip(labels, labels[1:])):
-            raise SuperskelError(f"{what} labels must be strictly increasing, got {labels}")
-        _accumulate(clean, labels, coeff)
+        if coeff:
+            _accumulate(clean, _label_mask(labels, top, what), coeff)
     return clean
 
 
+def _labelled(terms: dict) -> dict:
+    """The same terms keyed by label tuples."""
+    return {_labels(m): c for m, c in terms.items()}
+
+
 def _soul(terms: dict) -> dict:
-    """Everything except the body (empty-label) term."""
-    return {l: c for l, c in terms.items() if l}
+    """Everything except the body (mask 0) term."""
+    return {m: c for m, c in terms.items() if m}
 
 
-def _product(a: dict, b: dict) -> dict:
-    """Exterior product: monomials sharing a label vanish, the rest merge
-    with the sign of their label inversions."""
+def _product(a: dict, b: dict, rank: int) -> dict:
+    """Exterior product of two rank-``rank`` terms dicts."""
+    rows = _SIGN_ROWS.get(rank) or _sign_rows(rank)
     terms = {}
-    for l1, c1 in a.items():
-        for l2, c2 in b.items():
-            sign, merged = merge_sign(l1, l2)
+    for m1, c1 in a.items():
+        row = rows[m1] or _sign_row(rows, m1)
+        for m2, c2 in b.items():
+            sign = row[m2]
             if not sign:
                 continue
-            _accumulate(terms, merged, c1 * c2 if sign > 0 else -(c1 * c2))
+            m = m1 | m2
+            c = c1 * c2
+            old = terms.get(m)
+            if old is None:
+                terms[m] = c if sign > 0 else -c
+            else:
+                c = old + c if sign > 0 else old - c
+                if c:
+                    terms[m] = c
+                else:
+                    del terms[m]
     return terms
 
 
@@ -135,16 +245,16 @@ def _substitute(terms: dict, images, value_of, zero):
     """Sum over the terms c * g_l1...g_lk of value_of(c) * images[l1 - 1] *
     ... * images[lk - 1], in label order; ``zero()`` gives the empty sum."""
     acc = None
-    for labels, coeff in terms.items():
+    for mask, coeff in terms.items():
         value = value_of(coeff)
-        for label in labels:
+        for label in _labels(mask):
             value = value * images[label - 1]
         acc = value if acc is None else acc + value
     return zero() if acc is None else acc
 
 
 def _has_parity(terms: dict, parity: int) -> bool:
-    return all(len(l) % 2 == parity for l in terms)
+    return all(m.bit_count() & 1 == parity for m in terms)
 
 
 def _parity(terms: dict):
@@ -156,19 +266,26 @@ def _parity(terms: dict):
     return None
 
 
-def _geometric_inverse(inv_body, soul: dict, steps: int) -> dict:
+def _soul_powers(soul: dict, rank: int, steps: int) -> list:
+    """[soul, soul^2, ...] up to the last nonzero power, at most ``steps``."""
+    powers = []
+    while len(powers) < steps:
+        power = _product(powers[-1], soul, rank) if powers else soul
+        if not power:
+            break
+        powers.append(power)
+    return powers
+
+
+def _geometric_inverse(inv_body, soul: dict, rank: int, steps: int) -> dict:
     """Inverse of body + soul, given inv_body = 1/body and a nilpotent soul.
 
     1/(b + n) = sum_k (-1)^k n^k / b^(k+1), which terminates because n^k
     vanishes once k exceeds ``steps`` (or earlier).
     """
-    result = {(): inv_body}
-    power = None
+    result = {0: inv_body}
     scale = inv_body
-    for _ in range(steps):
-        power = soul if power is None else _product(power, soul)
-        if not power:
-            break
+    for power in _soul_powers(soul, rank, steps):
         scale = -scale * inv_body
         result = _sum(result, _scale(power, scale))
     return result
@@ -177,22 +294,56 @@ def _geometric_inverse(inv_body, soul: dict, steps: int) -> dict:
 class GrassmannElement:
     """Element of the rank-N Grassmann algebra over the rationals."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "_ints", "_den")
 
     def __init__(self, rank: int, terms=None):
         if rank < 0:
             raise SuperskelError("rank must be non-negative")
         _check_rank_cap(rank)
+        # numerators, and the lcm of the denominators, in one pass over the
+        # input; only a denominator other than 1 costs a second pass
+        ints, dens = {}, []
+        den = 1
+        for labels, coeff in (terms or {}).items():
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(coeff).__name__}")
+            n, d = coeff.as_integer_ratio()
+            if not n:
+                continue
+            mask = _label_mask(labels, rank, "generator")
+            if mask in ints:  # two keys of one monomial, such as (1,) and ("1",)
+                merged = {}
+                for l, c in terms.items():
+                    c = _as_fraction(c)
+                    if c:
+                        _accumulate(merged, _labels(_label_mask(l, rank, "generator")), c)
+                self.__init__(rank, merged)
+                return
+            if d != 1 and den % d:
+                den = den // math.gcd(den, d) * d
+            ints[mask] = n
+            dens.append(d)
+        if den != 1:
+            ints = {m: n * (den // d) for (m, n), d in zip(ints.items(), dens)}
         self.rank = rank
-        self.terms = _canonical(terms, rank, _as_fraction, "generator")
+        self._ints, self._den = _lowest(ints, den)
 
     @classmethod
-    def _make(cls, rank, terms):
-        # trusted constructor for internal use: terms already canonical
+    def _make(cls, rank, ints, den=1):
+        # trusted constructor for internal use: rank checked, ints nonzero
+        # and in lowest terms against den > 0 (1 for zero)
         el = object.__new__(cls)
         el.rank = rank
-        el.terms = terms
+        el._ints = ints
+        el._den = den
         return el
+
+    @classmethod
+    def _reduced(cls, rank, ints, den):
+        # trusted, for nonzero ints over den > 0 that may share a factor
+        if den != 1:
+            ints, den = _lowest(ints, den)
+        return cls._make(rank, ints, den)
 
     @classmethod
     def zero(cls, rank: int) -> "GrassmannElement":
@@ -200,7 +351,7 @@ class GrassmannElement:
 
     @classmethod
     def unit(cls, rank: int) -> "GrassmannElement":
-        return cls(rank, {(): _ONE})
+        return cls(rank, {(): 1})
 
     @classmethod
     def scalar(cls, rank: int, value) -> "GrassmannElement":
@@ -208,35 +359,78 @@ class GrassmannElement:
 
     @classmethod
     def generator(cls, rank: int, index: int) -> "GrassmannElement":
-        return cls(rank, {(index,): _ONE})
+        return cls(rank, {(index,): 1})
 
     @classmethod
     def monomial(cls, rank: int, labels, coeff=1) -> "GrassmannElement":
         return cls(rank, {tuple(labels): coeff})
 
+    @property
+    def terms(self) -> dict:
+        """A new dict from label tuples to the nonzero Fraction
+        coefficients; changing it does not change the element."""
+        den = self._den
+        return {_labels(m): Fraction(c, den) for m, c in self._ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def body(self) -> Fraction:
         """Coefficient of the empty monomial (the unique algebra map to Q)."""
-        return self.terms.get((), _ZERO)
+        return Fraction(self._ints.get(0, 0), self._den)
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent part: everything except the body."""
-        return GrassmannElement._make(self.rank, _soul(self.terms))
+        return GrassmannElement._reduced(self.rank, _soul(self._ints), self._den)
 
     def is_even(self) -> bool:
-        return _has_parity(self.terms, 0)
+        return _has_parity(self._ints, 0)
 
     def is_odd(self) -> bool:
-        return _has_parity(self.terms, 1)
+        return _has_parity(self._ints, 1)
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed; zero counts as even."""
-        return _parity(self.terms)
+        return _parity(self._ints)
 
     def coefficient(self, labels) -> Fraction:
-        return self.terms.get(tuple(labels), _ZERO)
+        """The coefficient of g_l1...g_lk for any label sequence: the stored
+        one times the sign of sorting the labels, 0 on a repeated label."""
+        sign, mask = _signed_mask(labels)
+        c = self._ints.get(mask) if sign else None
+        return _ZERO if c is None else Fraction(sign * c, self._den)
+
+    def _scaled(self, factor) -> "GrassmannElement":
+        """self * factor for an int or Fraction."""
+        n, d = factor.as_integer_ratio()
+        if not n or not self._ints:
+            return GrassmannElement._make(self.rank, {})
+        ints = self._ints if n == 1 else {m: c * n for m, c in self._ints.items()}
+        return GrassmannElement._reduced(self.rank, ints, self._den * d)
+
+    def _combined(self, other, sign: int) -> "GrassmannElement":
+        """self + sign * other over the lcm of the two denominators."""
+        b = other._ints
+        if not b:
+            return self
+        a = self._ints
+        if not a:
+            return other if sign > 0 else -other
+        da, db = self._den, other._den
+        if da == db:
+            sa, sb, den = 1, sign, da
+        else:
+            h = math.gcd(da, db)
+            sa, sb, den = db // h, sign * (da // h), da // h * db
+        ints = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
+        for m, c in b.items():
+            old = ints.get(m)
+            c = c * sb if old is None else old + c * sb
+            if c:
+                ints[m] = c
+            else:
+                del ints[m]
+        return GrassmannElement._reduced(self.rank, ints, den)
 
     def _coerce(self, other):
         """``other`` as an element of the same rank, or None for a foreign
@@ -248,25 +442,27 @@ class GrassmannElement:
                     f"elements of rank {self.rank} and {other.rank} are incompatible")
             return other
         if isinstance(other, (int, Fraction)):
-            return GrassmannElement.scalar(self.rank, other)
+            n, d = other.as_integer_ratio()
+            return GrassmannElement._make(self.rank, {0: n} if n else {}, d if n else 1)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GrassmannElement._make(self.rank, _sum(self.terms, other.terms))
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement._make(self.rank, _negate(self.terms))
+        return GrassmannElement._make(self.rank, {m: -c for m, c in self._ints.items()},
+                                      self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combined(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -274,9 +470,11 @@ class GrassmannElement:
     def __mul__(self, other):
         if not isinstance(other, GrassmannElement):
             if isinstance(other, (int, Fraction)):
-                return GrassmannElement._make(self.rank, _scale(self.terms, _as_fraction(other)))
+                return self._scaled(other)
             return NotImplemented
-        return GrassmannElement._make(self.rank, _product(self.terms, self._coerce(other).terms))
+        rank = self._coerce(other).rank
+        return GrassmannElement._reduced(rank, _product(self._ints, other._ints, rank),
+                                         self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -285,54 +483,77 @@ class GrassmannElement:
             return self * other.invert()
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        other = _as_fraction(other)
         if other == 0:
             raise NotInvertibleError("division by zero")
-        return self * (_ONE / other)
+        return self._scaled(1 / _as_fraction(other))
 
     def __pow__(self, n: int):
-        return _power(self, n, GrassmannElement.unit(self.rank))
+        return _power(self, n, GrassmannElement._make(self.rank, {0: 1}))
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = GrassmannElement.scalar(self.rank, other)
-        return self.rank == other.rank and self.terms == other.terms
+            other = self._coerce(other)
+        return (self.rank == other.rank and self._den == other._den
+                and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, self._den, frozenset(self._ints.items())))
 
     def invert(self) -> "GrassmannElement":
         """Inverse via the terminating geometric series in the soul.
 
-        Requires an invertible body; the series stops within ``rank`` steps
-        because every soul term carries at least one generator.
+        For self = (b + n) / d with an int body b and int soul n, 1/self =
+        d sum_k (-n)^k b^(K-k) / b^(K+1), where n^K is the last nonzero
+        power (K <= rank, as every soul term carries a generator).
         """
-        b = self.body()
-        if b == 0:
+        b = self._ints.get(0)
+        if not b:
             raise NotInvertibleError("element has zero body, hence no inverse")
-        return GrassmannElement._make(
-            self.rank, _geometric_inverse(_ONE / b, _soul(self.terms), self.rank))
+        powers = _soul_powers(_soul(self._ints), self.rank, self.rank)
+        top = len(powers)
+        ints = {0: b ** top}
+        for k, power in enumerate(powers, 1):
+            scale = b ** (top - k) if k % 2 == 0 else -b ** (top - k)
+            for m, c in power.items():
+                ints[m] = ints.get(m, 0) + c * scale
+        den = b ** (top + 1)
+        scale = self._den if den > 0 else -self._den
+        ints = {m: c * scale for m, c in ints.items() if c}
+        return GrassmannElement._reduced(self.rank, ints, abs(den))
 
     def embed(self, new_rank: int) -> "GrassmannElement":
         """Reinterpret inside a larger algebra (generator labels unchanged)."""
         if new_rank < self.rank:
             raise RankMismatchError("cannot embed into a smaller algebra")
-        return GrassmannElement(new_rank, dict(self.terms))
+        _check_rank_cap(new_rank)
+        return GrassmannElement._make(new_rank, self._ints, self._den)
 
     def format(self) -> str:
         """Canonical text: terms sorted by (length, labels), ``c*g1g2``-style,
         with ``1`` standing for the empty monomial."""
         parts = []
-        for labels in sorted(self.terms, key=lambda l: (len(l), l)):
-            coeff = self.terms[labels]
-            gens = "".join(f"g{i}" for i in labels) or "1"
-            parts.append((coeff < 0, f"{_number_text(abs(coeff))}*{gens}"))
+        for mask in sorted(self._ints, key=_label_key):
+            coeff = self._ints[mask]
+            gens = "".join(f"g{i}" for i in _labels(mask)) or "1"
+            parts.append((coeff < 0, f"{_number_text(Fraction(abs(coeff), self._den))}*{gens}"))
         return _signed_sum(parts)
 
     def __repr__(self):
         return f"GrassmannElement({self.rank}, {self.format()!r})"
+
+
+def _lowest(ints: dict, den: int):
+    """(ints, den) with the common factor of den and the numerators
+    cancelled; den 1 for zero."""
+    if not ints:
+        return ints, 1
+    g = math.gcd(den, *ints.values())
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+        den //= g
+    return ints, den
 
 
 class GrassmannMorphism:
@@ -393,9 +614,10 @@ class GrassmannMorphism:
             raise RankMismatchError(
                 f"morphism expects rank {self.source_rank}, got {element.rank}")
         rank = self.target_rank
-        return _substitute(element.terms, self.images,
-                           lambda c: GrassmannElement._make(rank, {(): c}),
-                           lambda: GrassmannElement.zero(rank))
+        value = _substitute(element._ints, self.images,
+                            lambda c: GrassmannElement._make(rank, {0: c}),
+                            lambda: GrassmannElement._make(rank, {}))
+        return value if element._den == 1 else value._scaled(Fraction(1, element._den))
 
     def after(self, other: "GrassmannMorphism") -> "GrassmannMorphism":
         """Composite self(other(.))."""

@@ -137,8 +137,8 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
                     if soul_product is not None and soul_product.is_zero():
                         break
         # so are the denominator factors of the final coefficients
-        dens = excluded[ci] + [f for c in acc.terms.values() for f, _ in c.factors]
-        results.append(SuperFunction(src, acc.domain.with_excluded(dens), acc.terms))
+        dens = excluded[ci] + [f for c in acc._coeffs.values() for f, _ in c.factors]
+        results.append(SuperFunction._make(src, acc.domain.with_excluded(dens), acc._coeffs))
     return Skeleton(inner.source_space, inner.source_domain,
                     outer.target_space, outer.target_domain, results)
 

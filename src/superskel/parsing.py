@@ -32,9 +32,8 @@ from fractions import Fraction
 
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
-from .grassmann import GrassmannElement, sort_sign
-from .poly import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, RationalFunction, _as_fraction,
-                   _number_text)
+from .grassmann import GrassmannElement, _mask, sort_sign
+from .poly import _LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, RationalFunction, _number_text
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
@@ -309,8 +308,8 @@ class GrassmannContext:
 
     def monomial(self, coeff, atoms):
         _, sign, labels = _monomial_parts(atoms, 0)
-        coeff *= sign
-        return GrassmannElement._make(self.rank, {labels: _as_fraction(coeff)} if coeff else {})
+        n, d = (coeff * sign).as_integer_ratio()
+        return GrassmannElement._make(self.rank, {_mask(labels): n} if n else {}, d if n else 1)
 
 
 class SuperFunctionContext:
@@ -339,7 +338,7 @@ class SuperFunctionContext:
             return SuperFunction._make(self.space, self.domain, {})
         num = Polynomial._monomial(p, exps, coeff)
         return SuperFunction._make(self.space, self.domain,
-                                   {labels: RationalFunction._raw(num, ())})
+                                   {_mask(labels): RationalFunction._raw(num, ())})
 
 
 class PolynomialContext:
@@ -602,7 +601,7 @@ def _build_skeleton(assignments: dict, source: SuperSpace, src_domain: DeWittDom
             if not (comp.is_even() if parity == "even" else comp.is_odd()):
                 raise ParseError(f"{where}{kind}{index} must be parity-{parity}", line_no)
             # the file's domain directives are the author's declaration
-            components.append(SuperFunction._make(source, src_domain, comp.terms))
+            components.append(SuperFunction._make(source, src_domain, comp._coeffs))
     try:
         return Skeleton(source, src_domain, target, tgt_domain, components)
     except SuperskelError as exc:

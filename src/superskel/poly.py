@@ -606,8 +606,8 @@ class Polynomial:
     def eval_in(self, values, one):
         """Evaluate at elements of an arbitrary commutative-enough ring.
 
-        ``values[i]`` substitutes variable i; ``one`` is the ring unit used
-        for the empty product. Ring elements must support +, * and int and
+        ``values[i]`` substitutes variable i; ``one`` is the ring unit, the
+        value of the constant monomial. Ring elements must support +, * and int and
         Fraction scaling from the left.
         """
         # powers[i][e] = values[i]**e for the exponents that occur, each the
@@ -623,11 +623,11 @@ class Polynomial:
 
         acc = None
         for exps, coeff in self._ints.items():
-            term = one
+            term = None
             for i, e in enumerate(exps):
                 if e:
-                    term = term * powers[i][e]
-            term = coeff * term
+                    term = powers[i][e] if term is None else term * powers[i][e]
+            term = coeff * (one if term is None else term)
             acc = term if acc is None else acc + term
         if acc is None:
             return 0 * one

@@ -5,11 +5,13 @@ over strictly increasing subsets of {1..q}, t_J is the ordered product of the
 odd coordinates in J, and each coefficient c_J is a rational function of the
 even coordinates.  Because |J| <= q, nilpotency of the odd part is built into
 the representation.  The monomial arithmetic is shared with
-``GrassmannElement``, with rational-function coefficients in place of
-Fractions: sums, scaling and the power come from the sparse-term kernel in
-``poly.py``, the sign-law product, parity, geometric-series inverse and
-generator substitution from ``grassmann.py``.  This module adds the domain
-bookkeeping, equality up to cross-multiplication, calculus and evaluation.
+``GrassmannElement``: the coefficients ``_coeffs`` are keyed by the bitmask
+of J, as a Grassmann element's numerators are, with rational functions in
+place of ints.  Sums, scaling and the power come from the sparse-term kernel
+in ``poly.py``, the sign-law product, parity, geometric-series inverse and
+generator substitution from ``grassmann.py``; ``terms`` is a view keyed by
+label tuples, built on each read.  This module adds the domain bookkeeping,
+equality up to cross-multiplication, calculus and evaluation.
 
 Equivalently, a superfunction is the family of its alternating coefficient
 maps: the degree-k map sends a k-tuple of odd basis directions to the
@@ -29,7 +31,8 @@ from itertools import combinations
 
 from .errors import DomainError, NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
 from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
-                        _parity, _product, _soul, _substitute, sort_sign)
+                        _label_key, _labelled, _labels, _parity, _product, _signed_mask,
+                        _soul, _substitute)
 from .poly import (Polynomial, RationalFunction, _negate, _power, _scale, _signed_sum, _sum,
                    monomial_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
@@ -61,7 +64,7 @@ def shuffles(k: int, total: int):
 class SuperFunction:
     """Sum of rational-coefficient odd monomials on a superspace."""
 
-    __slots__ = ("space", "domain", "terms")
+    __slots__ = ("space", "domain", "_coeffs")
     __hash__ = None  # equality is value equality of coefficient functions
 
     def __init__(self, space: SuperSpace, domain: DeWittDomain, terms=None):
@@ -77,15 +80,15 @@ class SuperFunction:
 
         self.space = space
         self.domain = domain
-        self.terms = _canonical(terms, space.odd_dim, coerce, "odd")
+        self._coeffs = _canonical(terms, space.odd_dim, coerce, "odd")
 
     @classmethod
-    def _make(cls, space, domain, terms):
-        # trusted constructor for internal use: terms already canonical
+    def _make(cls, space, domain, coeffs):
+        # trusted constructor for internal use: coeffs a canonical mask dict
         fn = object.__new__(cls)
         fn.space = space
         fn.domain = domain
-        fn.terms = terms
+        fn._coeffs = coeffs
         return fn
 
     # -- constructors ------------------------------------------------------
@@ -117,45 +120,51 @@ class SuperFunction:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """A new dict from label tuples to the nonzero coefficients;
+        changing it does not change the function."""
+        return _labelled(self._coeffs)
+
     def coefficient(self, labels) -> RationalFunction:
-        return self.terms.get(tuple(labels),
-                              RationalFunction.constant(self.space.even_dim, 0))
+        """The coefficient of t_l1...t_lk for any label sequence: the stored
+        one times the sign of sorting the labels, zero on a repeated label."""
+        sign, mask = _signed_mask(labels)
+        coeff = self._coeffs.get(mask) if sign else None
+        if coeff is None:
+            return RationalFunction.constant(self.space.even_dim, 0)
+        return coeff if sign > 0 else -coeff
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def is_even(self) -> bool:
-        return _has_parity(self.terms, 0)
+        return _has_parity(self._coeffs, 0)
 
     def is_odd(self) -> bool:
-        return _has_parity(self.terms, 1)
+        return _has_parity(self._coeffs, 1)
 
     def parity(self):
-        return _parity(self.terms)
+        return _parity(self._coeffs)
 
     def min_odd_degree(self) -> int:
         """Smallest |J| with a nonzero term; q+1 for the zero function."""
-        if not self.terms:
+        if not self._coeffs:
             return self.space.odd_dim + 1
-        return min(len(l) for l in self.terms)
+        return min(m.bit_count() for m in self._coeffs)
 
     def soul(self) -> "SuperFunction":
         """The nilpotent part: every term with an odd coordinate."""
-        return SuperFunction._make(self.space, self.domain, _soul(self.terms))
+        return SuperFunction._make(self.space, self.domain, _soul(self._coeffs))
 
     def alt_coeff(self, labels) -> RationalFunction:
-        """Alternating coefficient map on odd basis directions.
-
-        Zero on repeated labels; otherwise the ascending coefficient times the
-        sign of the sorting permutation.
-        """
+        """Alternating coefficient map on odd basis directions: zero on
+        repeated labels, otherwise the ascending coefficient times the sign
+        of the sorting permutation (``coefficient``), for labels in range."""
         labels = tuple(labels)
         if any(l < 1 or l > self.space.odd_dim for l in labels):
             raise SuperskelError(f"odd label out of range in {labels}")
-        sign, sorted_labels = sort_sign(labels)
-        if sign == 0:
-            return RationalFunction.constant(self.space.even_dim, 0)
-        return self.coefficient(sorted_labels) * Fraction(sign)
+        return self.coefficient(labels)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,12 +185,12 @@ class SuperFunction:
         if other is None:
             return NotImplemented
         return SuperFunction._make(self.space, self.domain.intersect(other.domain),
-                                   _sum(self.terms, other.terms))
+                                   _sum(self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperFunction._make(self.space, self.domain, _negate(self.terms))
+        return SuperFunction._make(self.space, self.domain, _negate(self._coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -197,11 +206,11 @@ class SuperFunction:
         if not isinstance(other, SuperFunction):
             if isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
                 factor = _as_rf(other, self.space.even_dim)
-                return SuperFunction._make(self.space, self.domain, _scale(self.terms, factor))
+                return SuperFunction._make(self.space, self.domain, _scale(self._coeffs, factor))
             return NotImplemented
         other = self._coerce(other)
         return SuperFunction._make(self.space, self.domain.intersect(other.domain),
-                                   _product(self.terms, other.terms))
+                                   _product(self._coeffs, other._coeffs, self.space.odd_dim))
 
     __rmul__ = __mul__
 
@@ -220,9 +229,9 @@ class SuperFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
+        a, b = self._coeffs, other._coeffs
         zero = RationalFunction.constant(self.space.even_dim, 0)
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
+        return all(a.get(k, zero) == b.get(k, zero) for k in set(a) | set(b))
 
     def invert(self) -> "SuperFunction":
         """Inverse of an even superfunction with nonzero body coefficient.
@@ -236,8 +245,9 @@ class SuperFunction:
         if not c0:
             raise NotInvertibleError("body coefficient is identically zero")
         domain = self.domain.with_excluded([c0.num])
-        terms = _geometric_inverse(c0.invert(), _soul(self.terms), self.space.odd_dim // 2)
-        return SuperFunction._make(self.space, domain, terms)
+        q = self.space.odd_dim
+        coeffs = _geometric_inverse(c0.invert(), _soul(self._coeffs), q, q // 2)
+        return SuperFunction._make(self.space, domain, coeffs)
 
     # -- calculus ----------------------------------------------------------
 
@@ -245,8 +255,8 @@ class SuperFunction:
         """d/dx_index (1-based), termwise on the coefficient functions."""
         if not 1 <= index <= self.space.even_dim:
             raise SuperskelError(f"no even coordinate x{index}")
-        terms = {l: d for l, c in self.terms.items() if (d := c.derivative(index - 1))}
-        return SuperFunction._make(self.space, self.domain, terms)
+        coeffs = {m: d for m, c in self._coeffs.items() if (d := c.derivative(index - 1))}
+        return SuperFunction._make(self.space, self.domain, coeffs)
 
     def odd_partial(self, index: int) -> "SuperFunction":
         """Right-acting d/dt_index: t_J -> (-1)^(#labels above index) t_{J-index}.
@@ -256,13 +266,14 @@ class SuperFunction:
         """
         if not 1 <= index <= self.space.odd_dim:
             raise SuperskelError(f"no odd coordinate t{index}")
-        # removing ``index`` is injective on the labels that contain it
-        terms = {}
-        for labels, coeff in self.terms.items():
-            if index in labels:
-                above = sum(1 for l in labels if l > index)
-                terms[tuple(l for l in labels if l != index)] = -coeff if above & 1 else coeff
-        return SuperFunction._make(self.space, self.domain, terms)
+        # removing ``index`` is injective on the masks that contain it
+        bit = 1 << (index - 1)
+        coeffs = {}
+        for mask, coeff in self._coeffs.items():
+            if mask & bit:
+                above = (mask >> index).bit_count()
+                coeffs[mask ^ bit] = -coeff if above & 1 else coeff
+        return SuperFunction._make(self.space, self.domain, coeffs)
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -272,7 +283,7 @@ class SuperFunction:
             raise SpaceMismatchError("point lives in a different space")
         if check_domain and not self.domain.contains(point):
             raise DomainError("point lies outside the declared domain")
-        one = GrassmannElement.unit(point.rank)
+        one = GrassmannElement._make(point.rank, {0: 1})
         try:
             return self.substitute(point.even_values, point.odd_values, one)
         except NotInvertibleError:
@@ -285,7 +296,7 @@ class SuperFunction:
         a point, superfunction values compose coordinatewise.  ``one`` is
         the unit of the values' ring, which must support +, *, Fraction
         scaling and ``invert`` for denominators."""
-        return _substitute(self.terms, odd_values,
+        return _substitute(self._coeffs, odd_values,
                            lambda c: c.eval_in(even_values, one), lambda: 0 * one)
 
     # -- rendering -----------------------------------------------------------
@@ -293,9 +304,9 @@ class SuperFunction:
     def format(self) -> str:
         """Canonical text per the expression grammar; round-trips exactly."""
         parts = []
-        for labels in sorted(self.terms, key=lambda l: (len(l), l)):
-            coeff = self.terms[labels]
-            gens = [f"t{j}" for j in labels]
+        for mask in sorted(self._coeffs, key=_label_key):
+            coeff = self._coeffs[mask]
+            gens = [f"t{j}" for j in _labels(mask)]
             if coeff.is_polynomial():
                 for exps, negative, c in coeff.num._print_order():
                     # negative unit coefficients stay explicit: -1*t1*t2

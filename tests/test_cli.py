@@ -1,6 +1,6 @@
 import io
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -212,6 +212,25 @@ def test_exit_codes(files, tmp_path):
     code, out = run(["compose", str(edge), files["identity"], "--method", "both"])
     assert code == 0 and len(out) > 8000
     assert parse_skeleton_file(out) == parse_skeleton_file(edge.read_text())
+
+
+def test_one_parser_serves_every_call(files, monkeypatch):
+    """``main`` builds its parser once per process; usage errors still go to
+    the stderr of the call, and ``--rank`` reads the cap when it is parsed."""
+    from superskel import cli
+
+    code, out = run(["eval", files["f"], files["point"]])
+    assert code == 0 and "x1 = 2*1 + 2*g1g2" in out
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["eval", files["f"]]) == 2
+    assert err.getvalue().startswith("usage: superskel eval")
+    monkeypatch.setenv("SUPERSKEL_MAX_RANK", "2")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["check", "naturality", files["f"], "--rank", "3"]) == 2
+    assert "argument --rank: must be between 0 and 2, got 3" in err.getvalue()
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli._parser()
 
 
 def test_eval_high_power(files, tmp_path):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from superskel import randgen
 from superskel.errors import (NotInvertibleError, ParityError, RankCapError,
                               RankMismatchError)
-from superskel.grassmann import GrassmannElement, GrassmannMorphism
+from superskel.grassmann import MAX_RANK_ENV, GrassmannElement, GrassmannMorphism, merge_sign
+from superskel.parsing import parse_grassmann
 
 G = GrassmannElement
 
@@ -32,6 +33,17 @@ def test_product_signs():
     assert gens(2, 2) * gens(2, 1) == -gens(2, 1, 2)
     one = G.unit(2)
     assert (one + gens(2, 1, 2)) * (one - gens(2, 1, 2)) == one
+
+
+def test_coefficient_reads_any_label_order():
+    a = G(3, {(1,): 5, (1, 2): 3, (1, 2, 3): F(1, 2)})
+    assert a.coefficient((1, 2)) == 3
+    assert a.coefficient((2, 1)) == -3  # g2 g1 = -g1 g2
+    assert a.coefficient((1, 1)) == 0  # g1 g1 = 0, not the g1 coefficient
+    assert a.coefficient((1,)) == 5
+    assert a.coefficient((2, 1, 3)) == F(-1, 2)
+    assert a.coefficient((3, 1, 2)) == F(1, 2)
+    assert a.coefficient((2, 3)) == 0 and a.coefficient(()) == 0
 
 
 def test_body():
@@ -219,3 +231,119 @@ def test_jordan_wigner_superfunction_products(odd_dim):
                 for _ in range(2))
         phi_f, phi_g = represent(f.terms, basis, constant), represent(g.terms, basis, constant)
         assert (represent((f * g).terms, basis, constant) == phi_f.dot(phi_g)).all()
+
+
+# -- the mask kernel against a reference on the ``terms`` views -----------------
+# The reference multiplies label tuples with ``merge_sign`` and Fractions; the
+# library's product shares no sign routine with it.
+
+
+def _clean(terms):
+    return {l: c for l, c in terms.items() if c}
+
+
+def ref_sum(a, b, k=1):
+    out = dict(a)
+    for labels, c in b.items():
+        out[labels] = out.get(labels, 0) + k * c
+    return _clean(out)
+
+
+def ref_product(a, b):
+    out = {}
+    for l1, c1 in a.items():
+        for l2, c2 in b.items():
+            sign, merged = merge_sign(l1, l2)
+            if sign:
+                out[merged] = out.get(merged, 0) + sign * c1 * c2
+    return _clean(out)
+
+
+def ref_invert(a, rank):
+    body = a[()]
+    soul = {l: c for l, c in a.items() if l}
+    result, power, scale = {(): 1 / body}, {(): F(1)}, 1 / body
+    for _ in range(rank):
+        power = ref_product(power, soul)
+        scale = -scale / body
+        result = ref_sum(result, {l: c * scale for l, c in power.items()})
+    return result
+
+
+def ref_apply(images, a):
+    out = {}
+    for labels, c in a.items():
+        value = {(): c}
+        for label in labels:
+            value = ref_product(value, images[label - 1])
+        out = ref_sum(out, value)
+    return out
+
+
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def _terms(draw, rank, parity=None, size=None):
+    labels = randgen.label_tuples(rank, parity)
+    if not labels:
+        return {}
+    # dense up to rank 4, so that every sign of those ranks can be reached
+    size = len(labels) if size is None and rank <= 4 else size or 6
+    return draw(st.dictionaries(st.sampled_from(labels), FRACTIONS, max_size=size))
+
+
+@st.composite
+def algebra_cases(draw):
+    """A rank (0-8, or 12 above the default cap), two elements, a scalar,
+    and a morphism into the rank from a rank of at most 4 with an element
+    to map."""
+    rank = draw(st.sampled_from(list(range(9)) + [12]))
+    a, b = _terms(draw, rank), _terms(draw, rank)
+    source_rank = draw(st.integers(0, min(rank, 4)))
+    images = [_terms(draw, rank, parity=1, size=3) for _ in range(source_rank)]
+    return rank, a, b, draw(FRACTIONS), images, _terms(draw, source_rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_cases())
+def test_kernel_matches_reference(case):
+    rank, a, b, k, images, source = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(MAX_RANK_ENV, "12")
+        x, y = G(rank, a), G(rank, b)
+        assert x.terms == _clean(a)
+        assert (x * y).terms == ref_product(a, b)
+        assert (x + y).terms == ref_sum(a, b)
+        assert (x - y).terms == ref_sum(a, b, -1)
+        assert (x * k).terms == _clean({l: c * k for l, c in a.items()})
+        if a.get(()):
+            assert x.invert().terms == ref_invert(a, rank)
+        m = GrassmannMorphism(len(images), rank, [G(rank, im) for im in images])
+        assert m(G(len(images), source)).terms == ref_apply(images, source)
+
+        # one value reached by six paths has one ==, hash and format
+        z = x * y
+        paths = [G(rank, ref_product(a, b)), z * G.unit(rank), (z + x) - x, z * 3 / 3,
+                 parse_grassmann(z.format(), rank)]
+        for other in paths:
+            assert other == z and hash(other) == hash(z) and other.format() == z.format()
+
+
+def test_zero_divisors_reduce_after_the_product():
+    """(g1 + 3g2)(g1 - 3g2) = -6 g1g2: integer parts with no common factor
+    have a product with one, so the gcd is taken after multiplying."""
+    x, y = G(2, {(1,): 1, (2,): 3}), G(2, {(1,): 1, (2,): -3})
+    assert x * y == G.monomial(2, (1, 2), -6)
+    assert (x / 6) * y == G.monomial(2, (1, 2), -1)
+    assert hash((x / 6) * y) == hash(G.monomial(2, (1, 2), -1))
+    assert ((x / 6) * y).format() == "-1*g1g2"
+
+
+def test_every_basis_product_matches_merge_sign():
+    for rank in range(9):
+        basis = randgen.label_tuples(rank)
+        monomials = [G.monomial(rank, labels) for labels in basis]
+        for l1, m1 in zip(basis, monomials):
+            for l2, m2 in zip(basis, monomials):
+                sign, merged = merge_sign(l1, l2)
+                assert (m1 * m2).terms == ({merged: sign} if sign else {})

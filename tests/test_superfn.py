@@ -34,6 +34,19 @@ def test_addition():
         {(): RationalFunction(Polynomial.constant(1, 2), Polynomial.variable(1, 0))})
 
 
+def test_coefficient_reads_any_label_order():
+    S13 = SuperSpace(1, 3)
+    f = SuperFunction(S13, DeWittDomain.full(S13), {(1,): 5, (1, 2): 3, (1, 2, 3): F(1, 2)})
+    constant = lambda value: RationalFunction.constant(1, value)
+    assert f.coefficient((1, 2)) == constant(3)
+    assert f.coefficient((2, 1)) == constant(-3)  # t2 t1 = -t1 t2
+    assert f.coefficient((1, 1)).is_zero()  # t1 t1 = 0, not the t1 coefficient
+    assert f.coefficient((1,)) == constant(5)
+    assert f.coefficient((3, 1, 2)) == constant(F(1, 2))
+    assert f.coefficient((2, 1, 3)) == f.alt_coeff((2, 1, 3)) == constant(F(-1, 2))
+    assert f.coefficient((2, 3)).is_zero()
+
+
 def test_product_examples():
     assert t(1) * t(2) == SuperFunction(S12, DeWittDomain.full(S12), {(1, 2): 1})
     assert (t(1) * t(2)) * t(1) == SuperFunction.zero(S12)
