@@ -168,13 +168,6 @@ def _label_key(mask: int):
 _SIGN_ROWS: dict[int, list] = {}
 
 
-def _sign_rows(rank: int) -> list:
-    rows = _SIGN_ROWS.get(rank)
-    if rows is None:
-        rows = _SIGN_ROWS[rank] = [None] * (1 << rank)
-    return rows
-
-
 def _sign_row(rows: list, m1: int) -> list:
     """Build and cache rows[m1]."""
     row = [0] * len(rows)
@@ -207,11 +200,6 @@ def _canonical(terms, top: int, coerce, what: str) -> dict:
     return clean
 
 
-def _labelled(terms: dict) -> dict:
-    """The same terms keyed by label tuples."""
-    return {_labels(m): c for m, c in terms.items()}
-
-
 def _soul(terms: dict) -> dict:
     """Everything except the body (mask 0) term."""
     return {m: c for m, c in terms.items() if m}
@@ -219,7 +207,9 @@ def _soul(terms: dict) -> dict:
 
 def _product(a: dict, b: dict, rank: int) -> dict:
     """Exterior product of two rank-``rank`` terms dicts."""
-    rows = _SIGN_ROWS.get(rank) or _sign_rows(rank)
+    rows = _SIGN_ROWS.get(rank)
+    if rows is None:
+        rows = _SIGN_ROWS[rank] = [None] * (1 << rank)
     terms = {}
     for m1, c1 in a.items():
         row = rows[m1] or _sign_row(rows, m1)
@@ -289,6 +279,18 @@ def _geometric_inverse(inv_body, soul: dict, rank: int, steps: int) -> dict:
         scale = -scale * inv_body
         result = _sum(result, _scale(power, scale))
     return result
+
+
+def _lowest(ints: dict, den: int):
+    """(ints, den) with the common factor of den and the numerators
+    cancelled; den 1 for zero."""
+    if not ints:
+        return ints, 1
+    g = math.gcd(den, *ints.values())
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+        den //= g
+    return ints, den
 
 
 class GrassmannElement:
@@ -542,18 +544,6 @@ class GrassmannElement:
 
     def __repr__(self):
         return f"GrassmannElement({self.rank}, {self.format()!r})"
-
-
-def _lowest(ints: dict, den: int):
-    """(ints, den) with the common factor of den and the numerators
-    cancelled; den 1 for zero."""
-    if not ints:
-        return ints, 1
-    g = math.gcd(den, *ints.values())
-    if g != 1:
-        ints = {m: c // g for m, c in ints.items()}
-        den //= g
-    return ints, den
 
 
 class GrassmannMorphism:

@@ -607,8 +607,8 @@ class Polynomial:
         """Evaluate at elements of an arbitrary commutative-enough ring.
 
         ``values[i]`` substitutes variable i; ``one`` is the ring unit, the
-        value of the constant monomial. Ring elements must support +, * and int and
-        Fraction scaling from the left.
+        value of the constant monomial. Ring elements must support +, * and
+        int and Fraction scaling from the left.
         """
         # powers[i][e] = values[i]**e for the exponents that occur, each the
         # next lower one times values[i]**gap (one product for a gap of 1)

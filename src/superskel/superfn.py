@@ -31,8 +31,8 @@ from itertools import combinations
 
 from .errors import DomainError, NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
 from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
-                        _label_key, _labelled, _labels, _parity, _product, _signed_mask,
-                        _soul, _substitute)
+                        _label_key, _labels, _parity, _product, _signed_mask, _soul,
+                        _substitute)
 from .poly import (Polynomial, RationalFunction, _negate, _power, _scale, _signed_sum, _sum,
                    monomial_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
@@ -124,7 +124,7 @@ class SuperFunction:
     def terms(self) -> dict:
         """A new dict from label tuples to the nonzero coefficients;
         changing it does not change the function."""
-        return _labelled(self._coeffs)
+        return {_labels(m): c for m, c in self._coeffs.items()}
 
     def coefficient(self, labels) -> RationalFunction:
         """The coefficient of t_l1...t_lk for any label sequence: the stored
