@@ -25,6 +25,7 @@ from math import factorial
 from . import randgen
 from .errors import DomainError, RankMismatchError, SuperskelError
 from .grassmann import GrassmannElement, GrassmannMorphism, merge_sign, sort_sign
+from .poly import _accumulate
 from .report import CheckReport
 from .spaces import LambdaPoint
 from .superfn import Skeleton
@@ -82,52 +83,58 @@ def taylor_shells(skeleton: Skeleton, point: LambdaPoint, max_total: int | None 
     """Per-(m, k) contributions of the Taylor route, for each component.
 
     Returns a dict (m, k) -> tuple of GrassmannElements (one per target
-    coordinate).  Shells whose contributions all vanish are omitted.  By
-    exactness there is no surviving shell with m + k > rank.
+    coordinate).  Each shell's contributions are summed as Fractions per
+    label tuple, and its values are built once, with the weight
+    1/(m! k!) applied to the sums.  Shells whose contributions all vanish
+    are omitted.  By exactness there is no surviving shell with
+    m + k > rank.
     """
     rank = point.rank
     if max_total is None:
         max_total = rank
     body = point.body()
     evens, odds = _soul_monomials(point)
+    components = skeleton.components
     derivative_cache: dict = {}
 
-    def derived_at_body(comp_index, sorted_odd, even_dirs):
-        key = (comp_index, sorted_odd, even_dirs)
-        if key not in derivative_cache:
-            rf = skeleton.components[comp_index].coefficient(sorted_odd)
-            for i in even_dirs:
-                rf = rf.derivative(i)
-            derivative_cache[key] = None if rf.is_zero() else rf.eval(body)
-        return derivative_cache[key]
+    def derived_at_body(sorted_odd, even_dirs):
+        """(component index, nonzero value) pairs of the coefficient of
+        t_sorted_odd, differentiated along even_dirs, at the body."""
+        key = (sorted_odd, even_dirs)
+        values = derivative_cache.get(key)
+        if values is None:
+            values = []
+            for ci, comp in enumerate(components):
+                rf = comp.coefficient(sorted_odd)
+                for i in even_dirs:
+                    rf = rf.derivative(i)
+                value = 0 if rf.is_zero() else rf.eval(body)
+                if value:
+                    values.append((ci, value))
+            derivative_cache[key] = values
+        return values
 
     shells = {}
-    n_components = len(skeleton.components)
     for m in range(0, rank // 2 + 1):
-        even_tuples = list(_ordered_tuples(evens, m, 1, (), Fraction(1), []))
+        even_tuples = [(tuple(sorted(chosen)), sign, labels, coeff) for chosen, sign, labels, coeff
+                       in _ordered_tuples(evens, m, 1, (), Fraction(1), [])]
         if not even_tuples:
             break
         for k in range(0, max_total - m + 1):
-            weight = Fraction(1, factorial(m) * factorial(k))
-            values = [GrassmannElement.zero(rank) for _ in range(n_components)]
-            hit = False
-            for e_chosen, e_sign, e_labels, e_coeff in even_tuples:
+            sums = [{} for _ in components]  # label tuple -> Fraction, per component
+            for even_dirs, e_sign, e_labels, e_coeff in even_tuples:
                 odd_tuples = _ordered_tuples(odds, k, e_sign, e_labels, e_coeff, [])
                 for o_chosen, sign, labels, coeff in odd_tuples:
                     sort_s, sorted_odd = sort_sign(tuple(j + 1 for j in o_chosen))
                     if sort_s == 0:
                         continue
-                    even_dirs = tuple(sorted(e_chosen))
-                    scalar = coeff * sign * sort_s * weight
-                    for ci in range(n_components):
-                        val = derived_at_body(ci, sorted_odd, even_dirs)
-                        if val is None or val == 0:
-                            continue
-                        hit = True
-                        values[ci] = values[ci] + GrassmannElement(
-                            rank, {labels: scalar * val})
-            if hit and any(not v.is_zero() for v in values):
-                shells[(m, k)] = tuple(values)
+                    if sign * sort_s < 0:
+                        coeff = -coeff
+                    for ci, value in derived_at_body(sorted_odd, even_dirs):
+                        _accumulate(sums[ci], labels, coeff * value)
+            if any(sums):
+                weight = Fraction(1, factorial(m) * factorial(k))
+                shells[(m, k)] = tuple(GrassmannElement(rank, terms) * weight for terms in sums)
     return shells
 
 

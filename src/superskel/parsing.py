@@ -11,29 +11,35 @@ Variables are x<n> (even), t<n> (odd) in superfunction context and g<n>
 (generators) in Grassmann context; juxtaposed variable atoms multiply, which
 is how generator monomials like ``g1g2`` are written.  Rationals arise from
 integer division.  All parsing is line oriented and errors carry positions:
-in a file, columns count from the start of the line.
+in a file, columns count from the start of the line.  Tokens are
+(kind, text, column) tuples; the parser holds the line.
 
-A term is evaluated as one monomial, not one ring product per atom.  Its
-atoms fold into a pending monomial as they are read: numbers, powers of
-numbers, unary minus and division by a nonzero number into a rational
-coefficient, variables (with their exponents) into a list in reading order.
-The value context builds that monomial once (``monomial``), sorting odd
-labels with their sign.  Ring arithmetic happens only at a non-atom factor,
-a parenthesis or a division by anything but a nonzero number (``/0``
-included, so it raises the ring's own error at its ``/``); the pending
-monomial is multiplied in first, so odd factors keep their order.
+A term is read as one monomial, not one ring product per atom.  Its atoms
+fold into a pending monomial as they are read: numbers, powers of numbers,
+unary minus and division by a nonzero number into a rational coefficient,
+variables (with their exponents) into a list in reading order.  Ring
+arithmetic happens only at a non-atom factor, a parenthesis or a division by
+anything but a nonzero number (``/0`` included, so it raises the ring's own
+error at its ``/``); the pending monomial is multiplied in first, so odd
+factors keep their order.
+
+An expression's monomial terms are summed once: each is kept as a signed
+coefficient and its atoms, and the value context builds their sum in one
+pass (``value``), sorting odd labels with their sign and adding
+coefficients per monomial.  A term with a ring part is added to that sum
+afterwards, in reading order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
-from .grassmann import GrassmannElement, _mask, sort_sign
-from .poly import _LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, RationalFunction, _number_text
+from .grassmann import GrassmannElement
+from .poly import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, RationalFunction,
+                   _accumulate, _numerators, _number_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
@@ -46,16 +52,9 @@ from .superfn import Skeleton, SuperFunction
 MAX_NESTING = 100
 
 _LONG_LITERAL_RE = re.compile(r"\d{%d,}" % (MAX_LITERAL_DIGITS + 1))
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()=|]))")
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_]+\d*)|(?P<op>[-+*/^()=|])")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_\-+*/^()=|]")  # what no token takes in
 _VAR_RE = re.compile(r"^([gxt])(\d+)$")
-
-
-@dataclass
-class Token:
-    kind: str  # 'num', 'name', 'op', 'end'
-    text: str
-    line: int
-    column: int
 
 
 def _check_literals(text: str, line: int, column: int = 1) -> None:
@@ -65,164 +64,170 @@ def _check_literals(text: str, line: int, column: int = 1) -> None:
                          line, match.start() + column)
 
 
-def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
-    """Tokens of ``text``, which starts at ``column`` of ``line``."""
+def tokenize(text: str, line: int = 1, column: int = 1) -> list[tuple[str, str, int]]:
+    """Tokens of ``text``, which starts at ``column`` of ``line``, as
+    (kind, text, column) tuples of kind 'num', 'name' or 'op', closed by
+    one of kind 'end'."""
     _check_literals(text, line, column)
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            rest = text[pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", line,
-                             pos + len(rest) - len(stripped) + column)
-        kind = match.lastgroup
-        tokens.append(Token(kind, match.group(kind), line, match.start(kind) + column))
-        pos = match.end()
-    tokens.append(Token("end", "", line, len(text) + column))
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", line, bad.start() + column)
+    tokens = [(m.lastgroup, m.group(), m.start() + column) for m in _TOKEN_RE.finditer(text)]
+    tokens.append(("end", "", len(text) + column))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], context):
+    def __init__(self, tokens: list[tuple[str, str, int]], context, line: int):
         self.tokens = tokens
         self.index = 0
         self.context = context
+        self.line = line
         self.depth = 0  # open parentheses
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def next(self) -> Token:
+    def at_op(self, *ops):
+        """The next token when it is one of the operators ``ops``, else None
+        (only an operator token has an operator's text)."""
         token = self.tokens[self.index]
+        return token if token[1] in ops else None
+
+    def expect_op(self, op: str) -> None:
+        if self.at_op(op) is None:
+            raise ParseError(f"expected {op!r}", self.line, self.tokens[self.index][2])
         self.index += 1
-        return token
-
-    def expect_op(self, op: str) -> Token:
-        token = self.peek()
-        if token.kind != "op" or token.text != op:
-            raise ParseError(f"expected {op!r}", token.line, token.column)
-        return self.next()
-
-    def at_op(self, *ops) -> bool:
-        token = self.peek()
-        return token.kind == "op" and token.text in ops
 
     def parse_expr(self):
-        value = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.next()
-            rhs = self.parse_term()
-            value = value + rhs if op.text == "+" else value - rhs
+        """The sum of the terms.  A monomial term is kept as its signed
+        coefficient and atoms, and ``context.value`` sums them all at once;
+        the terms with a ring part are then added in reading order."""
+        monomials, rings = [], []
+        negative = False
+        while True:
+            ring, coeff, atoms = self.parse_term()
+            if ring is None:
+                monomials.append((-coeff if negative else coeff, atoms))
+            else:
+                rings.append((negative, self.times_monomial(ring, coeff, atoms)))
+            op = self.at_op("+", "-")
+            if op is None:
+                break
+            self.index += 1
+            negative = op[1] == "-"
+        value = self.context.value(monomials) if monomials else None
+        for negative, ring in rings:
+            value = ring if value is None else value - ring if negative else value + ring
         return value
 
     def parse_term(self):
-        """The product of a term's factors.  Atoms fold into a pending
-        monomial (a coefficient and the variable atoms in reading order),
-        which meets ring arithmetic only at a non-atom factor: before a
-        parenthesis, or a division by anything but a nonzero number, it is
-        multiplied into ``value``, so odd factors keep their order."""
+        """The term as (ring value or None, coefficient, atoms): the ring
+        value, None standing for 1, times the monomial ``coeff`` * ``atoms``.
+        Atoms fold into that pending monomial, which meets ring arithmetic
+        only at a non-atom factor: before a parenthesis, or a division by
+        anything but a nonzero number, it is multiplied into the ring value,
+        so odd factors keep their order."""
         value = None  # the factors multiplied out so far; None stands for 1
         coeff, atoms = 1, []
         op = None
         while True:
             factor_coeff, factor_atoms, ring = self.parse_factor()
-            if op is None or op.text == "*":
+            if op is None or op[1] == "*":
                 if ring is not None:
                     value = self.times_monomial(value, coeff, atoms)
                     value = ring if value is None else value * ring
                     coeff, atoms = 1, []
-                coeff *= factor_coeff
+                if factor_coeff != 1:
+                    coeff *= factor_coeff
                 atoms += factor_atoms
             elif ring is None and not factor_atoms and factor_coeff:
                 coeff = Fraction(coeff, factor_coeff)
             else:
                 value = self.times_monomial(value, coeff, atoms)
                 if value is None:
-                    value = self.context.monomial(1, [])
+                    value = self.context.value([(1, [])])
                 divisor = self.times_monomial(ring, factor_coeff, factor_atoms)
                 try:
                     value = value / divisor
                 except SuperskelError as exc:
-                    raise ParseError(str(exc), op.line, op.column)
+                    raise ParseError(str(exc), self.line, op[2])
                 coeff, atoms = 1, []
-            if not self.at_op("*", "/"):
-                break
-            op = self.next()
-        value = self.times_monomial(value, coeff, atoms)
-        return self.context.monomial(1, []) if value is None else value
+            op = self.at_op("*", "/")
+            if op is None:
+                return value, coeff, atoms
+            self.index += 1
 
     def times_monomial(self, value, coeff, atoms):
         """``value`` times the monomial ``coeff`` * ``atoms``, where None
         stands for 1 and a monomial 1 is no factor."""
         if coeff == 1 and not atoms:
             return value
-        monomial = self.context.monomial(coeff, atoms)
+        monomial = self.context.value([(coeff, atoms)])
         return monomial if value is None else value * monomial
 
     def parse_factor(self):
         """A factor as (coefficient, variable atoms (kind, index, exponent),
         ring value of its leading parenthesis or None): the factor is that
         value times the monomial."""
+        tokens, line = self.tokens, self.line
         coeff, ring = 1, None
-        if self.at_op("-"):
-            self.next()
+        kind, text, column = tokens[self.index]
+        if text == "-":
+            self.index += 1
             coeff = -1
-        token = self.peek()
-        if token.kind == "num":
-            self.next()
-            base = int(token.text)
+            kind, text, column = tokens[self.index]
+        if kind == "num":
+            self.index += 1
+            base = int(text)
             coeff *= base ** self.parse_exponent(base)[0]
-        elif token.kind == "name":
-            if _VAR_RE.match(token.text) is None:
-                raise ParseError(f"unknown name {token.text!r}", token.line, token.column)
-        elif self.at_op("("):
+        elif text == "(":
             ring = self.parse_parenthesis()
             n, op = self.parse_exponent(ring)
             if op is not None:
                 try:
                     ring = ring ** n
                 except SuperskelError as exc:
-                    raise ParseError(str(exc), op.line, op.column)
-        else:
-            raise ParseError("expected a value", token.line, token.column)
+                    raise ParseError(str(exc), line, op[2])
+        elif kind != "name":
+            raise ParseError("expected a value", line, column)
+        leading = self.index if kind == "name" else None  # a name that must be a variable
         atoms = []
-        while self.peek().kind == "name":
-            match = _VAR_RE.match(self.peek().text)
-            if match is None:
-                break
-            kind, index = match.group(1), int(match.group(2))
-            self.context.atom(kind, index, self.next())
-            atoms.append((kind, index, self.parse_exponent()[0]))
-        return coeff, atoms, ring
+        while True:
+            kind, text, column = tokens[self.index]
+            if kind != "name":
+                return coeff, atoms, ring
+            variable = text[0]
+            if variable not in "gxt" or not text[1:].isdecimal():  # as _VAR_RE
+                if self.index == leading:
+                    raise ParseError(f"unknown name {text!r}", line, column)
+                return coeff, atoms, ring
+            index = int(text[1:])
+            self.context.atom(variable, index, line, column)
+            self.index += 1
+            n = self.parse_exponent()[0] if tokens[self.index][1] == "^" else 1
+            atoms.append((variable, index, n))
 
     def parse_exponent(self, base=None):
         """(n, the '^' token) for an atom's ``^ n``, (1, None) without one.
         A number or parenthesis ``base`` obeys the literal cap: its power
         is refused at the '^' when ``_power_too_long``."""
-        if not self.at_op("^"):
+        op = self.at_op("^")
+        if op is None:
             return 1, None
-        op = self.next()
-        token = self.peek()
-        if token.kind != "num":
-            raise ParseError("exponent must be a non-negative integer",
-                             token.line, token.column)
-        self.next()
-        n = int(token.text)
+        self.index += 1
+        kind, text, column = self.tokens[self.index]
+        if kind != "num":
+            raise ParseError("exponent must be a non-negative integer", self.line, column)
+        self.index += 1
+        n = int(text)
         if base is not None and _power_too_long(base, n):
             raise ParseError(f"the power has a number longer than {MAX_LITERAL_DIGITS} "
-                             "digits", op.line, op.column)
+                             "digits", self.line, op[2])
         return n, op
 
     def parse_parenthesis(self):
-        token = self.peek()
         if self.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                             token.line, token.column)
-        self.next()
+                             self.line, self.tokens[self.index][2])
+        self.index += 1
         self.depth += 1
         value = self.parse_expr()
         self.expect_op(")")
@@ -230,10 +235,9 @@ class _Parser:
         return value
 
     def finish(self, value):
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError(f"unexpected trailing input {token.text!r}",
-                             token.line, token.column)
+        kind, text, column = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", self.line, column)
         return value
 
 
@@ -271,26 +275,28 @@ def _power_too_long(value, n: int) -> bool:
 
 
 def _monomial_parts(atoms, nvars: int):
-    """(exponent tuple of the x atoms, sign, labels of the t and g atoms)
-    for variable atoms (kind, index, exponent) in reading order: the labels
-    sorted, and the sign of sorting them, 0 when a label repeats or an odd
-    atom's exponent passes 1."""
+    """(exponent tuple of the x atoms, sign, mask of the t and g atoms) for
+    variable atoms (kind, index, exponent) in reading order.  The sign is
+    that of sorting the labels, 0 when a label repeats or an odd atom's
+    exponent passes 1: each label passes the larger ones read before it."""
     exps = [0] * nvars
-    labels = []
+    mask = inversions = 0
     for kind, index, k in atoms:
         if kind == "x":
             exps[index - 1] += k
-        elif k > 1:
-            return (), 0, ()
         elif k:
-            labels.append(index)
-    sign, labels = sort_sign(labels)
-    return tuple(exps), sign, labels
+            bit = 1 << (index - 1)
+            if k > 1 or mask & bit:
+                return (), 0, 0
+            inversions += (mask >> index).bit_count()
+            mask |= bit
+    return tuple(exps), -1 if inversions & 1 else 1, mask
 
 
 # A value context checks each variable atom as it is read (``atom``) and
-# builds each term's monomial once (``monomial``), from an int or Fraction
-# coefficient and the validated atoms (kind, index, exponent) in reading order.
+# builds the sum of a list of monomials once (``value``), each monomial an
+# int or Fraction coefficient and its validated atoms (kind, index,
+# exponent) in reading order; a single monomial is a list of one.
 
 
 class GrassmannContext:
@@ -298,18 +304,20 @@ class GrassmannContext:
         GrassmannElement.zero(rank)  # the rank's sign and cap
         self.rank = rank
 
-    def atom(self, kind, index, token):
+    def atom(self, kind, index, line, column):
         if kind != "g":
             raise ParseError(f"only generators g1..g{self.rank} are allowed here",
-                             token.line, token.column)
+                             line, column)
         if not 1 <= index <= self.rank:
-            raise ParseError(f"generator g{index} exceeds rank {self.rank}",
-                             token.line, token.column)
+            raise ParseError(f"generator g{index} exceeds rank {self.rank}", line, column)
 
-    def monomial(self, coeff, atoms):
-        _, sign, labels = _monomial_parts(atoms, 0)
-        n, d = (coeff * sign).as_integer_ratio()
-        return GrassmannElement._make(self.rank, {_mask(labels): n} if n else {}, d if n else 1)
+    def value(self, monomials):
+        terms = {}  # mask -> coefficient
+        for coeff, atoms in monomials:
+            _, sign, mask = _monomial_parts(atoms, 0)
+            if sign:
+                _accumulate(terms, mask, coeff if sign > 0 else -coeff)
+        return GrassmannElement._reduced(self.rank, *_numerators(terms))
 
 
 class SuperFunctionContext:
@@ -317,46 +325,51 @@ class SuperFunctionContext:
         self.space = space
         self.domain = SuperFunction.zero(space, domain).domain  # checks its space
 
-    def atom(self, kind, index, token):
+    def atom(self, kind, index, line, column):
         if kind == "x":
             if not 1 <= index <= self.space.even_dim:
-                raise ParseError(f"no even coordinate x{index} on {self.space}",
-                                 token.line, token.column)
+                raise ParseError(f"no even coordinate x{index} on {self.space}", line, column)
         elif kind == "t":
             if not 1 <= index <= self.space.odd_dim:
-                raise ParseError(f"no odd coordinate t{index} on {self.space}",
-                                 token.line, token.column)
+                raise ParseError(f"no odd coordinate t{index} on {self.space}", line, column)
         else:
             raise ParseError("generators are not allowed in coordinate expressions",
-                             token.line, token.column)
+                             line, column)
 
-    def monomial(self, coeff, atoms):
+    def value(self, monomials):
         p = self.space.even_dim
-        exps, sign, labels = _monomial_parts(atoms, p)
-        coeff *= sign
-        if not coeff:
-            return SuperFunction._make(self.space, self.domain, {})
-        num = Polynomial._monomial(p, exps, coeff)
-        return SuperFunction._make(self.space, self.domain,
-                                   {_mask(labels): RationalFunction._raw(num, ())})
+        parts = {}  # mask -> {exponent tuple: coefficient}
+        for coeff, atoms in monomials:
+            exps, sign, mask = _monomial_parts(atoms, p)
+            if sign:
+                terms = parts.get(mask)
+                if terms is None:
+                    terms = parts[mask] = {}
+                _accumulate(terms, exps, coeff if sign > 0 else -coeff)
+        coeffs = {mask: RationalFunction._raw(Polynomial._from_terms(p, terms), ())
+                  for mask, terms in parts.items() if terms}
+        return SuperFunction._make(self.space, self.domain, coeffs)
 
 
 class PolynomialContext:
     def __init__(self, nvars: int):
         self.nvars = nvars
 
-    def atom(self, kind, index, token):
+    def atom(self, kind, index, line, column):
         if kind != "x" or not 1 <= index <= self.nvars:
             raise ParseError(f"only x1..x{self.nvars} may appear in body polynomials",
-                             token.line, token.column)
+                             line, column)
 
-    def monomial(self, coeff, atoms):
-        return Polynomial._monomial(self.nvars, _monomial_parts(atoms, self.nvars)[0], coeff)
+    def value(self, monomials):
+        terms = {}  # exponent tuple -> coefficient
+        for coeff, atoms in monomials:
+            _accumulate(terms, _monomial_parts(atoms, self.nvars)[0], coeff)
+        return Polynomial._from_terms(self.nvars, terms)
 
 
 def parse_expression(text: str, context, line: int = 1, column: int = 1):
     """The value of ``text``, which starts at ``column`` of ``line``."""
-    parser = _Parser(tokenize(text, line, column), context)
+    parser = _Parser(tokenize(text, line, column), context, line)
     return parser.finish(parser.parse_expr())
 
 
@@ -475,8 +488,8 @@ def parse_point_file(text: str, space: SuperSpace) -> LambdaPoint:
     if declared_rank is None:
         declared_rank = 0
         for expr, line_no, column in assignments.values():
-            for token in tokenize(expr, line_no, column):
-                match = _VAR_RE.match(token.text) if token.kind == "name" else None
+            for kind, name, _ in tokenize(expr, line_no, column):
+                match = _VAR_RE.match(name) if kind == "name" else None
                 if match and match.group(1) == "g":
                     declared_rank = max(declared_rank, int(match.group(2)))
     evens = []

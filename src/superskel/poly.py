@@ -70,6 +70,19 @@ def _accumulate(terms: dict, key, coeff) -> None:
         terms.pop(key, None)
 
 
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """(ints, den) for a canonical dict of int or Fraction coefficients:
+    each coefficient's numerator over ``den``, the lcm of the denominators."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1 and den % d:
+            den = den // math.gcd(den, d) * d
+    if den == 1:
+        return {k: c.numerator for k, c in terms.items()}, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
 def _sum(a: dict, b: dict) -> dict:
     terms = dict(a)
     for key, coeff in b.items():
@@ -378,12 +391,14 @@ class Polynomial:
         return poly
 
     @classmethod
-    def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls._monomial(nvars, (0,) * nvars, value)
+    def _from_terms(cls, nvars: int, terms: dict) -> "Polynomial":
+        # trusted: terms a canonical dict from exponent tuples of nvars
+        # ints >= 0 to ints or Fractions
+        ints, den = _numerators(terms)
+        return _primitive(nvars, ints, _ONE if den == 1 else Fraction(1, den))
 
     @classmethod
-    def _monomial(cls, nvars: int, exps: tuple, value) -> "Polynomial":
-        # trusted: exps a tuple of nvars ints >= 0; value an int or Fraction
+    def constant(cls, nvars: int, value) -> "Polynomial":
         value = _as_fraction(value)
         n, d = value.as_integer_ratio()
         if not n:
@@ -392,7 +407,7 @@ class Polynomial:
             content = _ONE
         else:
             content = value if n > 0 else -value
-        return cls._make(nvars, {exps: 1 if n > 0 else -1}, content)
+        return cls._make(nvars, {(0,) * nvars: 1 if n > 0 else -1}, content)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":

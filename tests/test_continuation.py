@@ -106,6 +106,20 @@ def test_taylor_shells_bounded_by_rank():
         assert all(m + k <= rank for (m, k) in shells)
 
 
+def test_taylor_shells_omit_cancelled_shells():
+    # with t1 = t2 = g1 + g2, the four ordered odd pairs of y1's t1*t2 term
+    # contribute +-g1g2 and cancel, so shell (0, 2) is omitted; shell (0, 1)
+    # is nonzero in h1 alone and shell (0, 0) in y1 alone
+    f = Skeleton(S12, FULL12, SuperSpace(1, 1), DeWittDomain.full(SuperSpace(1, 1)),
+                 [SuperFunction(S12, FULL12, {(): Polynomial(1, {(1,): 1}), (1, 2): 1}),
+                  SuperFunction.odd_coordinate(S12, 1)])
+    soul = G.generator(2, 1) + G.generator(2, 2)
+    pt = LambdaPoint(S12, 2, [G.scalar(2, 3)], [soul, soul])
+    shells = taylor_shells(f, pt)
+    assert shells == {(0, 0): (G.scalar(2, 3), G.zero(2)), (0, 1): (G.zero(2), soul)}
+    assert eval_taylor(f, pt) == eval_subst(f, pt)
+
+
 def test_domain_enforced():
     domain = DeWittDomain.full(S10).with_excluded([Polynomial.variable(1, 0)])
     inv = Skeleton(S10, domain, S10, DeWittDomain.full(S10),

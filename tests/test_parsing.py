@@ -202,6 +202,134 @@ def test_parse_equals_operator_evaluation(tree):
             assert value.domain.excluded == expected.domain.excluded, text
 
 
+# -- long flat sums --------------------------------------------------------------
+# An expression's monomial terms are summed at once, and its terms with a ring
+# part (a parenthesis, a division by a non-number) are added after them.  A
+# flat sum of up to 40 terms, drawn once and read in all three contexts, must
+# give the value, the printed form and the excluded zero sets of the operator
+# sum in reading order.  A monomial is (coefficient n/d or None, atoms
+# (slot, exponent), separator); slots repeat and come in any order.
+
+_MONOMIALS = st.tuples(
+    st.one_of(st.none(), st.tuples(st.integers(0, 12), st.sampled_from([1, 1, 2, 3, 7]))),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), max_size=4),
+    st.sampled_from(["*", " * ", " ", ""]))
+
+
+@st.composite
+def _flat_sums(draw):
+    """[(sign, term)]: a term is ("monomial", m), ("paren", m1, op, m2, m3)
+    for (m1 op m2)*m3, or ("div", m, c, slot) for m/(c + slot^2); some sums
+    have no division, so the polynomial context reads them too."""
+    kinds = ["monomial"] * 6 + ["paren"] + ["div"] * draw(st.integers(0, 1))
+    terms = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "monomial":
+            term = (kind, draw(_MONOMIALS))
+        elif kind == "paren":
+            term = (kind, draw(_MONOMIALS), draw(st.sampled_from("+-")),
+                    draw(_MONOMIALS), draw(_MONOMIALS))
+        else:
+            term = (kind, draw(_MONOMIALS), draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+        terms.append((draw(st.sampled_from("+-")), term))
+    return terms
+
+
+def _monomial_text(monomial, names):
+    coeff, atoms, sep = monomial
+    parts = [] if coeff is None else [str(coeff[0]) if coeff[1] == 1 else f"{coeff[0]}/{coeff[1]}"]
+    if atoms:
+        parts.append(sep.join(names[slot] + ("" if k == 1 else f"^{k}") for slot, k in atoms))
+    return "*".join(parts) or "1"
+
+
+def _monomial_value(monomial, context):
+    coeff, atoms, _ = monomial
+    value = _NUMBER[context](1 if coeff is None else F(*coeff))
+    for slot, k in atoms:
+        value = value * _VARIABLE[context](slot) ** k
+    return value
+
+
+def _term_text(term, names):
+    text = partial(_monomial_text, names=names)
+    if term[0] == "monomial":
+        return text(term[1])
+    if term[0] == "paren":
+        return f"({text(term[1])} {term[2]} {text(term[3])})*{text(term[4])}"
+    return f"{text(term[1])}/({term[2]} + {names[term[3]]}^2)"
+
+
+def _term_value(term, context):
+    value = partial(_monomial_value, context=context)
+    if term[0] == "monomial":
+        return value(term[1])
+    if term[0] == "paren":
+        a, b = value(term[1]), value(term[3])
+        return (a + b if term[2] == "+" else a - b) * value(term[4])
+    return value(term[1]) / (_NUMBER[context](term[2]) + _VARIABLE[context](term[3]) ** 2)
+
+
+def _sum_text(terms, names):
+    (sign, first), rest = terms[0], terms[1:]
+    text = ("-" if sign == "-" else "") + _term_text(first, names)
+    return text + "".join(f" {sign} {_term_text(term, names)}" for sign, term in rest)
+
+
+def _sum_value(terms, context):
+    value = None
+    for sign, term in terms:
+        term = _term_value(term, context)
+        if value is None:
+            value = -term if sign == "-" else term
+        else:
+            value = value - term if sign == "-" else value + term
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flat_sums())
+@example([("+", ("monomial", (None, [(0, 1), (3, 1)], ""))),
+          ("-", ("monomial", (None, [(3, 1), (0, 1)], "")))])      # x1t1 - t1x1
+@example([("+", ("div", ((1, 1), [], "*"), 1, 0)),
+          ("+", ("monomial", (None, [(0, 1)], "*"))),
+          ("-", ("monomial", (None, [(0, 1)], "*")))])             # 1/(1 + x1^2) + x1 - x1
+def test_long_sums_equal_operator_sums(terms):
+    for context, names in _NAMES.items():
+        text = _sum_text(terms, names)
+        try:
+            expected = _sum_value(terms, context)
+        except SuperskelError as exc:
+            with pytest.raises(ParseError) as err:
+                _PARSE[context](text)
+            assert err.value.message == str(exc), (context, text)
+            continue
+        value = _PARSE[context](text)
+        assert value == expected and value.format() == expected.format(), (context, text)
+        if context == "superfunction":
+            assert value.domain.excluded == expected.domain.excluded, text
+
+
+def test_summed_terms_pinned():
+    s11, s10 = SuperSpace(1, 1), SuperSpace(1, 0)
+    for value in (parsing.parse_superfunction("x1t1 - t1x1", s11),
+                  parsing.parse_grassmann("g1g2 + g2g1", 2),
+                  parsing.parse_superfunction("(x1+1)*t1 - x1*t1 - t1", s11)):
+        assert value.is_zero() and value.format() == "0"
+    # the ring term keeps its excluded zero set when the monomials cancel
+    value = parsing.parse_superfunction("1/(1+x1^2) + x1 - x1", s10)
+    x1 = SuperFunction.even_coordinate(s10, 1)
+    expected = SuperFunction.constant(s10, 1) / (1 + x1 ** 2)
+    assert value == expected and value.format() == expected.format()
+    assert value.domain.excluded == expected.domain.excluded == (Polynomial(1, {(2,): 1, (0,): 1}),)
+    # a fault in a later term is reported at its own column
+    with pytest.raises(ParseError) as err:
+        parsing.parse_superfunction("x1 + x1 + t9", s11)
+    assert (err.value.message, err.value.line, err.value.column) == \
+        ("no odd coordinate t9 on SuperSpace(1|1)", 1, 11)
+
+
 def test_rendered_examples():
     """The pinned examples above render to the texts they stand for."""
     for tree, context, text in (
