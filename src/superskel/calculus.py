@@ -30,7 +30,7 @@ from .morphisms import compose_subst
 from .poly import Polynomial, RationalFunction
 from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
-from .superfn import Skeleton, SuperFunction
+from .superfn import Skeleton, SuperFunction, _evaluator_at
 
 
 
@@ -98,6 +98,7 @@ class DerivativeData:
         n_out = len(self.skeleton.components)
         totals = [GrassmannElement.zero(rank) for _ in range(n_out)]
         n_dirs = len(self.directions)
+        evaluator = _evaluator_at(point)
 
         def walk(i, key, prod):
             if i < 0:
@@ -105,7 +106,7 @@ class DerivativeData:
                 for ci, comp in enumerate(comps):
                     if comp.is_zero():
                         continue
-                    value = comp.eval(point, check_domain=False)
+                    value = comp._eval_at(evaluator)
                     if value.is_zero():
                         continue
                     if prod is not None:

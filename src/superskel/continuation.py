@@ -28,7 +28,7 @@ from .grassmann import GrassmannElement, GrassmannMorphism, merge_sign, sort_sig
 from .poly import _accumulate
 from .report import CheckReport
 from .spaces import LambdaPoint
-from .superfn import Skeleton
+from .superfn import Skeleton, _evaluator_at
 
 
 def eval_subst(skeleton: Skeleton, point: LambdaPoint,
@@ -38,7 +38,8 @@ def eval_subst(skeleton: Skeleton, point: LambdaPoint,
         raise SuperskelError("point lives in a different space than the skeleton source")
     if check_domain and not skeleton.source_domain.contains(point):
         raise DomainError("point lies outside the skeleton's source domain")
-    values = [comp.eval(point, check_domain=False) for comp in skeleton.components]
+    evaluator = _evaluator_at(point)
+    values = [comp._eval_at(evaluator) for comp in skeleton.components]
     result = LambdaPoint.of(skeleton.target_space, point.rank, values)
     if check_domain and not skeleton.target_domain.contains(result):
         raise DomainError("image body falls outside the declared target domain")

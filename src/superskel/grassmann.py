@@ -16,9 +16,13 @@ numerators here, rational functions for the odd-monomial part of a
 coordinates).  Sums, negation, scaling and the power ``_power`` are the
 sparse-term kernel of ``poly.py``; only what is particular to the exterior
 algebra lives here: label validation, the sign-law ``_product``, parity,
-``_geometric_inverse`` and ``_substitute``, which evaluates an exterior
-polynomial at images of its generators (a morphism applied to an element, a
-superfunction at a point).
+``_geometric_inverse`` and ``_PointEvaluator``, which evaluates an exterior
+polynomial at Grassmann images of its generators, with polynomial or
+rational-function coefficients evaluated at Grassmann images of the even
+variables (a superfunction at a lambda-point), or with rational coefficients
+(a morphism applied to an element).  It sums int numerators and reduces once
+per value, and one evaluator shares its monomial values across everything
+evaluated at its point.
 
 A ``GrassmannElement`` is stored as int numerators ``_ints`` over one
 positive int denominator ``_den`` with gcd(_den, *_ints) = 1.  That form is
@@ -230,18 +234,6 @@ def _product(a: dict, b: dict, rank: int) -> dict:
                 else:
                     del terms[m]
     return terms
-
-
-def _substitute(terms: dict, images, value_of, zero):
-    """Sum over the terms c * g_l1...g_lk of value_of(c) * images[l1 - 1] *
-    ... * images[lk - 1], in label order; ``zero()`` gives the empty sum."""
-    acc = None
-    for mask, coeff in terms.items():
-        value = value_of(coeff)
-        for label in _labels(mask):
-            value = value * images[label - 1]
-        acc = value if acc is None else acc + value
-    return zero() if acc is None else acc
 
 
 def _has_parity(terms: dict, parity: int) -> bool:
@@ -547,6 +539,133 @@ class GrassmannElement:
         return f"GrassmannElement({self.rank}, {self.format()!r})"
 
 
+class _PointEvaluator:
+    """Values at one point of the Grassmann algebra of rank ``rank``: even
+    values n_i / d_i substituted for commuting variables and odd values for
+    the generators of an exterior algebra, each stored as its int numerators
+    ``_ints`` over its ``_den``.
+
+    One evaluator serves every value computed at its point, and is dropped
+    with the call that built it.  It caches each power n_i^e (by
+    square-and-multiply), each even monomial prod_i n_i^a_i by exponent
+    tuple and each ordered product of odd values by mask, so a monomial
+    value shared by several coefficients or components is built once.  A
+    polynomial is summed in ints over prod_i d_i^(top exponent of x_i) and
+    a superfunction over the lcm of its terms' denominators, with one
+    reduction per value.
+    """
+
+    __slots__ = ("rank", "_dens", "_powers", "_monomials", "_odds", "_odd_products")
+
+    def __init__(self, rank: int, even_values, odd_values):
+        self.rank = rank
+        self._dens = tuple(v._den for v in even_values)
+        self._powers = [{1: v._ints} for v in even_values]
+        # the constant monomial is seeded, so every other one has a factor
+        self._monomials = {(0,) * len(self._dens): ({0: 1}, 1)}
+        self._odds = [(v._ints, v._den) for v in odd_values]
+        self._odd_products = {0: ({0: 1}, 1)}
+
+    def _power(self, i: int, e: int) -> dict:
+        """Numerators of n_i^e for e >= 1, by square-and-multiply over the
+        bits of e (a product of even values commutes)."""
+        table = self._powers[i]
+        power = table.get(e)
+        if power is None:
+            base = power = table[1]
+            for bit in bin(e)[3:]:
+                if not power:
+                    break
+                power = _product(power, power, self.rank)
+                if bit == "1":
+                    power = _product(power, base, self.rank)
+            table[e] = power
+        return power
+
+    def _monomial(self, exps: tuple) -> tuple[dict, int]:
+        """(ints, den) of the even monomial: prod_i n_i^a_i over
+        prod_i d_i^a_i for the exponent tuple a."""
+        monomial = self._monomials.get(exps)
+        if monomial is None:
+            ints, den = None, 1
+            for i, e in enumerate(exps):
+                if e:
+                    power = self._power(i, e)
+                    ints = power if ints is None else _product(ints, power, self.rank)
+                    den *= self._dens[i] ** e
+            monomial = self._monomials[exps] = (ints, den)
+        return monomial
+
+    def _polynomial(self, poly) -> tuple[dict, int]:
+        """(ints, den) with poly = ints / den at the point; den is the
+        content's denominator times prod_i d_i^(top exponent of x_i)."""
+        n, den = poly._content.as_integer_ratio()
+        top = 1
+        for d, e in zip(self._dens, map(max, zip(*poly._ints))):
+            if d != 1:
+                top *= d ** e
+        total = {}
+        for exps, c in poly._ints.items():
+            ints, mono_den = self._monomial(exps)
+            c *= n * (top // mono_den)
+            for m, v in ints.items():
+                total[m] = total.get(m, 0) + c * v
+        return {m: c for m, c in total.items() if c}, den * top
+
+    def _rational(self, rf) -> tuple[dict, int]:
+        """(ints, den) of a rational function at the point.  Each factor of
+        the denominator is evaluated and inverted on its own; one with zero
+        body raises ``NotInvertibleError``."""
+        ints, den = self._polynomial(rf.num)
+        if rf.factors:
+            value = GrassmannElement._reduced(self.rank, ints, den)
+            for factor, mult in rf.factors:
+                inverse = GrassmannElement._reduced(self.rank, *self._polynomial(factor)).invert()
+                value = value * (inverse if mult == 1 else inverse ** mult)
+            ints, den = value._ints, value._den
+        return ints, den
+
+    def _odd_product(self, mask: int) -> tuple[dict, int]:
+        """(ints, den) of the product of the odd values of the labels in
+        ``mask``, in label order."""
+        product = self._odd_products.get(mask)
+        if product is None:
+            last = mask.bit_length() - 1
+            ints, den = self._odd_product(mask ^ (1 << last))
+            odd_ints, odd_den = self._odds[last]
+            product = (_product(ints, odd_ints, self.rank), den * odd_den)
+            self._odd_products[mask] = product
+        return product
+
+    def _odd_sum(self, terms) -> GrassmannElement:
+        """The sum of ints / den times the odd product of ``mask`` over the
+        (mask, ints, den) triples of ``terms``, added over the lcm of the
+        denominators and reduced once."""
+        parts = []
+        lcm = 1
+        for mask, ints, den in terms:
+            if mask and ints:
+                odd_ints, odd_den = self._odd_product(mask)
+                ints = _product(ints, odd_ints, self.rank)
+                den *= odd_den
+            if ints:
+                parts.append((ints, den))
+                if den != 1 and lcm % den:
+                    lcm = lcm // math.gcd(lcm, den) * den
+        total = {}
+        for ints, den in parts:
+            scale = lcm // den
+            for m, c in ints.items():
+                total[m] = total.get(m, 0) + c * scale
+        return GrassmannElement._reduced(self.rank, {m: c for m, c in total.items() if c}, lcm)
+
+    def value(self, coeffs: dict) -> GrassmannElement:
+        """A superfunction's value from its mask-keyed rational-function
+        coefficients: even values for the even coordinates, odd values for
+        the odd ones."""
+        return self._odd_sum((mask, *self._rational(rf)) for mask, rf in coeffs.items())
+
+
 class GrassmannMorphism:
     """Even unital algebra morphism between Grassmann algebras.
 
@@ -604,11 +723,9 @@ class GrassmannMorphism:
         if element.rank != self.source_rank:
             raise RankMismatchError(
                 f"morphism expects rank {self.source_rank}, got {element.rank}")
-        rank = self.target_rank
-        value = _substitute(element._ints, self.images,
-                            lambda c: GrassmannElement._make(rank, {0: c}),
-                            lambda: GrassmannElement._make(rank, {}))
-        return value if element._den == 1 else value._scaled(Fraction(1, element._den))
+        evaluator = _PointEvaluator(self.target_rank, (), self.images)
+        den = element._den
+        return evaluator._odd_sum((m, {0: c}, den) for m, c in element._ints.items())
 
     def after(self, other: "GrassmannMorphism") -> "GrassmannMorphism":
         """Composite self(other(.))."""

@@ -623,7 +623,13 @@ class Polynomial:
 
         ``values[i]`` substitutes variable i; ``one`` is the ring unit, the
         value of the constant monomial. Ring elements must support +, * and
-        int and Fraction scaling from the left.
+        int and Fraction scaling from the left.  The callers and their
+        rings: ``SuperFunction.substitute`` (through
+        ``RationalFunction.eval_in``) with superfunctions, for
+        ``compose_subst``; ``compose_formula`` with rational functions, the
+        body maps; and tests with Grassmann elements, calling ``substitute``
+        as the reference for ``SuperFunction.eval``, whose own evaluator at
+        a lambda-point (``grassmann._PointEvaluator``) does not come here.
         """
         # powers[i][e] = values[i]**e for the exponents that occur, each the
         # next lower one times values[i]**gap (one product for a gap of 1)

@@ -9,8 +9,8 @@ the representation.  The monomial arithmetic is shared with
 of J, as a Grassmann element's numerators are, with rational functions in
 place of ints.  Sums, scaling and the power come from the sparse-term kernel
 in ``poly.py``, the sign-law product, parity, geometric-series inverse and
-generator substitution from ``grassmann.py``; ``terms`` is a view keyed by
-label tuples, built on each read.  This module adds the domain bookkeeping,
+the evaluator at a lambda-point from ``grassmann.py``; ``terms`` is a view
+keyed by label tuples, built on each read.  This module adds the domain bookkeeping,
 equality up to cross-multiplication, calculus and evaluation.
 
 Equivalently, a superfunction is the family of its alternating coefficient
@@ -31,8 +31,8 @@ from itertools import combinations
 
 from .errors import DomainError, NotInvertibleError, ParityError, SpaceMismatchError, SuperskelError
 from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
-                        _label_key, _labels, _parity, _product, _signed_mask, _soul,
-                        _substitute)
+                        _label_key, _labels, _parity, _PointEvaluator, _product, _signed_mask,
+                        _soul)
 from .poly import (Polynomial, RationalFunction, _negate, _power, _scale, _signed_sum, _sum,
                    monomial_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
@@ -46,6 +46,11 @@ def _as_rf(value, nvars):
     if isinstance(value, (int, Fraction)):
         return RationalFunction.constant(nvars, value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient function")
+
+
+def _evaluator_at(point: LambdaPoint) -> _PointEvaluator:
+    """An evaluator to share across the superfunctions evaluated at ``point``."""
+    return _PointEvaluator(point.rank, point.even_values, point.odd_values)
 
 
 def shuffles(k: int, total: int):
@@ -278,26 +283,40 @@ class SuperFunction:
     # -- evaluation / substitution ------------------------------------------
 
     def eval(self, point: LambdaPoint, check_domain: bool = True) -> GrassmannElement:
-        """Value at a lambda-point, computed in the Grassmann algebra."""
+        """Value at a lambda-point, computed in the Grassmann algebra over
+        int numerators (``grassmann._PointEvaluator``); callers that
+        evaluate several superfunctions at one point share one evaluator
+        through ``_eval_at``."""
         if point.space != self.space:
             raise SpaceMismatchError("point lives in a different space")
         if check_domain and not self.domain.contains(point):
             raise DomainError("point lies outside the declared domain")
-        one = GrassmannElement._make(point.rank, {0: 1})
+        return self._eval_at(_evaluator_at(point))
+
+    def _eval_at(self, evaluator: _PointEvaluator) -> GrassmannElement:
+        """Value at the evaluator's point, with no space or domain check."""
         try:
-            return self.substitute(point.even_values, point.odd_values, one)
+            return evaluator.value(self._coeffs)
         except NotInvertibleError:
             # a declared-nonvanishing denominator hit a zero body here
             raise DomainError("a denominator has zero body at this point; "
                               "the declared domain is dishonest")
 
     def substitute(self, even_values, odd_values, one):
-        """Plug values in for the coordinates: Grassmann values evaluate at
-        a point, superfunction values compose coordinatewise.  ``one`` is
-        the unit of the values' ring, which must support +, *, Fraction
-        scaling and ``invert`` for denominators."""
-        return _substitute(self._coeffs, odd_values,
-                           lambda c: c.eval_in(even_values, one), lambda: 0 * one)
+        """Plug values in for the coordinates, through the generic ring
+        operations: ``compose_subst`` passes superfunction values, which
+        compose coordinatewise.  Grassmann values give the value at a point
+        as ``eval`` does, by a route independent of its evaluator.  ``one``
+        is the unit of the values' ring, which must support +, *, Fraction
+        scaling and ``invert`` for denominators.  Each term c_J * t_J
+        becomes c_J(even_values) times the odd values of J in label order."""
+        acc = None
+        for mask, coeff in self._coeffs.items():
+            value = coeff.eval_in(even_values, one)
+            for label in _labels(mask):
+                value = value * odd_values[label - 1]
+            acc = value if acc is None else acc + value
+        return 0 * one if acc is None else acc
 
     # -- rendering -----------------------------------------------------------
 

@@ -245,3 +245,20 @@ def test_selftest_single_suite():
     code, out = run(["selftest", "--suite", "gluing"])
     assert code == 0
     assert "PASS gluing" in out
+
+
+def test_eval_dishonest_denominator_exits_1(tmp_path):
+    """A denominator whose value has zero body at the point is a DomainError:
+    exit 1 with one ``error:`` line, no traceback, on every route."""
+    skeleton, point = tmp_path / "inv.sk", tmp_path / "zero.pt"
+    skeleton.write_text("source 1|0\ntarget 1|0\ny1 = 1/x1\n")
+    point.write_text("rank 2\nx1 = 1*g1g2\n")
+    for route, message in (("subst", "a denominator has zero body at this point"),
+                           ("both", "a denominator has zero body at this point"),
+                           ("taylor", "denominator vanishes at body point")):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(["eval", str(skeleton), str(point), "--route", route])
+        assert (code, out) == (1, ""), route
+        assert err.getvalue().startswith(f"error: {message}"), route
+        assert err.getvalue().count("\n") == 1, route

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from superskel import randgen
+from superskel.calculus import derivative
 from superskel.continuation import (check_naturality, default_morphism_battery,
                                     eval_subst, eval_taylor, taylor_increment,
                                     taylor_shells, truncation_consistent)
@@ -11,7 +13,7 @@ from superskel.errors import DomainError, SuperskelError
 from superskel.grassmann import GrassmannElement as G
 from superskel.grassmann import GrassmannMorphism
 from superskel.poly import Polynomial, RationalFunction
-from superskel.spaces import DeWittDomain, LambdaPoint, SuperSpace
+from superskel.spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
 from superskel.superfn import Skeleton, SuperFunction
 
 S12 = SuperSpace(1, 2)
@@ -131,6 +133,56 @@ def test_domain_enforced():
         eval_subst(inv, soul_only)
     with pytest.raises(DomainError):
         eval_taylor(inv, soul_only)
+
+
+def test_dishonest_denominator_is_a_domain_error():
+    # 1/x1 on the full domain: the point passes the domain check, and the
+    # denominator's value x1 = g1g2 has zero body, so it has no inverse
+    inv = SuperFunction(S10, DeWittDomain.full(S10),
+                        {(): RationalFunction(Polynomial.one(1), Polynomial.variable(1, 0))})
+    f = Skeleton(S10, DeWittDomain.full(S10), S10, DeWittDomain.full(S10), [inv])
+    soul_only = LambdaPoint(S10, 2, [G.monomial(2, (1, 2))], [])
+    with pytest.raises(DomainError, match="zero body"):
+        inv.eval(soul_only)
+    with pytest.raises(DomainError, match="zero body"):
+        eval_subst(f, soul_only)
+    with pytest.raises(DomainError, match="zero body"):
+        derivative(f, 1).apply(soul_only, [Vector(S10, 2, [G.scalar(2, 1)])])
+
+
+def test_eval_subst_edge_points():
+    """Rank-0 points, 0|q sources and zero superfunctions: the point
+    evaluator agrees with generic substitution and with the Taylor route."""
+    rng = random.Random(5)
+    S02 = SuperSpace(0, 2)
+    cases = []
+    for space, rank in ((S12, 0), (SuperSpace(2, 1), 0), (S02, 0), (S02, 3), (SuperSpace(0, 3), 4)):
+        f = randgen.random_skeleton(rng, space, SuperSpace(1, 1), degree=2, rational=True)
+        cases.append((f, randgen.random_point(rng, space, rank)))
+    zero = Skeleton(S12, FULL12, SuperSpace(1, 1), DeWittDomain.full(SuperSpace(1, 1)),
+                    [SuperFunction.zero(S12), SuperFunction.zero(S12)])
+    cases.append((zero, randgen.random_point(rng, S12, 3)))
+    for f, x in cases:
+        one = G.unit(x.rank)
+        value = eval_subst(f, x)
+        assert list(value.values) == [c.substitute(x.even_values, x.odd_values, one)
+                                      for c in f.components]
+        assert value == eval_taylor(f, x)
+    assert eval_subst(zero, cases[-1][1]).is_zero()
+    # a rank-0 point is its body: the value is the body map there
+    f, x = cases[0]
+    assert eval_subst(f, x).even_values[0] == G.scalar(0, f.body_maps()[0].eval(x.body()))
+
+
+def test_high_power_by_squaring():
+    # x1^100000 at 2 + g1g2 = 2^100000 + 100000 * 2^99999 g1g2, built by
+    # squaring (about 17 products) rather than one factor at a time
+    f = SuperFunction(S12, FULL12, {(): Polynomial(1, {(100000,): 1})})
+    x = LambdaPoint(S12, 2, [G(2, {(): 2, (1, 2): 1})], [G.zero(2), G.zero(2)])
+    start = time.perf_counter()
+    value = f.eval(x)
+    assert time.perf_counter() - start < 1
+    assert value == G(2, {(): 2 ** 100000, (1, 2): 100000 * 2 ** 99999})
 
 
 def test_naturality_swap_example():

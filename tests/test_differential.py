@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from superskel import randgen
 from superskel.continuation import eval_subst, eval_taylor
+from superskel.grassmann import GrassmannElement
 from superskel.morphisms import compose_formula, compose_subst
 from superskel.spaces import SuperSpace
-from superskel.superfn import mul_shuffle
+from superskel.superfn import _evaluator_at, mul_shuffle
 
 _DIM = st.integers(0, 2)
 _DEGREE = st.integers(0, 3)
@@ -29,6 +30,31 @@ def test_eval_subst_equals_eval_taylor(p, q, p_out, q_out, degree, rank, rationa
                                 degree=degree, rational=rational)
     x = randgen.random_point(rng, f.source_space, rank)
     assert eval_subst(f, x) == eval_taylor(f, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), _DIM, _DIM, _DIM, _DEGREE, st.integers(0, 6), st.booleans(), _SEED)
+def test_point_evaluator_equals_generic_substitution(p, q, p_out, q_out, degree, rank,
+                                                     rational, seed):
+    """``eval_subst`` and ``SuperFunction.eval`` run the int-numerator point
+    evaluator; ``substitute`` plugs the same values in through the generic
+    ring operations, and ``eval_taylor`` is the Taylor route.  The point's
+    values have denominators 1-4 (``randgen.random_fraction``)."""
+    rng = random.Random(seed)
+    f = randgen.random_skeleton(rng, SuperSpace(p, q), SuperSpace(p_out, q_out),
+                                degree=degree, rational=rational)
+    x = randgen.random_point(rng, f.source_space, rank)
+    # the squares repeat each denominator factor (multiplicity 2)
+    functions = list(f.components) + [c * c for c in f.components]
+    one = GrassmannElement.unit(rank)
+    generic = [c.substitute(x.even_values, x.odd_values, one) for c in functions]
+    value = eval_subst(f, x)
+    assert list(value.values) == generic[:len(f.components)]
+    assert [c.eval(x) for c in functions] == generic
+    # one evaluator shared across the functions, in reverse order
+    evaluator = _evaluator_at(x)
+    assert [c._eval_at(evaluator) for c in reversed(functions)] == generic[::-1]
+    assert value == eval_taylor(f, x)
 
 
 @settings(max_examples=40, deadline=None)
