@@ -10,8 +10,8 @@ of J, as a Grassmann element's numerators are, with rational functions in
 place of ints.  Sums, scaling and the power come from the sparse-term kernel
 in ``poly.py``, the sign-law product, parity, geometric-series inverse and
 the evaluator at a lambda-point from ``grassmann.py``; ``terms`` is a view
-keyed by label tuples, built on each read.  This module adds the domain bookkeeping,
-equality up to cross-multiplication, calculus and evaluation.
+keyed by label tuples, built on each read.  This module adds the domain
+bookkeeping, equality up to cross-multiplication, calculus and evaluation.
 
 Equivalently, a superfunction is the family of its alternating coefficient
 maps: the degree-k map sends a k-tuple of odd basis directions to the
