@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 from . import randgen
 from .continuation import eval_subst, taylor_increment, taylor_shells
@@ -423,20 +423,14 @@ def _taylor_of_coefficient(coeff: RationalFunction, base_point, degree: int) -> 
     for order in range(degree + 1):
         for dirs in combinations_with_replacement(range(p), order):
             rf = coeff
-            denom = 1
-            counts = {}
             for j in dirs:
-                counts[j] = counts.get(j, 0) + 1
-            for j, c in counts.items():
-                for _ in range(c):
-                    rf = rf.derivative(j)
-                denom *= factorial(c)
-            value = rf.eval(base_point) / denom
+                rf = rf.derivative(j)
+            value = rf.eval(base_point) / prod(factorial(dirs.count(j)) for j in set(dirs))
             if value == 0:
                 continue
             mono = Polynomial.one(p)
-            for j, c in counts.items():
-                mono = mono * shifted[j] ** c
+            for j in dirs:
+                mono = mono * shifted[j]
             total = total + mono * value
     return total
 

@@ -5,26 +5,30 @@ values straight into the component superfunctions and compute in the algebra,
 inverting denominators by their terminating geometric series.
 
 ``eval_taylor`` is the finite Taylor route: split the point into body, even
-souls and odd values, and sum
+souls and odd values, write each as a sum of Grassmann monomials (pieces),
+and sum
 
-    sum_{m,k} 1/(m! k!) d^m(degree-k alternating coefficient map)(body)
-              applied to m soul insertions and k odd insertions,
+    sum_{m,k} d^m(degree-k coefficient)(body) * (m soul pieces) * (k odd pieces)
 
-where a Grassmann monomial argument v*gI contributes its label monomial as a
-factor pulled out to the right in argument order.  Nilpotency truncates the
-sum: no term with m + k > rank survives.  The two routes must agree exactly
-on every input; their equality is a first-class test.
+over sets of m distinct soul pieces and k odd pieces on strictly increasing
+coordinates, each set once, in pool order.  A repeated piece squares to
+zero, even partials commute and the m! orderings of a set give equal terms,
+so the Taylor weight 1/m! cancels; odd pieces anticommute, so the k!
+orderings of a set, each with the sign of its sort, give the ascending one.
+A piece v*gI contributes its label monomial, multiplied in set order.
+Nilpotency truncates the sum: no term with m + k > rank survives.  The two
+routes must agree exactly on every input; their equality is a first-class
+test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 from . import randgen
 from .errors import DomainError, RankMismatchError, SuperskelError
-from .grassmann import GrassmannElement, GrassmannMorphism, merge_sign, sort_sign
+from .grassmann import GrassmannElement, GrassmannMorphism, merge_sign
 from .poly import _accumulate
 from .report import CheckReport
 from .spaces import LambdaPoint
@@ -63,31 +67,36 @@ def _soul_monomials(point: LambdaPoint):
     return evens, odds
 
 
-def _ordered_tuples(pool, length, sign, labels, coeff, chosen):
-    """Ordered tuples (with repetition) from pool whose label product survives.
+def _subsets(pool, length, sign, labels, coeff, chosen=(), start=0, odd=False):
+    """Sets of pieces from pool, in pool order, whose label product survives.
 
-    Yields (chosen coordinate list, sign, merged labels, coefficient product);
-    the running Grassmann monomial product prunes dead branches early.
+    Yields (chosen coordinates, sign, merged labels, coefficient product);
+    the running Grassmann monomial product prunes dead branches early.  Odd
+    pieces take strictly increasing coordinates (t_j t_j = 0); the pool is
+    sorted by coordinate, so the chosen coordinates are ascending.
     """
     if length == 0:
         yield chosen, sign, labels, coeff
         return
-    for coord, mono, c in pool:
+    for idx in range(start, len(pool)):
+        coord, mono, c = pool[idx]
+        if odd and chosen and coord == chosen[-1]:
+            continue
         s, merged = merge_sign(labels, mono)
         if s == 0:
             continue
-        yield from _ordered_tuples(pool, length - 1, sign * s, merged,
-                                   coeff * c, chosen + [coord])
+        yield from _subsets(pool, length - 1, sign * s, merged, coeff * c,
+                            chosen + (coord,), idx + 1, odd)
 
 
 def taylor_shells(skeleton: Skeleton, point: LambdaPoint, max_total: int | None = None):
     """Per-(m, k) contributions of the Taylor route, for each component.
 
     Returns a dict (m, k) -> tuple of GrassmannElements (one per target
-    coordinate).  Each shell's contributions are summed as Fractions per
-    label tuple, and its values are built once, with the weight
-    1/(m! k!) applied to the sums.  Shells whose contributions all vanish
-    are omitted.  By exactness there is no surviving shell with
+    coordinate).  Each shell sums, over every set of m soul pieces and k odd
+    pieces (each set once, with weight 1), its contributions as Fractions
+    per label tuple, and builds its values once.  Shells whose contributions
+    all vanish are omitted.  By exactness there is no surviving shell with
     m + k > rank.
     """
     rank = point.rank
@@ -117,25 +126,20 @@ def taylor_shells(skeleton: Skeleton, point: LambdaPoint, max_total: int | None 
 
     shells = {}
     for m in range(0, rank // 2 + 1):
-        even_tuples = [(tuple(sorted(chosen)), sign, labels, coeff) for chosen, sign, labels, coeff
-                       in _ordered_tuples(evens, m, 1, (), Fraction(1), [])]
-        if not even_tuples:
+        even_sets = list(_subsets(evens, m, 1, (), Fraction(1)))
+        if not even_sets:
             break
         for k in range(0, max_total - m + 1):
             sums = [{} for _ in components]  # label tuple -> Fraction, per component
-            for even_dirs, e_sign, e_labels, e_coeff in even_tuples:
-                odd_tuples = _ordered_tuples(odds, k, e_sign, e_labels, e_coeff, [])
-                for o_chosen, sign, labels, coeff in odd_tuples:
-                    sort_s, sorted_odd = sort_sign(tuple(j + 1 for j in o_chosen))
-                    if sort_s == 0:
-                        continue
-                    if sign * sort_s < 0:
+            for even_dirs, e_sign, e_labels, e_coeff in even_sets:
+                odd_sets = _subsets(odds, k, e_sign, e_labels, e_coeff, odd=True)
+                for o_chosen, sign, labels, coeff in odd_sets:
+                    if sign < 0:
                         coeff = -coeff
-                    for ci, value in derived_at_body(sorted_odd, even_dirs):
+                    for ci, value in derived_at_body(tuple(j + 1 for j in o_chosen), even_dirs):
                         _accumulate(sums[ci], labels, coeff * value)
             if any(sums):
-                weight = Fraction(1, factorial(m) * factorial(k))
-                shells[(m, k)] = tuple(GrassmannElement(rank, terms) * weight for terms in sums)
+                shells[(m, k)] = tuple(GrassmannElement(rank, terms) for terms in sums)
     return shells
 
 

@@ -35,8 +35,10 @@ Label tuples appear only at the boundary: the public constructors,
 ``coefficient`` (which reads any label sequence up to sign), ``format``,
 the parser's monomials and the read-only ``terms`` view, a new dict from
 label tuples to Fractions built on each read.  ``merge_sign`` and
-``sort_sign`` work on such tuples; the product shares neither, so they stay
-independent oracles for the Taylor and formula routes that use them.
+``sort_sign`` work on such tuples, and the product shares neither.
+``sort_sign`` orders the labels ``coefficient`` reads; only the Taylor
+route (``continuation.taylor_shells``) still uses ``merge_sign``, which keeps
+it an oracle independent of the mask kernel.
 
 Morphisms between these algebras are determined by the generator images,
 which must be purely odd; this makes the induced map even and unital.

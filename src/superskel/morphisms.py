@@ -8,26 +8,25 @@ algebra.  It is the semantic definition of composition.
 ``compose_formula`` recomputes the same composition through the combinatorial
 route: write the inner map as body map + even souls + odd parts, then expand
 
-    sum_{m,k} 1/(m! k!) (d^m of the outer degree-k alternating coefficient
-    map)(body map) * soul^m * odd^k
+    sum_{alpha, J} 1/alpha! (d^alpha of the outer coefficient of t_J)(body map)
+                   * soul^alpha * odd_J
 
 entirely in symbols, composing coefficient derivatives through the body map
-only.  The displayed one-line version of this expansion (a sum over block
-compositions with permutation weights 1/(m! k! alpha! beta!) and a sign on
-the odd block permutation) is recovered from this form by expanding the
-products; the internal block orderings cancel the alpha! beta! weights
-because the alternating maps are only ever evaluated on ascending tuples.
+only.  Even partials commute, so the even directions are multisets alpha
+with the multinomial weight 1/alpha!; the odd parts anticommute, so the odd
+directions are ascending tuples J, taken once with weight 1, and odd_J is
+the product of the odd parts in J's order.
 Equality with ``compose_subst`` is a first-class test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
-from math import factorial
+from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 
 from .errors import DomainError, NotInvertibleError, SpaceMismatchError, SuperskelError
-from .grassmann import GrassmannElement, sort_sign
+from .grassmann import GrassmannElement
 from .poly import RationalFunction
 from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
@@ -58,7 +57,6 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
     if inner.target_space != outer.source_space:
         raise SpaceMismatchError("skeletons do not compose: target/source spaces differ")
     src = inner.source_space
-    mid = outer.source_space
     q_src = src.odd_dim
 
     body_maps = list(inner.body_maps())
@@ -98,44 +96,38 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
                         "through the body map; the declared domains are dishonest")
         return compose_cache[key]
 
-    zero = SuperFunction.zero(src, inner.source_domain)
-    results = []
-    for ci in range(len(outer.components)):
-        acc = zero
-        for m in range(0, q_src // 2 + 1):
-            for evens in iproduct(range(len(souls)), repeat=m):
-                soul_product = None
-                degree = sum(soul_min[i] for i in evens)
-                if degree > q_src:
-                    continue
-                for k in range(0, q_src + 1):
-                    weight = Fraction(1, factorial(m) * factorial(k))
-                    for odd_dirs in iproduct(range(len(odds)), repeat=k):
-                        if degree + sum(odd_min[j] for j in odd_dirs) > q_src:
-                            continue
-                        sgn, sorted_odd = sort_sign(tuple(j + 1 for j in odd_dirs))
-                        if sgn == 0:
-                            continue
-                        scalar = composed_derivative(ci, sorted_odd, tuple(sorted(evens)))
+    one = SuperFunction.constant(src, 1, inner.source_domain)
+    accs = [SuperFunction.zero(src, inner.source_domain) for _ in outer.components]
+    for m in range(0, q_src // 2 + 1):
+        for evens in combinations_with_replacement(range(len(souls)), m):
+            degree = sum(soul_min[i] for i in evens)
+            if degree > q_src:
+                continue
+            soul_product = one
+            for i in evens:
+                soul_product = soul_product * souls[i]
+            if soul_product.is_zero():
+                continue
+            weight = Fraction(1, prod(factorial(evens.count(i)) for i in set(evens)))
+            for k in range(0, q_src + 1):
+                for odd_dirs in combinations(range(len(odds)), k):
+                    if degree + sum(odd_min[j] for j in odd_dirs) > q_src:
+                        continue
+                    sorted_odd = tuple(j + 1 for j in odd_dirs)
+                    term = None
+                    for ci, acc in enumerate(accs):
+                        scalar = composed_derivative(ci, sorted_odd, evens)
                         if scalar is None:
                             continue
-                        if soul_product is None:
-                            soul_product = SuperFunction.constant(
-                                src, 1, inner.source_domain)
-                            for i in evens:
-                                soul_product = soul_product * souls[i]
-                        if soul_product.is_zero():
-                            break
-                        term = soul_product
-                        for j in odd_dirs:
-                            term = term * odds[j]
-                        if term.is_zero():
-                            continue
-                        coeff = SuperFunction(src, inner.source_domain,
-                                              {(): scalar * weight * sgn})
-                        acc = acc + coeff * term
-                    if soul_product is not None and soul_product.is_zero():
-                        break
+                        if term is None:
+                            term = soul_product
+                            for j in odd_dirs:
+                                term = term * odds[j]
+                        if not term.is_zero():
+                            coeff = SuperFunction(src, inner.source_domain, {(): scalar * weight})
+                            accs[ci] = acc + coeff * term
+    results = []
+    for ci, acc in enumerate(accs):
         # so are the denominator factors of the final coefficients
         dens = excluded[ci] + [f for c in acc._coeffs.values() for f, _ in c.factors]
         results.append(SuperFunction._make(src, acc.domain.with_excluded(dens), acc._coeffs))

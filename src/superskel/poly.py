@@ -1130,18 +1130,14 @@ class RationalFunction:
         return self.num.eval(values) / den
 
     def eval_in(self, values, one):
-        """Evaluate at ring elements; each factor's value must be invertible
-        (Fractions, or any object exposing ``invert``) and is inverted on its
-        own, so the result's denominators keep the factor structure."""
+        """Evaluate at ring elements; each factor's value is inverted on its
+        own by its ``invert``, so the result's denominators keep the factor
+        structure.  The callers pass rational functions (``compose_formula``),
+        superfunctions (``SuperFunction.substitute``) or Grassmann elements
+        (tests); ``eval`` takes Fraction points."""
         value = self.num.eval_in(values, one)
         for factor, mult in self.factors:
-            den = factor.eval_in(values, one)
-            if isinstance(den, Fraction):
-                if den == 0:
-                    raise NotInvertibleError("denominator evaluates to zero")
-                inverse = _ONE / den
-            else:
-                inverse = den.invert()
+            inverse = factor.eval_in(values, one).invert()
             value = value * (inverse if mult == 1 else inverse ** mult)
         return value
 

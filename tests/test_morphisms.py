@@ -164,6 +164,24 @@ def test_compose_on_punctured_domains():
                 eval_subst(g, eval_subst(f, x, check_domain=False), check_domain=False)
 
 
+def test_formula_reaches_the_square_of_a_soul():
+    # the soul t1*t2 + t3*t4 + x1*t1*t3 squares to 2*t1*t2*t3*t4, so the
+    # m = 2 term of the formula, weighted 1/alpha! = 1/2, survives
+    from superskel.parsing import parse_skeleton_file
+
+    inner = parse_skeleton_file(
+        "source 1|4\ntarget 1|4\ny1 = x1 + t1*t2 + t3*t4 + x1*t1*t3\n"
+        "h1 = t1\nh2 = t2 + x1*t1*t3*t4\nh3 = t3\nh4 = t4\n")
+    for outer_text in ("source 1|4\ntarget 1|0\ny1 = x1^3\n",
+                       "source 1|4\ntarget 1|1\ny1 = 1/(1 + x1^2)\nh1 = x1*t1\n"):
+        outer = parse_skeleton_file(outer_text)
+        by_subst, by_formula = compose_subst(outer, inner), compose_formula(outer, inner)
+        assert by_formula.components == by_subst.components
+        assert [c.domain for c in by_formula.components] == \
+            [c.domain for c in by_subst.components]
+        assert by_formula.source_domain == by_subst.source_domain
+
+
 def test_formula_odd_linear():
     # outer odd-linear map h -> c*h picks up the inner odd component
     S01 = SuperSpace(0, 1)
