@@ -31,14 +31,15 @@ does not hold here (the algebra has zero divisors: (g1 + 3g2)(g1 - 3g2) =
 -6 g1g2), so every product, sum and part is reduced against ``_den``
 afterwards.
 
-Label tuples appear only at the boundary: the public constructors,
-``coefficient`` (which reads any label sequence up to sign), ``format``,
-the parser's monomials and the read-only ``terms`` view, a new dict from
-label tuples to Fractions built on each read.  ``merge_sign`` and
-``sort_sign`` work on such tuples, and the product shares neither.
-``sort_sign`` orders the labels ``coefficient`` reads; only the Taylor
-route (``continuation.taylor_shells``) still uses ``merge_sign``, which keeps
-it an oracle independent of the mask kernel.
+Label tuples appear only at the boundary: the public constructors (which
+read their input with ``poly._read_numerators``), ``coefficient``,
+``format``, the parser's monomials and the read-only ``terms`` view, a new
+dict from label tuples to Fractions built on each read.  ``coefficient``
+and the parser read any label sequence up to sign with ``_signed_mask``,
+which counts inversions on masks.  ``merge_sign`` works on label tuples and
+the product does not share it; only the Taylor route
+(``continuation.taylor_shells``) uses it, which keeps it an oracle
+independent of the mask kernel.
 
 Morphisms between these algebras are determined by the generator images,
 which must be purely odd; this makes the induced map even and unital.
@@ -49,9 +50,11 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import index as _index
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import _accumulate, _as_fraction, _number_text, _power, _scale, _signed_sum, _sum
+from .poly import (_accumulate, _as_fraction, _number_text, _power, _read_numerators, _scale,
+                   _signed_sum, _sum)
 
 _ZERO = Fraction(0)
 
@@ -100,20 +103,6 @@ def merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
     return (-1 if inversions & 1 else 1), tuple(out)
 
 
-def sort_sign(labels) -> tuple[int, tuple[int, ...]]:
-    """Sign of the permutation sorting ``labels`` ascending; 0 on repeats."""
-    labels = list(labels)
-    sign = 1
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if labels[i] == labels[j]:
-                return 0, ()
-            if labels[i] > labels[j]:
-                labels[i], labels[j] = labels[j], labels[i]
-                sign = -sign
-    return sign, tuple(labels)
-
-
 # -- masks and label tuples ----------------------------------------------------
 
 _LABELS: dict[int, tuple[int, ...]] = {0: ()}
@@ -127,17 +116,9 @@ def _labels(mask: int) -> tuple[int, ...]:
     return labels
 
 
-def _mask(labels) -> int:
-    """The mask of distinct labels >= 1."""
-    mask = 0
-    for label in labels:
-        mask |= 1 << (label - 1)
-    return mask
-
-
 def _label_mask(labels, top: int, what: str) -> int:
     """The mask of outside input: labels in 1..top, strictly increasing."""
-    labels = tuple(int(l) for l in labels)
+    labels = tuple(map(_index, labels))
     mask = previous = 0
     increasing = True
     for label in labels:
@@ -154,11 +135,19 @@ def _label_mask(labels, top: int, what: str) -> int:
 
 def _signed_mask(labels) -> tuple[int, int]:
     """(sign, mask) with g_labels = sign * g_mask for any label sequence; the
-    sign is 0 when a label repeats or is below 1 (no such monomial)."""
-    sign, ordered = sort_sign(labels)
-    if not sign or ordered and ordered[0] < 1:
-        return 0, 0
-    return sign, _mask(ordered)
+    sign is 0 when a label repeats or is below 1 (no such monomial).  The
+    sign is that of sorting the labels: each label passes the larger ones
+    read before it."""
+    mask = inversions = 0
+    for label in labels:
+        if label < 1:
+            return 0, 0
+        bit = 1 << (label - 1)
+        if mask & bit:
+            return 0, 0
+        inversions += (mask >> label).bit_count()
+        mask |= bit
+    return -1 if inversions & 1 else 1, mask
 
 
 def _label_key(mask: int):
@@ -297,31 +286,7 @@ class GrassmannElement:
         if rank < 0:
             raise SuperskelError("rank must be non-negative")
         _check_rank_cap(rank)
-        # numerators, and the lcm of the denominators, in one pass over the
-        # input; only a denominator other than 1 costs a second pass
-        ints, dens = {}, []
-        den = 1
-        for labels, coeff in (terms or {}).items():
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(f"expected an exact rational, got {type(coeff).__name__}")
-            n, d = coeff.as_integer_ratio()
-            if not n:
-                continue
-            mask = _label_mask(labels, rank, "generator")
-            if mask in ints:  # two keys of one monomial, such as (1,) and ("1",)
-                merged = {}
-                for l, c in terms.items():
-                    c = _as_fraction(c)
-                    if c:
-                        _accumulate(merged, _labels(_label_mask(l, rank, "generator")), c)
-                self.__init__(rank, merged)
-                return
-            if d != 1 and den % d:
-                den = den // math.gcd(den, d) * d
-            ints[mask] = n
-            dens.append(d)
-        if den != 1:
-            ints = {m: n * (den // d) for (m, n), d in zip(ints.items(), dens)}
+        ints, den = _read_numerators(terms, lambda labels: _label_mask(labels, rank, "generator"))
         self.rank = rank
         self._ints, self._den = _lowest(ints, den)
 
@@ -414,11 +379,8 @@ class GrassmannElement:
         if not a:
             return other if sign > 0 else -other
         da, db = self._den, other._den
-        if da == db:
-            sa, sb, den = 1, sign, da
-        else:
-            h = math.gcd(da, db)
-            sa, sb, den = db // h, sign * (da // h), da // h * db
+        h = math.gcd(da, db)
+        sa, sb, den = db // h, sign * (da // h), da // h * db
         ints = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
         for m, c in b.items():
             old = ints.get(m)
@@ -569,19 +531,12 @@ class _PointEvaluator:
         self._odd_products = {0: ({0: 1}, 1)}
 
     def _power(self, i: int, e: int) -> dict:
-        """Numerators of n_i^e for e >= 1, by square-and-multiply over the
-        bits of e (a product of even values commutes)."""
+        """Numerators of n_i^e for e >= 1, by the library's one power."""
         table = self._powers[i]
         power = table.get(e)
         if power is None:
-            base = power = table[1]
-            for bit in bin(e)[3:]:
-                if not power:
-                    break
-                power = _product(power, power, self.rank)
-                if bit == "1":
-                    power = _product(power, base, self.rank)
-            table[e] = power
+            base = GrassmannElement._make(self.rank, table[1])
+            power = table[e] = _power(base, e, None)._ints
         return power
 
     def _monomial(self, exps: tuple) -> tuple[dict, int]:

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, _signed_mask
 from .poly import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, RationalFunction,
                    _accumulate, _numerators, _number_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
@@ -277,20 +277,18 @@ def _power_too_long(value, n: int) -> bool:
 def _monomial_parts(atoms, nvars: int):
     """(exponent tuple of the x atoms, sign, mask of the t and g atoms) for
     variable atoms (kind, index, exponent) in reading order.  The sign is
-    that of sorting the labels, 0 when a label repeats or an odd atom's
-    exponent passes 1: each label passes the larger ones read before it."""
+    that of sorting the labels (``_signed_mask``), 0 when a label repeats
+    or an odd atom's exponent passes 1."""
     exps = [0] * nvars
-    mask = inversions = 0
+    labels = []
     for kind, index, k in atoms:
         if kind == "x":
             exps[index - 1] += k
         elif k:
-            bit = 1 << (index - 1)
-            if k > 1 or mask & bit:
+            if k > 1:
                 return (), 0, 0
-            inversions += (mask >> index).bit_count()
-            mask |= bit
-    return tuple(exps), -1 if inversions & 1 else 1, mask
+            labels.append(index)
+    return (tuple(exps), *_signed_mask(labels))
 
 
 # A value context checks each variable atom as it is read (``atom``) and

@@ -20,15 +20,20 @@ Equality compares numerators over equal factor lists and otherwise
 cross-multiplies.
 
 This bottom layer also holds the sparse-term kernel behind every finite sum
-in the library.  Only public constructors validate outside input; internal
-results are built by the kernel and handed to a trusted ``_make``.
+in the library, with its one reader and its one power.  Only public
+constructors validate outside input, and ``Polynomial`` and
+``GrassmannElement`` read it with ``_read_numerators``: int numerators over
+the lcm of the denominators, with integer keys.  Internal results are built
+by the kernel and handed to a trusted ``_make``.  ``_power``, the one
+square-and-multiply, is behind every ``**`` and the point evaluator's
+powers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, index as _index
 
 from .errors import DigitCapError, DomainError, NotInvertibleError, SuperskelError
 
@@ -83,6 +88,39 @@ def _numerators(terms: dict) -> tuple[dict, int]:
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
+def _read_numerators(terms, key) -> tuple[dict, int]:
+    """(ints, den) for the raw input of a public constructor, the one reader
+    of ``Polynomial`` and ``GrassmannElement``: each nonzero coefficient's
+    numerator over ``den``, the lcm of the denominators, under the key
+    ``key(raw key)``, which validates it.  Coefficients must be ints or
+    Fractions.  Numerators and the lcm come in one pass; only a denominator
+    other than 1 costs a second, and two raw keys of one key (such as
+    ``range(1, 3)`` and ``(1, 2)``) are summed in a pass of their own."""
+    ints, dens = {}, []
+    den = 1
+    for raw, coeff in (terms or {}).items():
+        if not isinstance(coeff, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(coeff).__name__}")
+        n, d = coeff.as_integer_ratio()
+        if not n:
+            continue
+        k = key(raw)
+        if k in ints:
+            merged = {}
+            for raw, coeff in terms.items():
+                coeff = _as_fraction(coeff)
+                if coeff:
+                    _accumulate(merged, key(raw), coeff)
+            return _numerators(merged)
+        if d != 1 and den % d:
+            den = den // math.gcd(den, d) * d
+        ints[k] = n
+        dens.append(d)
+    if den != 1:
+        ints = {k: n * (den // d) for (k, n), d in zip(ints.items(), dens)}
+    return ints, den
+
+
 def _sum(a: dict, b: dict) -> dict:
     terms = dict(a)
     for key, coeff in b.items():
@@ -131,13 +169,14 @@ _HEU_TRIES = 6
 _HEU_MAX_BITS = 16000
 
 
-def _evaluate_at(ints: dict, var: int, xi: int) -> dict:
-    """``ints`` with variable ``var`` replaced by the integer ``xi``."""
+def _evaluate_at(terms: dict, var: int, value) -> dict:
+    """``terms`` with variable ``var`` replaced by ``value``, an int or a
+    Fraction: GCDHEU's evaluation at xi, and ``Polynomial.partial_eval``."""
     out = {}
-    for exps, coeff in ints.items():
+    for exps, coeff in terms.items():
         e = exps[var]
         if e:
-            coeff *= xi ** e
+            coeff *= value ** e
             exps = exps[:var] + (0,) + exps[var + 1:]
         _accumulate(out, exps, coeff)
     return out
@@ -346,31 +385,13 @@ class Polynomial:
     __slots__ = ("nvars", "_ints", "_content", "_hash")
 
     def __init__(self, nvars: int, terms=None):
-        # numerators, and the lcm of the denominators, in one pass over the
-        # input; only a denominator other than 1 costs a second pass
-        ints, dens = {}, []
-        den = 1
-        for exps, coeff in (terms or {}).items():
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(f"expected an exact rational, got {type(coeff).__name__}")
-            n, d = coeff.as_integer_ratio()
-            if not n:
-                continue
-            exps = tuple(map(int, exps))
+        def exponents(key):
+            exps = tuple(map(_index, key))
             if len(exps) != nvars or nvars and min(exps) < 0:
                 raise SuperskelError(f"bad exponent tuple {exps} for {nvars} variables")
-            if exps in ints:  # two keys of one tuple, such as (1,) and ("1",)
-                merged = {}
-                for e, c in terms.items():
-                    _accumulate(merged, tuple(map(int, e)), _as_fraction(c))
-                self.__init__(nvars, merged)
-                return
-            if d != 1 and den % d:
-                den = den // math.gcd(den, d) * d
-            ints[exps] = n
-            dens.append(d)
-        if den != 1:
-            ints = {e: n * (den // d) for (e, n), d in zip(ints.items(), dens)}
+            return exps
+
+        ints, den = _read_numerators(terms, exponents)
         g = math.gcd(*ints.values()) if ints else den
         if g != 1 and ints:
             ints = {e: c // g for e, c in ints.items()}
@@ -659,31 +680,16 @@ class Polynomial:
 
         The arity is preserved; substituted variables simply no longer occur.
         """
-        terms = {}
-        for exps, coeff in self._ints.items():
-            c = coeff
-            new = list(exps)
-            for i, v in assignment.items():
-                e = exps[i]
-                if e:
-                    c *= v ** e
-                new[i] = 0
-            _accumulate(terms, tuple(new), c)
+        terms = self._ints
+        for i, value in assignment.items():
+            terms = _evaluate_at(terms, i, value)
         return Polynomial(self.nvars, terms) * self._content
 
     def divide_by_linear(self, index: int, root: Fraction) -> "Polynomial":
-        """Exact quotient (self - self|_{x_index=root}) / (x_index - root).
-
-        Uses x^d - r^d = (x - r) * sum_{l<d} x^l r^{d-1-l} per monomial.
-        """
+        """Exact quotient (self - self|_{x_index=root}) / (x_index - root)."""
         root = _as_fraction(root)
-        terms = {}
-        for exps, coeff in self._ints.items():
-            d = exps[index]
-            for l in range(d):
-                _accumulate(terms, exps[:index] + (l,) + exps[index + 1:],
-                            coeff * root ** (d - 1 - l))
-        return Polynomial(self.nvars, terms) * self._content
+        linear = Polynomial.variable(self.nvars, index) - root
+        return (self - self.partial_eval({index: root})).exact_quotient(linear)
 
     def divide_by_variable(self, index: int) -> "Polynomial":
         """Exact quotient by x_index; every monomial must contain it."""

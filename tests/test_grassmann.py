@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from superskel import randgen
 from superskel.errors import (NotInvertibleError, ParityError, RankCapError,
                               RankMismatchError)
-from superskel.grassmann import MAX_RANK_ENV, GrassmannElement, GrassmannMorphism, merge_sign
+from superskel.grassmann import (MAX_RANK_ENV, GrassmannElement, GrassmannMorphism, _signed_mask,
+                                  merge_sign)
 from superskel.parsing import parse_grassmann
 
 G = GrassmannElement
@@ -44,6 +45,37 @@ def test_coefficient_reads_any_label_order():
     assert a.coefficient((2, 1, 3)) == F(-1, 2)
     assert a.coefficient((3, 1, 2)) == F(1, 2)
     assert a.coefficient((2, 3)) == 0 and a.coefficient(()) == 0
+    # zero, negative and out-of-rank labels name no monomial
+    assert a.coefficient((0,)) == a.coefficient((2, 0, 1)) == 0
+    assert a.coefficient((-1, 2)) == a.coefficient((1, -1)) == 0
+    assert a.coefficient((4,)) == a.coefficient((3, 2, 1, 4)) == 0
+
+
+def test_signed_mask_is_the_sign_of_sorting():
+    for length in range(5):
+        for labels in itertools.product(range(-1, 5), repeat=length):
+            if len(set(labels)) < length or min(labels, default=1) < 1:
+                expected = (0, 0)
+            else:
+                inversions = sum(a > b for a, b in itertools.combinations(labels, 2))
+                expected = ((-1) ** inversions, sum(1 << (l - 1) for l in labels))
+            assert _signed_mask(labels) == expected
+
+
+def test_constructor_reads_one_monomial_per_key():
+    # two raw keys of one monomial are summed, and can cancel to zero
+    assert G(2, {range(1, 3): 1, (1, 2): 2}) == G(2, {(1, 2): 3})
+    assert G(2, {range(1, 3): 1, (1, 2): -1}).is_zero()
+    assert G(2, {range(1, 3): F(1, 2), (1, 2): F(1, 3), (1,): 1}) == \
+        G(2, {(1, 2): F(5, 6), (1,): 1})
+    # mixed denominators come out over their lcm
+    a = G(2, {(): F(1, 4), (1,): F(1, 6), (2,): 2})
+    assert (a._den, a._ints) == (12, {0: 3, 1: 2, 2: 24})
+    assert a.terms == {(): F(1, 4), (1,): F(1, 6), (2,): 2}
+    # coefficients are exact rationals, labels integers
+    for terms in ({(1,): 0.5}, {(1.9,): 1}, {("1",): 1}):
+        with pytest.raises(TypeError):
+            G(2, terms)
 
 
 def test_body():

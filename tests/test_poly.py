@@ -18,9 +18,19 @@ def test_constructor_canonicalizes():
     p = poly(2, {(1, 0): F(2), (0, 0): F(0), (1, 0): F(2)})
     assert p.terms == {(1, 0): F(2)}
     assert poly(1, {(0,): 1}) + poly(1, {(0,): -1}) == Polynomial.zero(1)
-    # outside input is validated: exponent arity, signs, exact coefficients
+    # two raw keys of one exponent tuple are summed, and can cancel to zero
+    assert poly(1, {range(1, 2): 1, (1,): -1}).is_zero()
+    assert poly(1, {range(1, 2): F(1, 2), (1,): F(1, 3), (0,): 1}) == \
+        poly(1, {(1,): F(5, 6), (0,): 1})
+    # mixed denominators come out over their lcm
+    p = poly(2, {(1, 0): F(1, 4), (0, 1): F(1, 6), (0, 0): 2})
+    assert (p._content, p._ints) == (F(1, 12), {(1, 0): 3, (0, 1): 2, (0, 0): 24})
+    # outside input is validated: exponent arity, signs, integer exponents,
+    # exact coefficients
     for nvars, terms, error in ((2, {(1,): 1}, SuperskelError),
                                 (1, {(-1,): 1}, SuperskelError),
+                                (1, {(1.5,): 1}, TypeError),
+                                (1, {("1",): 1}, TypeError),
                                 (1, {(0,): 0.5}, TypeError)):
         with pytest.raises(error):
             Polynomial(nvars, terms)

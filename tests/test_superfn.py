@@ -45,6 +45,13 @@ def test_coefficient_reads_any_label_order():
     assert f.coefficient((3, 1, 2)) == constant(F(1, 2))
     assert f.coefficient((2, 1, 3)) == f.alt_coeff((2, 1, 3)) == constant(F(-1, 2))
     assert f.coefficient((2, 3)).is_zero()
+    # zero, negative and out-of-range labels name no monomial
+    for labels in ((0,), (2, 0, 1), (-1, 2), (1, -1), (4,), (3, 2, 1, 4)):
+        assert f.coefficient(labels).is_zero()
+    # labels are integers
+    for labels in ((1.5,), ("1",)):
+        with pytest.raises(TypeError):
+            SuperFunction(S13, DeWittDomain.full(S13), {labels: 1})
 
 
 def test_product_examples():
