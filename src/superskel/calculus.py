@@ -349,9 +349,9 @@ def hadamard_decompose(skeleton: Skeleton, base_point) -> HadamardDecomposition:
                 raise SuperskelError("hadamard decomposition needs polynomial coefficients")
 
     domain = skeleton.source_domain
+    linears = [Polynomial.variable(p, j) - base_point[j] for j in range(p)]
     base_values = []
-    even_cofactors = [[SuperFunction.zero(space, domain) for _ in skeleton.components]
-                      for _ in range(p)]
+    even_cofactors = [[None] * len(skeleton.components) for _ in range(p)]
     odd_cofactors = [[SuperFunction.zero(space, domain) for _ in skeleton.components]
                      for _ in range(q)]
     for ci, comp in enumerate(skeleton.components):
@@ -360,12 +360,10 @@ def hadamard_decompose(skeleton: Skeleton, base_point) -> HadamardDecomposition:
         # telescope the odd-free part: substitute the base point coordinate by
         # coordinate and divide the successive differences exactly
         current = c0
-        for j in range(p):
-            upper = current
+        for j, linear in enumerate(linears):
             lower = current.partial_eval({j: base_point[j]})
-            h = upper.divide_by_linear(j, base_point[j])
-            even_cofactors[j][ci] = even_cofactors[j][ci] + SuperFunction(
-                space, domain, {(): h})
+            h = (current - lower).exact_quotient(linear)
+            even_cofactors[j][ci] = SuperFunction(space, domain, {(): h})
             current = lower
         for labels, coeff in comp.terms.items():
             if not labels:
@@ -376,9 +374,8 @@ def hadamard_decompose(skeleton: Skeleton, base_point) -> HadamardDecomposition:
                 space, domain, {rest: coeff})
 
     factors = []
-    for j in range(p):
-        gen_poly = Polynomial.variable(p, j) - Polynomial.constant(p, base_point[j])
-        gen = SuperFunction(space, domain, {(): gen_poly})
+    for j, linear in enumerate(linears):
+        gen = SuperFunction(space, domain, {(): linear})
         factors.append(HadamardFactor(f"x{j + 1} - {base_point[j]}", gen,
                                       tuple(even_cofactors[j])))
     for l in range(q):

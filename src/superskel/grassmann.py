@@ -53,8 +53,8 @@ from fractions import Fraction
 from operator import index as _index
 
 from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import (_accumulate, _as_fraction, _number_text, _power, _read_numerators, _scale,
-                   _signed_sum, _sum)
+from .poly import (_accumulate, _add_multiple, _as_fraction, _number_text, _power,
+                   _read_numerators, _scale, _signed_sum, _sum)
 
 _ZERO = Fraction(0)
 
@@ -133,14 +133,14 @@ def _label_mask(labels, top: int, what: str) -> int:
     return mask
 
 
-def _signed_mask(labels) -> tuple[int, int]:
+def _signed_mask(labels, top: int) -> tuple[int, int]:
     """(sign, mask) with g_labels = sign * g_mask for any label sequence; the
-    sign is 0 when a label repeats or is below 1 (no such monomial).  The
-    sign is that of sorting the labels: each label passes the larger ones
-    read before it."""
+    sign is 0 when a label repeats or is outside 1..top (no such monomial),
+    so no mask is built past bit ``top``.  The sign is that of sorting the
+    labels: each label passes the larger ones read before it."""
     mask = inversions = 0
     for label in labels:
-        if label < 1:
+        if label < 1 or label > top:
             return 0, 0
         bit = 1 << (label - 1)
         if mask & bit:
@@ -358,7 +358,7 @@ class GrassmannElement:
     def coefficient(self, labels) -> Fraction:
         """The coefficient of g_l1...g_lk for any label sequence: the stored
         one times the sign of sorting the labels, 0 on a repeated label."""
-        sign, mask = _signed_mask(labels)
+        sign, mask = _signed_mask(labels, self.rank)
         c = self._ints.get(mask) if sign else None
         return _ZERO if c is None else Fraction(sign * c, self._den)
 
@@ -382,13 +382,7 @@ class GrassmannElement:
         h = math.gcd(da, db)
         sa, sb, den = db // h, sign * (da // h), da // h * db
         ints = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
-        for m, c in b.items():
-            old = ints.get(m)
-            c = c * sb if old is None else old + c * sb
-            if c:
-                ints[m] = c
-            else:
-                del ints[m]
+        _add_multiple(ints, b, sb)
         return GrassmannElement._reduced(self.rank, ints, den)
 
     def _coerce(self, other):
@@ -474,12 +468,10 @@ class GrassmannElement:
         top = len(powers)
         ints = {0: b ** top}
         for k, power in enumerate(powers, 1):
-            scale = b ** (top - k) if k % 2 == 0 else -b ** (top - k)
-            for m, c in power.items():
-                ints[m] = ints.get(m, 0) + c * scale
+            _add_multiple(ints, power, b ** (top - k) if k % 2 == 0 else -b ** (top - k))
         den = b ** (top + 1)
         scale = self._den if den > 0 else -self._den
-        ints = {m: c * scale for m, c in ints.items() if c}
+        ints = {m: c * scale for m, c in ints.items()}
         return GrassmannElement._reduced(self.rank, ints, abs(den))
 
     def embed(self, new_rank: int) -> "GrassmannElement":
@@ -564,10 +556,8 @@ class _PointEvaluator:
         total = {}
         for exps, c in poly._ints.items():
             ints, mono_den = self._monomial(exps)
-            c *= n * (top // mono_den)
-            for m, v in ints.items():
-                total[m] = total.get(m, 0) + c * v
-        return {m: c for m, c in total.items() if c}, den * top
+            _add_multiple(total, ints, c * n * (top // mono_den))
+        return total, den * top
 
     def _rational(self, rf) -> tuple[dict, int]:
         """(ints, den) of a rational function at the point.  Each factor of
@@ -599,7 +589,6 @@ class _PointEvaluator:
         (mask, ints, den) triples of ``terms``, added over the lcm of the
         denominators and reduced once."""
         parts = []
-        lcm = 1
         for mask, ints, den in terms:
             if mask and ints:
                 odd_ints, odd_den = self._odd_product(mask)
@@ -607,14 +596,11 @@ class _PointEvaluator:
                 den *= odd_den
             if ints:
                 parts.append((ints, den))
-                if den != 1 and lcm % den:
-                    lcm = lcm // math.gcd(lcm, den) * den
+        lcm = math.lcm(*[den for _, den in parts])
         total = {}
         for ints, den in parts:
-            scale = lcm // den
-            for m, c in ints.items():
-                total[m] = total.get(m, 0) + c * scale
-        return GrassmannElement._reduced(self.rank, {m: c for m, c in total.items() if c}, lcm)
+            _add_multiple(total, ints, lcm // den)
+        return GrassmannElement._reduced(self.rank, total, lcm)
 
     def value(self, coeffs: dict) -> GrassmannElement:
         """A superfunction's value from its mask-keyed rational-function

@@ -274,11 +274,12 @@ def _power_too_long(value, n: int) -> bool:
     return False
 
 
-def _monomial_parts(atoms, nvars: int):
+def _monomial_parts(atoms, nvars: int, top: int):
     """(exponent tuple of the x atoms, sign, mask of the t and g atoms) for
-    variable atoms (kind, index, exponent) in reading order.  The sign is
-    that of sorting the labels (``_signed_mask``), 0 when a label repeats
-    or an odd atom's exponent passes 1."""
+    variable atoms (kind, index, exponent) in reading order, with odd labels
+    at most ``top``.  The sign is that of sorting the labels
+    (``_signed_mask``), 0 when a label repeats or an odd atom's exponent
+    passes 1."""
     exps = [0] * nvars
     labels = []
     for kind, index, k in atoms:
@@ -288,7 +289,7 @@ def _monomial_parts(atoms, nvars: int):
             if k > 1:
                 return (), 0, 0
             labels.append(index)
-    return (tuple(exps), *_signed_mask(labels))
+    return (tuple(exps), *_signed_mask(labels, top))
 
 
 # A value context checks each variable atom as it is read (``atom``) and
@@ -312,7 +313,7 @@ class GrassmannContext:
     def value(self, monomials):
         terms = {}  # mask -> coefficient
         for coeff, atoms in monomials:
-            _, sign, mask = _monomial_parts(atoms, 0)
+            _, sign, mask = _monomial_parts(atoms, 0, self.rank)
             if sign:
                 _accumulate(terms, mask, coeff if sign > 0 else -coeff)
         return GrassmannElement._reduced(self.rank, *_numerators(terms))
@@ -338,7 +339,7 @@ class SuperFunctionContext:
         p = self.space.even_dim
         parts = {}  # mask -> {exponent tuple: coefficient}
         for coeff, atoms in monomials:
-            exps, sign, mask = _monomial_parts(atoms, p)
+            exps, sign, mask = _monomial_parts(atoms, p, self.space.odd_dim)
             if sign:
                 terms = parts.get(mask)
                 if terms is None:
@@ -361,7 +362,7 @@ class PolynomialContext:
     def value(self, monomials):
         terms = {}  # exponent tuple -> coefficient
         for coeff, atoms in monomials:
-            _accumulate(terms, _monomial_parts(atoms, self.nvars)[0], coeff)
+            _accumulate(terms, _monomial_parts(atoms, self.nvars, 0)[0], coeff)
         return Polynomial._from_terms(self.nvars, terms)
 
 

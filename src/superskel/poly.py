@@ -17,16 +17,16 @@ candidate is checked by exact division, after one trial division
 divides the other; when GCDHEU gives up, the affected factor is kept
 whole, so a value is never wrong, only possibly not in lowest terms.
 Equality compares numerators over equal factor lists and otherwise
-cross-multiplies.
+tests whether the difference is zero.
 
 This bottom layer also holds the sparse-term kernel behind every finite sum
-in the library, with its one reader and its one power.  Only public
-constructors validate outside input, and ``Polynomial`` and
-``GrassmannElement`` read it with ``_read_numerators``: int numerators over
-the lcm of the denominators, with integer keys.  Internal results are built
-by the kernel and handed to a trusted ``_make``.  ``_power``, the one
-square-and-multiply, is behind every ``**`` and the point evaluator's
-powers.
+in the library, with its one reader, its one power and its one integer
+accumulation (``_add_multiple``).  Only public constructors validate
+outside input, and ``Polynomial`` and ``GrassmannElement`` read it with
+``_read_numerators``: int numerators over the lcm of the denominators, with
+integer keys.  Internal results are built by the kernel and handed to a
+trusted ``_make``.  ``_power``, the one square-and-multiply, is behind every
+``**`` and the point evaluator's powers.
 """
 
 from __future__ import annotations
@@ -78,11 +78,7 @@ def _accumulate(terms: dict, key, coeff) -> None:
 def _numerators(terms: dict) -> tuple[dict, int]:
     """(ints, den) for a canonical dict of int or Fraction coefficients:
     each coefficient's numerator over ``den``, the lcm of the denominators."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1 and den % d:
-            den = den // math.gcd(den, d) * d
+    den = math.lcm(*[c.denominator for c in terms.values()])
     if den == 1:
         return {k: c.numerator for k, c in terms.items()}, 1
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
@@ -97,7 +93,6 @@ def _read_numerators(terms, key) -> tuple[dict, int]:
     other than 1 costs a second, and two raw keys of one key (such as
     ``range(1, 3)`` and ``(1, 2)``) are summed in a pass of their own."""
     ints, dens = {}, []
-    den = 1
     for raw, coeff in (terms or {}).items():
         if not isinstance(coeff, (int, Fraction)):
             raise TypeError(f"expected an exact rational, got {type(coeff).__name__}")
@@ -112,13 +107,25 @@ def _read_numerators(terms, key) -> tuple[dict, int]:
                 if coeff:
                     _accumulate(merged, key(raw), coeff)
             return _numerators(merged)
-        if d != 1 and den % d:
-            den = den // math.gcd(den, d) * d
         ints[k] = n
         dens.append(d)
+    den = math.lcm(*dens)
     if den != 1:
         ints = {k: n * (den // d) for (k, n), d in zip(ints.items(), dens)}
     return ints, den
+
+
+def _add_multiple(total: dict, ints: dict, k: int) -> None:
+    """total += k * ints in place for int coefficients and a nonzero int k,
+    dropping the entries that cancel: the one integer accumulation behind
+    every sum over a common denominator."""
+    get = total.get
+    for key, c in ints.items():
+        new = get(key, 0) + c * k
+        if new:
+            total[key] = new
+        else:
+            del total[key]
 
 
 def _sum(a: dict, b: dict) -> dict:
@@ -355,13 +362,7 @@ def _combine(a: "Polynomial", b: "Polynomial", sign: int) -> "Polynomial":
     sa, sb = na // g * (db // h), sign * (nb // g) * (da // h)
     scale = Fraction(g, da // h * db)
     terms = dict(a._ints) if sa == 1 else {e: c * sa for e, c in a._ints.items()}
-    for e, c in b._ints.items():
-        old = terms.get(e)
-        new = c * sb if old is None else old + c * sb
-        if new:
-            terms[e] = new
-        else:
-            del terms[e]
+    _add_multiple(terms, b._ints, sb)
     return _primitive(a.nvars, terms, scale)
 
 
@@ -685,12 +686,6 @@ class Polynomial:
             terms = _evaluate_at(terms, i, value)
         return Polynomial(self.nvars, terms) * self._content
 
-    def divide_by_linear(self, index: int, root: Fraction) -> "Polynomial":
-        """Exact quotient (self - self|_{x_index=root}) / (x_index - root)."""
-        root = _as_fraction(root)
-        linear = Polynomial.variable(self.nvars, index) - root
-        return (self - self.partial_eval({index: root})).exact_quotient(linear)
-
     def divide_by_variable(self, index: int) -> "Polynomial":
         """Exact quotient by x_index; every monomial must contain it."""
         ints = {}
@@ -790,22 +785,6 @@ def _expand(nvars: int, pairs) -> Polynomial:
     return Polynomial.one(nvars) if result is None else result
 
 
-def _over_lcm(a: Polynomial, fa, b: Polynomial, fb):
-    """a / prod(fa) and b / prod(fb) over a common denominator: (a', b'),
-    each numerator multiplied only by the factors it is missing."""
-    lcm = dict(fa)
-    for factor, mult in fb:
-        if lcm.get(factor, 0) < mult:
-            lcm[factor] = mult
-
-    def raised(num, pairs):
-        have = dict(pairs)
-        missing = [(f, m - have.get(f, 0)) for f, m in lcm.items() if m > have.get(f, 0)]
-        return num * _expand(num.nvars, missing) if missing else num
-
-    return raised(a, fa), raised(b, fb)
-
-
 def _refine(items):
     """A coprime base of monic factors (factor refinement: Bach, Driscoll,
     Shallit, J. Algorithms 15, 1993).
@@ -856,7 +835,9 @@ def _common_base(fa, fb):
 def _cancel(num: Polynomial, factors, keep=()):
     """(num', kept): num / prod(f^m) in lowest terms, for a coprime base of
     ``factors``.  ``keep`` lists further factors already coprime to ``num``;
-    a zero ``num`` keeps none.
+    a zero ``num`` keeps none.  This is the one reduction of a rational
+    function: the public constructor, sums, products and ``derivative``
+    all end here.
 
     A gcd equal to the factor cancels one copy; a proper divisor d of f
     splits f^m into d^(m-1) (f/d)^m, refined and cancelled in turn.  When
@@ -893,32 +874,33 @@ class RationalFunction:
 
     ``factors`` is a tuple of (monic factor, multiplicity) pairs; a factor is
     monic when its lex-leading coefficient is 1, and constants fold into
-    ``num``.  A polynomial has no factors (``()``).  ``den``, the product of
-    the factors, is expanded on first use and cached.
+    ``num``.  A polynomial has no factors (``()``).  A value is exactly the
+    pair (``num``, ``factors``); ``den``, the product of the factors, is
+    expanded on each read.
 
     Every value is kept in lowest terms by two invariants:
 
     (I1) the factors are pairwise coprime (a coprime base), and
     (I2) ``num`` is coprime to every factor.
 
-    The public constructor reduces ``num / den`` by their gcd.  Arithmetic
-    then tests only the factors that can cancel: in a product, a factor of
-    one operand only is cancelled against the other operand's numerator,
-    and shared factors just add multiplicities; a sum over the common
-    denominator can be divisible only by a factor of equal multiplicity in
-    both operands; inverses and powers of reduced values are reduced.
+    Values are reduced by ``_cancel``: the public constructor cancels
+    ``num`` against ``den`` there, and arithmetic tests only the factors
+    that can cancel: in a product, a factor of one operand only is
+    cancelled against the other operand's numerator, and shared factors
+    just add multiplicities; a sum over the common denominator can be
+    divisible only by a factor of equal multiplicity in both operands;
+    inverses and powers of reduced values are reduced.
     Gcds come from ``Polynomial.gcd``; where it gives up, a factor is kept
     whole, so the value stays exact but the invariants may not hold for
     it.  Equality compares numerators over equal factor lists, and
-    otherwise cross-multiplies by the factors each side is missing.
+    otherwise tests whether the difference is zero.
     """
 
-    __slots__ = ("num", "_factors", "_den")
+    __slots__ = ("num", "factors")
     __hash__ = None  # equal values may have different factor lists
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        self._factors = ()
-        self._den = None
+        factors = ()
         if den is not None:
             if num.nvars != den.nvars:
                 raise SuperskelError("numerator/denominator variable sets differ")
@@ -929,24 +911,16 @@ class RationalFunction:
                 if lead != 1:
                     num = num * (_ONE / lead)
                 if not den.is_constant():
-                    parts = _gcd_cofactors(num, den)
-                    reduced = parts is not None and parts[0] is not None
-                    if reduced:
-                        _, num, den = parts  # den / gcd is monic, maybe 1
-                    if not reduced or not den.is_constant():
-                        # ``factors`` builds the tuple on first use: a coefficient
-                        # read from input then costs no container beyond num, den
-                        self._factors = None
-                        self._den = den
+                    num, factors = _cancel(num, ((den, 1),))
         self.num = num
+        self.factors = factors
 
     @classmethod
-    def _raw(cls, num: Polynomial, factors, den=None) -> "RationalFunction":
+    def _raw(cls, num: Polynomial, factors) -> "RationalFunction":
         # trusted: factors monic, (I1) and (I2) hold, () when num is zero
         rf = object.__new__(cls)
         rf.num = num
-        rf._factors = factors
-        rf._den = den
+        rf.factors = factors
         return rf
 
     @classmethod
@@ -962,16 +936,8 @@ class RationalFunction:
         return self.num.nvars
 
     @property
-    def factors(self):
-        if self._factors is None:
-            self._factors = ((self._den, 1),)
-        return self._factors
-
-    @property
     def den(self) -> Polynomial:
-        if self._den is None:
-            self._den = _expand(self.num.nvars, self.factors)
-        return self._den
+        return _expand(self.num.nvars, self.factors)
 
     def is_zero(self) -> bool:
         return not self.num._ints
@@ -1030,7 +996,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._raw(-self.num, self.factors, self._den)
+        return RationalFunction._raw(-self.num, self.factors)
 
     def __sub__(self, other):
         parts = self._parts(other)
@@ -1046,7 +1012,7 @@ class RationalFunction:
         if not isinstance(other, RationalFunction) and isinstance(other, (int, Fraction)):
             if not other:
                 return RationalFunction._raw(Polynomial.zero(self.num.nvars), ())
-            return RationalFunction._raw(self.num * other, self.factors, self._den)
+            return RationalFunction._raw(self.num * other, self.factors)
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
@@ -1103,11 +1069,9 @@ class RationalFunction:
         if parts is None:
             return NotImplemented
         b, fb = parts
-        fa = self.factors
-        if fa == fb:
+        if self.factors == fb:
             return self.num == b
-        a, b = _over_lcm(self.num, fa, b, fb)
-        return a == b
+        return not (self - other)
 
     def derivative(self, index: int) -> "RationalFunction":
         """(a/D)' = (a'F - a * sum m f' F/f) / (D F), where D = prod f^m and

@@ -11,7 +11,7 @@ place of ints.  Sums, scaling and the power come from the sparse-term kernel
 in ``poly.py``, the sign-law product, parity, geometric-series inverse and
 the evaluator at a lambda-point from ``grassmann.py``; ``terms`` is a view
 keyed by label tuples, built on each read.  This module adds the domain
-bookkeeping, equality up to cross-multiplication, calculus and evaluation.
+bookkeeping, coefficient-wise equality, calculus and evaluation.
 
 Equivalently, a superfunction is the family of its alternating coefficient
 maps: the degree-k map sends a k-tuple of odd basis directions to the
@@ -134,7 +134,7 @@ class SuperFunction:
     def coefficient(self, labels) -> RationalFunction:
         """The coefficient of t_l1...t_lk for any label sequence: the stored
         one times the sign of sorting the labels, zero on a repeated label."""
-        sign, mask = _signed_mask(labels)
+        sign, mask = _signed_mask(labels, self.space.odd_dim)
         coeff = self._coeffs.get(mask) if sign else None
         if coeff is None:
             return RationalFunction.constant(self.space.even_dim, 0)

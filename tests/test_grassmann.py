@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -49,17 +50,28 @@ def test_coefficient_reads_any_label_order():
     assert a.coefficient((0,)) == a.coefficient((2, 0, 1)) == 0
     assert a.coefficient((-1, 2)) == a.coefficient((1, -1)) == 0
     assert a.coefficient((4,)) == a.coefficient((3, 2, 1, 4)) == 0
+    # a label past the rank is refused before its bit is built: 1 << 10**8
+    # would be a 12.5 MB int
+    tracemalloc.start()
+    try:
+        assert a.coefficient((10 ** 8,)) == a.coefficient((1, 10 ** 8)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_signed_mask_is_the_sign_of_sorting():
-    for length in range(5):
-        for labels in itertools.product(range(-1, 5), repeat=length):
-            if len(set(labels)) < length or min(labels, default=1) < 1:
-                expected = (0, 0)
-            else:
-                inversions = sum(a > b for a, b in itertools.combinations(labels, 2))
-                expected = ((-1) ** inversions, sum(1 << (l - 1) for l in labels))
-            assert _signed_mask(labels) == expected
+    for top in (3, 4):
+        for length in range(5):
+            for labels in itertools.product(range(-1, 5), repeat=length):
+                if len(set(labels)) < length or min(labels, default=1) < 1 or \
+                        max(labels, default=1) > top:
+                    expected = (0, 0)
+                else:
+                    inversions = sum(a > b for a, b in itertools.combinations(labels, 2))
+                    expected = ((-1) ** inversions, sum(1 << (l - 1) for l in labels))
+                assert _signed_mask(labels, top) == expected
 
 
 def test_constructor_reads_one_monomial_per_key():

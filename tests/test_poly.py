@@ -54,9 +54,10 @@ def test_eval_and_derivative():
 
 
 def test_divide_by_linear():
+    # (p - p|_{x=1}) / (x - 1), the telescope step of hadamard_decompose
     x = Polynomial.variable(1, 0)
     p = x ** 2
-    q = p.divide_by_linear(0, F(1))
+    q = (p - p.partial_eval({0: F(1)})).exact_quotient(x - 1)
     assert q == x + 1
     assert q * (x - 1) + Polynomial.constant(1, p.eval((F(1),))) == p
 
@@ -75,6 +76,25 @@ def test_rational_equality_cross_multiplied():
     b = RationalFunction(x + 1)
     assert a == b
     assert RationalFunction(x, x) == RationalFunction(Polynomial.one(1))
+    one = Polynomial.one(1)
+    # equal values whose factor lists differ: one factor x^2 + x against the
+    # coprime pair x, x + 1
+    a = RationalFunction(x ** 2 + x).invert()
+    b = RationalFunction(one, x) * RationalFunction(one, x + 1)
+    assert a.factors != b.factors and a.num == b.num
+    assert a == b and b == a
+    # equal numerators over different lists, unequal values
+    c = RationalFunction(one, x * (x + 2))
+    assert a.factors != c.factors and a.num == c.num
+    assert a != c and c != a
+    # an unreduced value still equals its reduced form
+    from superskel import poly as poly_module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly_module, "_gcd_cofactors", lambda p, q: None)
+        unreduced = RationalFunction(x ** 2 - 1, x - 1)
+        assert unreduced.factors == ((x - 1, 1),)
+        assert unreduced == x + 1
 
 
 def test_rational_arithmetic_and_quotient_rule():
@@ -135,7 +155,9 @@ def test_results_canonical_and_equal_to_sympy(pair, scalar, power, index):
         (p + q, P + Q), (p - q, P - Q), (-p, -P), (p * q, P * Q), (p ** power, P ** power),
         (p * scalar, P * s), (p * 0, 0), (p.derivative(index), sympy.diff(P, x)),
         (p.partial_eval({index: scalar}), P.subs(x, s)),
-        (p.divide_by_linear(index, scalar), sympy.cancel((P - P.subs(x, s)) / (x - s))),
+        ((p - p.partial_eval({index: scalar})).exact_quotient(
+            Polynomial.variable(nvars, index) - scalar),
+         sympy.cancel((P - P.subs(x, s)) / (x - s))),
         (p.pad(nvars + 1), P),
     ]
     for result, expected in cases:

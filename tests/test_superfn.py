@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +49,15 @@ def test_coefficient_reads_any_label_order():
     # zero, negative and out-of-range labels name no monomial
     for labels in ((0,), (2, 0, 1), (-1, 2), (1, -1), (4,), (3, 2, 1, 4)):
         assert f.coefficient(labels).is_zero()
+    # a label past the odd dimension is refused before its bit is built:
+    # 1 << 10**8 would be a 12.5 MB int
+    tracemalloc.start()
+    try:
+        assert f.coefficient((10 ** 8,)).is_zero() and f.coefficient((1, 10 ** 8)).is_zero()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     # labels are integers
     for labels in ((1.5,), ("1",)):
         with pytest.raises(TypeError):
