@@ -15,17 +15,15 @@ from .atlas import (GluingData, ManifoldPoint, check_cocycle, check_global_morph
                     projective_superline, superline_squaring_map, transport)
 from .calculus import (BGNQuotient, DerivativeData, HadamardDecomposition, HadamardFactor,
                        bgn_quotient, check_def43, check_lambda_linearity, check_taylor,
-                       derivative, hadamard_decompose,
+                       derivative, hadamard_decompose, taylor_increment,
                        taylor_polynomial, taylor_remainder_vanishes)
 from .continuation import (check_naturality, default_morphism_battery, eval_subst,
-                           eval_taylor, taylor_increment, taylor_shells,
-                           truncation_consistent)
+                           eval_taylor, taylor_shells, truncation_consistent)
 from .errors import (DigitCapError, DomainError, NotInvertibleError, ParityError, ParseError,
                      RankCapError, RankMismatchError, SpaceMismatchError, SuperskelError)
 from .grassmann import GrassmannElement, GrassmannMorphism, max_rank
 from .morphisms import (PointEvaluation, check_algebra_morphism, compose_formula,
-                        compose_subst, decode_point, encode_point,
-                        substitute_superfunction)
+                        compose_subst, decode_point, substitute_superfunction)
 from .poly import Polynomial, RationalFunction
 from .report import CheckItem, CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace, Vector
@@ -44,7 +42,7 @@ __all__ = [
     "check_def43", "check_global_morphism", "check_lambda_linearity",
     "check_naturality", "check_taylor", "compose_formula", "compose_subst",
     "decode_point", "default_morphism_battery", "derivative",
-    "encode_point", "eval_subst", "eval_taylor", "hadamard_decompose",
+    "eval_subst", "eval_taylor", "hadamard_decompose",
     "max_rank", "mul_shuffle",
     "projective_superline", "substitute_superfunction",
     "superline_squaring_map", "taylor_increment", "taylor_polynomial",

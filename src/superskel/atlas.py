@@ -160,9 +160,10 @@ def transport(data: GluingData, mp: ManifoldPoint, to_chart: str) -> ManifoldPoi
 
 
 def check_global_morphism(source: GluingData, target: GluingData,
-                          components, rng, samples: int = 10, rank: int = 3) -> CheckReport:
+                          components, rng, samples: int = 10) -> CheckReport:
     """Chartwise representatives glue to one morphism iff they agree across
-    overlaps: transition2 o f_i = f_j o transition1 wherever both make sense.
+    overlaps: transition2 o f_i = f_j o transition1 wherever both make sense,
+    symbolically and at sampled points of rank 3.
     """
     report = CheckReport("global morphism compatibility")
     components = dict(components)
@@ -186,7 +187,7 @@ def check_global_morphism(source: GluingData, target: GluingData,
             label = f"({i}->{j}) vs ({i2}->{j2})"
             report.add(f"compatibility {label} symbolically", lhs == rhs)
             try:
-                points = _sampled_points(source.overlaps[(i, i2)], rng, samples, rank)
+                points = _sampled_points(source.overlaps[(i, i2)], rng, samples, 3)
             except DomainError:
                 continue
             _add_sampled(report, f"compatibility {label}", points, (lhs,), (rhs,))

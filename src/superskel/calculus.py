@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
 from . import randgen
-from .continuation import eval_subst, taylor_increment, taylor_shells
-from .errors import DomainError, SuperskelError
+from .continuation import eval_subst, taylor_shells
+from .errors import DomainError, RankMismatchError, SuperskelError
 from .grassmann import GrassmannElement
 from .morphisms import compose_subst
 from .poly import Polynomial, RationalFunction
@@ -106,20 +106,16 @@ class DerivativeData:
                 for ci, comp in enumerate(comps):
                     if comp.is_zero():
                         continue
-                    value = comp._eval_at(evaluator)
+                    value = comp._eval_at(evaluator) * prod
                     if value.is_zero():
                         continue
-                    if prod is not None:
-                        value = value * prod
-                        if value.is_zero():
-                            continue
                     totals[ci] = totals[ci] + value
                 return
             for d in range(n_dirs):
                 entry = vectors[i].values[d]
                 if entry.is_zero():
                     continue
-                new_prod = entry if prod is None else entry * prod
+                new_prod = entry * prod
                 if new_prod.is_zero():
                     continue
                 new_key = (self.directions[d],) + key
@@ -127,13 +123,48 @@ class DerivativeData:
                     continue
                 walk(i - 1, new_key, new_prod)
 
-        walk(self.order - 1, (), None)
+        walk(self.order - 1, (), GrassmannElement.unit(rank))
         return Vector(self.skeleton.target_space, rank, totals)
 
 
 def derivative(skeleton: Skeleton, order: int) -> DerivativeData:
     """Symbolic order-k derivative data of a skeleton."""
     return DerivativeData(skeleton, order)
+
+
+def _theta_support(point_like) -> set[int]:
+    """Generators contained in every stored monomial of every coordinate."""
+    common = None
+    for v in point_like.values:
+        for labels in v.terms:
+            s = set(labels)
+            common = s if common is None else (common & s)
+    return common or set()
+
+
+def taylor_increment(skeleton: Skeleton, point: LambdaPoint, increments) -> LambdaPoint:
+    """Exact multi-increment Taylor expansion assembled from derivative data.
+
+    Each increment must be supported on a single generator (every monomial of
+    every coordinate contains it); the result equals
+    eval_subst(f, x + sum y) - eval_subst(f, x) exactly.
+    """
+    increments = list(increments)
+    for idx, y in enumerate(increments):
+        if y.space != skeleton.source_space or y.rank != point.rank:
+            raise RankMismatchError("increment incompatible with the base point")
+        if y.is_zero():
+            continue
+        if not _theta_support(y):
+            raise SuperskelError(
+                f"increment {idx} is not supported on a single generator")
+    k = len(increments)
+    total = Vector.zero(skeleton.target_space, point.rank)
+    for j in range(1, k + 1):
+        data = derivative(skeleton, j)
+        for subset in combinations(range(k), j):
+            total = total + data.apply(point, [increments[i] for i in subset])
+    return total.to_point()
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +208,9 @@ class BGNQuotient:
 
 
 def _extend_domain(domain: DeWittDomain, space: SuperSpace) -> DeWittDomain:
-    p = domain.space.even_dim
-    extra = ((None, None),) * (space.even_dim - p)
-    extended = DeWittDomain(space, (), [poly.pad(space.even_dim) for poly in domain.excluded])
-    extended.boxes = tuple(box + extra for box in domain.boxes)  # padding keeps them outer
-    return extended
+    extra = ((None, None),) * (space.even_dim - domain.space.even_dim)
+    return DeWittDomain(space, [box + extra for box in domain.boxes],
+                        [poly.pad(space.even_dim) for poly in domain.excluded])
 
 
 def bgn_quotient(skeleton: Skeleton) -> BGNQuotient:

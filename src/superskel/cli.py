@@ -29,7 +29,6 @@ _CHECKS = {
     "def43": check_def43,
     "taylor": check_taylor,
 }
-CHECK_KINDS = tuple(_CHECKS)
 
 # --route / --method value -> the routes it runs, in order
 _EVAL_ROUTES = {"subst": (eval_subst,), "taylor": (eval_taylor,),
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.set_defaults(func=_cmd_diff)
 
     p_check = sub.add_parser("check", help="run a verification battery on a skeleton")
-    p_check.add_argument("kind", choices=CHECK_KINDS)
+    p_check.add_argument("kind", choices=tuple(_CHECKS))
     p_check.add_argument("skeleton")
     p_check.add_argument("--rank", type=_rank, default=4)
     p_check.add_argument("--samples", type=_count, default=5)

@@ -24,10 +24,9 @@ test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from . import randgen
-from .errors import DomainError, RankMismatchError, SuperskelError
+from .errors import DomainError, SuperskelError
 from .grassmann import GrassmannElement, GrassmannMorphism, merge_sign
 from .poly import _accumulate
 from .report import CheckReport
@@ -197,46 +196,6 @@ def check_naturality(skeleton: Skeleton, rank: int, rng,
             rhs = through_f.map(morphism)
             report.add(f"{label} on sample {s_idx}", lhs == rhs)
     return report
-
-
-def theta_support(point_like) -> set[int]:
-    """Generators contained in every stored monomial of every coordinate."""
-    common = None
-    for v in point_like.values:
-        for labels in v.terms:
-            s = set(labels)
-            common = s if common is None else (common & s)
-    return common or set()
-
-
-def taylor_increment(skeleton: Skeleton, point: LambdaPoint, increments) -> LambdaPoint:
-    """Exact multi-increment Taylor expansion assembled from derivative data.
-
-    Each increment must be supported on a single generator (every monomial of
-    every coordinate contains it); the result equals
-    eval_subst(f, x + sum y) - eval_subst(f, x) exactly.
-    """
-    from .calculus import derivative
-
-    increments = list(increments)
-    for idx, y in enumerate(increments):
-        if y.space != skeleton.source_space or y.rank != point.rank:
-            raise RankMismatchError("increment incompatible with the base point")
-        if y.is_zero():
-            continue
-        if not theta_support(y):
-            raise SuperskelError(
-                f"increment {idx} is not supported on a single generator")
-    k = len(increments)
-    total = None
-    for j in range(1, k + 1):
-        data = derivative(skeleton, j)
-        for subset in combinations(range(k), j):
-            value = data.apply(point, [increments[i] for i in subset])
-            total = value if total is None else total + value
-    if total is None:
-        return LambdaPoint.zero(skeleton.target_space, point.rank)
-    return total.to_point()
 
 
 def truncation_consistent(skeleton: Skeleton, point: LambdaPoint) -> bool:

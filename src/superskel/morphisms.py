@@ -67,7 +67,6 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
     soul_min = [s.min_odd_degree() for s in souls]
     odd_min = [o.min_odd_degree() for o in odds]
 
-    compose_cache: dict = {}
     factor_images: dict = {}
     excluded = [[] for _ in outer.components]
 
@@ -75,26 +74,23 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
         """(d^m along even_dirs of the ascending degree-k coefficient of the
         outer component ci) composed through the body map; None when zero.
         Records the zero set of each denominator factor's image as excluded
-        from component ci, also where that factor cancels in the result."""
-        key = (ci, sorted_odd, even_dirs)
-        if key not in compose_cache:
-            rf = outer.components[ci].coefficient(sorted_odd)
-            for d in even_dirs:
-                rf = rf.derivative(d)
-            if rf.is_zero():
-                compose_cache[key] = None
-            else:
-                for factor, _ in rf.factors:
-                    if factor not in factor_images:
-                        factor_images[factor] = factor.eval_in(body_maps, one_rf).num
-                    excluded[ci].append(factor_images[factor])
-                try:
-                    compose_cache[key] = rf.eval_in(body_maps, one_rf)
-                except NotInvertibleError:
-                    raise DomainError(
-                        "a denominator vanishes identically after composing "
-                        "through the body map; the declared domains are dishonest")
-        return compose_cache[key]
+        from component ci, also where that factor cancels in the result.
+        The loops below ask for each (ci, sorted_odd, even_dirs) once."""
+        rf = outer.components[ci].coefficient(sorted_odd)
+        for d in even_dirs:
+            rf = rf.derivative(d)
+        if rf.is_zero():
+            return None
+        for factor, _ in rf.factors:
+            if factor not in factor_images:
+                factor_images[factor] = factor.eval_in(body_maps, one_rf).num
+            excluded[ci].append(factor_images[factor])
+        try:
+            return rf.eval_in(body_maps, one_rf)
+        except NotInvertibleError:
+            raise DomainError(
+                "a denominator vanishes identically after composing "
+                "through the body map; the declared domains are dishonest")
 
     one = SuperFunction.constant(src, 1, inner.source_domain)
     accs = [SuperFunction.zero(src, inner.source_domain) for _ in outer.components]
@@ -150,10 +146,6 @@ class PointEvaluation:
 
     def __repr__(self):
         return f"PointEvaluation({self.point!r})"
-
-
-def encode_point(point: LambdaPoint) -> PointEvaluation:
-    return PointEvaluation(point)
 
 
 def decode_point(space: SuperSpace, rank: int, even_images, odd_images,

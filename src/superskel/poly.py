@@ -1111,11 +1111,6 @@ class RationalFunction:
             value = value * (inverse if mult == 1 else inverse ** mult)
         return value
 
-    def pad(self, new_nvars: int) -> "RationalFunction":
-        # padding keeps the lex-leading monomials, so factors stay monic
-        return RationalFunction._raw(self.num.pad(new_nvars),
-                                     tuple((f.pad(new_nvars), m) for f, m in self.factors))
-
     def format(self) -> str:
         if not self.factors:
             return self.num.format()

@@ -29,8 +29,8 @@ from .calculus import (check_def43, check_lambda_linearity, check_taylor, hadama
                        taylor_polynomial, taylor_remainder_vanishes)
 from .continuation import check_naturality, eval_subst, eval_taylor, truncation_consistent
 from .grassmann import GrassmannElement
-from .morphisms import (check_algebra_morphism, compose_formula, compose_subst,
-                        decode_point, encode_point)
+from .morphisms import (PointEvaluation, check_algebra_morphism, compose_formula,
+                        compose_subst, decode_point)
 from .report import CheckReport
 from .spaces import DeWittDomain, SuperSpace
 from .superfn import Skeleton, SuperFunction, mul_shuffle
@@ -242,7 +242,7 @@ def _point_functor(report: CheckReport, rng) -> None:
         space = randgen.random_spaces(rng, 2, 2)
         rank = rng.randint(0, 5)
         x = randgen.random_point(rng, space, rank)
-        ev = encode_point(x)
+        ev = PointEvaluation(x)
         evens = [ev(SuperFunction.even_coordinate(space, i + 1))
                  for i in range(space.even_dim)]
         odds = [ev(SuperFunction.odd_coordinate(space, j + 1))
@@ -253,7 +253,7 @@ def _point_functor(report: CheckReport, rng) -> None:
 
     def evaluation_multiplies(rng, index):
         space = randgen.random_spaces(rng, 2, 2)
-        ev = encode_point(randgen.random_point(rng, space, rng.randint(1, 5)))
+        ev = PointEvaluation(randgen.random_point(rng, space, rng.randint(1, 5)))
         h1 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         h2 = randgen.random_superfunction(rng, space, degree=3, terms=3)
         return (ev(h1 * h2) == ev(h1) * ev(h2),)
@@ -340,13 +340,12 @@ def _gluing(report: CheckReport, rng) -> None:
 
     _tally(report, rng, 50, round_trips, "transport round trips on {n} points")
 
-    good = check_global_morphism(line, line, superline_squaring_map(), rng,
-                                 samples=8, rank=3)
+    good = check_global_morphism(line, line, superline_squaring_map(), rng, samples=8)
     report.add("degree-2 self-map is a global morphism", good.ok,
                "" if good.ok else good.summary())
 
     broken = check_global_morphism(line, line, _inconsistent_squaring_map(), rng,
-                                   samples=8, rank=3)
+                                   samples=8)
     report.add("inconsistent chartwise pair detected", not broken.ok)
 
     corrupted = check_cocycle(_corrupted_gluing(), rng, samples=10, rank=2)

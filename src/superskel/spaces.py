@@ -121,8 +121,7 @@ class DeWittDomain:
     def with_excluded(self, polys) -> "DeWittDomain":
         """This domain minus the zero sets of ``polys``, exclusions normalized
         by the constructor; ``self`` when every one is already excluded."""
-        merged = DeWittDomain(self.space, (), self.excluded + tuple(polys))
-        merged.boxes = self.boxes  # already checked and outer
+        merged = DeWittDomain(self.space, self.boxes, self.excluded + tuple(polys))
         return self if len(merged.excluded) == len(self.excluded) else merged
 
     def contains_body(self, body) -> bool:

@@ -49,7 +49,9 @@ def _as_rf(value, nvars):
 
 
 def _evaluator_at(point: LambdaPoint) -> _PointEvaluator:
-    """An evaluator to share across the superfunctions evaluated at ``point``."""
+    """An evaluator to share across the superfunctions evaluated at ``point``
+    through ``SuperFunction._eval_at``, which checks neither space nor domain:
+    its callers check the point once (``eval_subst`` may skip the domain)."""
     return _PointEvaluator(point.rank, point.even_values, point.odd_values)
 
 
@@ -282,14 +284,15 @@ class SuperFunction:
 
     # -- evaluation / substitution ------------------------------------------
 
-    def eval(self, point: LambdaPoint, check_domain: bool = True) -> GrassmannElement:
-        """Value at a lambda-point, computed in the Grassmann algebra over
-        int numerators (``grassmann._PointEvaluator``); callers that
-        evaluate several superfunctions at one point share one evaluator
-        through ``_eval_at``."""
+    def eval(self, point: LambdaPoint) -> GrassmannElement:
+        """Value at a lambda-point of the domain, computed in the Grassmann
+        algebra over int numerators (``grassmann._PointEvaluator``); a point
+        in another space or outside the domain is rejected.  Callers that
+        evaluate several superfunctions at one point, after checking it
+        themselves, share one evaluator through ``_eval_at``."""
         if point.space != self.space:
             raise SpaceMismatchError("point lives in a different space")
-        if check_domain and not self.domain.contains(point):
+        if not self.domain.contains(point):
             raise DomainError("point lies outside the declared domain")
         return self._eval_at(_evaluator_at(point))
 

@@ -76,7 +76,7 @@ def test_transport_round_trips_random():
 def test_global_degree_two_map():
     line = projective_superline()
     report = check_global_morphism(line, line, superline_squaring_map(),
-                                   random.Random(3), samples=10, rank=3)
+                                   random.Random(3), samples=10)
     assert report.ok, report.summary()
 
 
@@ -85,7 +85,7 @@ def test_global_identity_components():
     components = {("A", "A"): Skeleton.identity(S11),
                   ("B", "B"): Skeleton.identity(S11)}
     report = check_global_morphism(line, line, components, random.Random(4),
-                                   samples=8, rank=3)
+                                   samples=8)
     assert report.ok, report.summary()
 
 
@@ -100,7 +100,7 @@ def test_global_morphism_inconsistency_detected():
     components = {("A", "A"): f_a, ("B", "B"): f_a}
     line = projective_superline()
     report = check_global_morphism(line, line, components, random.Random(5),
-                                   samples=8, rank=3)
+                                   samples=8)
     assert not report.ok
 
 

@@ -24,6 +24,8 @@ def files(tmp_path):
                          "chart U 1|0\nchart V 1|0\noverlap U V\noverlap V U\n"
                          "transition U V\ny1 = x1\ntransition V U\ny1 = x1 + 1\n")
     paths["apoint"] = write("a.pt", "rank 2\nx1 = 2*1\nt1 = 1*g1\n")
+    paths["oneway"] = write("oneway.man", "chart A 1|1\nchart B 1|1\n"
+                            "transition A B\ny1 = x1 + 1\nh1 = t1\n")
     return paths
 
 
@@ -114,6 +116,10 @@ def test_glue_check(files):
     assert code == 0
     code, _ = run(["glue", "check", files["bad"], "--samples", "4"])
     assert code == 1
+    # a transition whose inverse is missing fails the check
+    code, out = run(["glue", "check", files["oneway"], "--verbose"])
+    assert code == 1
+    assert "FAIL transition(B,A) exists: missing inverse transition" in out
 
 
 def test_glue_transport(files):

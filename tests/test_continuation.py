@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from superskel import randgen
-from superskel.calculus import derivative
+from superskel.calculus import derivative, taylor_increment
 from superskel.continuation import (check_naturality, default_morphism_battery,
-                                    eval_subst, eval_taylor, taylor_increment,
-                                    taylor_shells, truncation_consistent)
+                                    eval_subst, eval_taylor, taylor_shells,
+                                    truncation_consistent)
 from superskel.errors import DomainError, SuperskelError
 from superskel.grassmann import GrassmannElement as G
 from superskel.grassmann import GrassmannMorphism

@@ -149,6 +149,9 @@ def test_add_scale():
     assert 2 * (G.scalar(3, F(1, 2)) + gens(3, 1, 2)) == G.unit(3) + 2 * gens(3, 1, 2)
     lhs = (gens(3, 1) + gens(3, 1, 2)) + (gens(3, 2) - gens(3, 1, 2))
     assert lhs == gens(3, 1) + gens(3, 2)
+    # a number equals the scalar element of its value and nothing else
+    assert G.scalar(3, 3) == 3 and G.scalar(3, F(3, 2)) == F(3, 2) and G.zero(3) == 0
+    assert G.scalar(3, 3) != 2 and gens(3, 1) != 0 and G.unit(3) + gens(3, 1) != 1
 
 
 def test_rank_cap(monkeypatch):

@@ -8,9 +8,8 @@ from superskel import randgen
 from superskel.continuation import eval_subst
 from superskel.errors import ParityError, SpaceMismatchError, SuperskelError
 from superskel.grassmann import GrassmannElement as G
-from superskel.morphisms import (check_algebra_morphism, compose_formula, compose_subst,
-                                 decode_point, encode_point,
-                                 substitute_superfunction)
+from superskel.morphisms import (PointEvaluation, check_algebra_morphism, compose_formula,
+                                 compose_subst, decode_point, substitute_superfunction)
 from superskel.poly import Polynomial, RationalFunction
 from superskel.spaces import DeWittDomain, SuperSpace
 from superskel.superfn import Skeleton, SuperFunction
@@ -240,7 +239,7 @@ def test_encode_decode_bijection():
         space = randgen.random_spaces(rng, 2, 2)
         rank = rng.randint(0, 5)
         x = randgen.random_point(rng, space, rank)
-        ev = encode_point(x)
+        ev = PointEvaluation(x)
         evens = [ev(SuperFunction.even_coordinate(space, i + 1))
                  for i in range(space.even_dim)]
         odds = [ev(SuperFunction.odd_coordinate(space, j + 1))
@@ -253,7 +252,7 @@ def test_encode_multiplicative():
     for _ in range(25):
         space = randgen.random_spaces(rng, 2, 2)
         x = randgen.random_point(rng, space, rng.randint(1, 5))
-        ev = encode_point(x)
+        ev = PointEvaluation(x)
         h1 = randgen.random_superfunction(rng, space, degree=3)
         h2 = randgen.random_superfunction(rng, space, degree=3)
         assert ev(h1 * h2) == ev(h1) * ev(h2)

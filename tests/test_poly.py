@@ -105,6 +105,11 @@ def test_rational_arithmetic_and_quotient_rule():
     assert (inv * inv).invert() == RationalFunction(x ** 2)
     with pytest.raises(NotInvertibleError):
         RationalFunction(Polynomial.zero(1)).invert()
+    # a number over a rational function runs the reflected division
+    assert 3 / RationalFunction(x + 1) == RationalFunction(Polynomial.constant(1, 3), x + 1)
+    assert F(1, 2) / inv == RationalFunction(x * F(1, 2))
+    with pytest.raises(NotInvertibleError):
+        1 / RationalFunction(Polynomial.zero(1))
 
 
 def test_constant_denominators_fold():

@@ -90,6 +90,14 @@ def test_domain_intersect_and_sampling():
     rng = random.Random(0)
     for body in both.sample_bodies(rng, 25):
         assert both.contains_body(body)
+    # half-bounded boxes: the README's "box 0 inf" example and its mirror
+    for box in ("box 0 inf\nexclude x1 - 1", "box -inf 0"):
+        skeleton = parsing.parse_skeleton_file(
+            f"source 1|2\ntarget 1|0\n{box}\ny1 = x1^2 + 2*x1*t1*t2\n")
+        domain = skeleton.source_domain
+        bodies = domain.sample_bodies(random.Random(3), 25)
+        assert all(domain.contains_body(body) for body in bodies)
+        assert bodies == domain.sample_bodies(random.Random(3), 25)
 
 
 def test_boxes_inside_another_are_dropped():
