@@ -52,9 +52,10 @@ import os
 from fractions import Fraction
 from operator import index as _index
 
-from .errors import NotInvertibleError, ParityError, RankCapError, RankMismatchError, SuperskelError
-from .poly import (_accumulate, _add_multiple, _as_fraction, _number_text, _power,
-                   _read_numerators, _scale, _signed_sum, _sum)
+from .errors import (DigitCapError, NotInvertibleError, ParityError, RankCapError,
+                     RankMismatchError, SuperskelError)
+from .poly import (MAX_LITERAL_DIGITS, _accumulate, _add_multiple, _as_fraction, _number_text,
+                   _power, _power_over_cap, _read_numerators, _scale, _signed_sum, _sum)
 
 _ZERO = Fraction(0)
 
@@ -503,12 +504,17 @@ class _PointEvaluator:
 
     One evaluator serves every value computed at its point, and is dropped
     with the call that built it.  It caches each power n_i^e (by
-    square-and-multiply), each even monomial prod_i n_i^a_i by exponent
-    tuple and each ordered product of odd values by mask, so a monomial
-    value shared by several coefficients or components is built once.  A
-    polynomial is summed in ints over prod_i d_i^(top exponent of x_i) and
-    a superfunction over the lcm of its terms' denominators, with one
-    reduction per value.
+    square-and-multiply) with d_i^e, each even monomial prod_i n_i^a_i by
+    exponent tuple and each ordered product of odd values by mask, so a
+    monomial value shared by several coefficients or components is built
+    once.  A polynomial is summed in ints over prod_i d_i^(top exponent of
+    x_i) and a superfunction over the lcm of its terms' denominators, with
+    one reduction per value.
+
+    A power whose body numerator n_i[0]^e or denominator d_i^e would be
+    longer than ``MAX_LITERAL_DIGITS`` is refused with ``DigitCapError``
+    before it is computed, as the parser refuses such a literal: its value
+    could not be printed unless a later sum cancelled it.
     """
 
     __slots__ = ("rank", "_dens", "_powers", "_monomials", "_odds", "_odd_products")
@@ -516,19 +522,24 @@ class _PointEvaluator:
     def __init__(self, rank: int, even_values, odd_values):
         self.rank = rank
         self._dens = tuple(v._den for v in even_values)
-        self._powers = [{1: v._ints} for v in even_values]
+        self._powers = [{1: (v._ints, v._den)} for v in even_values]
         # the constant monomial is seeded, so every other one has a factor
         self._monomials = {(0,) * len(self._dens): ({0: 1}, 1)}
         self._odds = [(v._ints, v._den) for v in odd_values]
         self._odd_products = {0: ({0: 1}, 1)}
 
-    def _power(self, i: int, e: int) -> dict:
-        """Numerators of n_i^e for e >= 1, by the library's one power."""
+    def _power(self, i: int, e: int) -> tuple[dict, int]:
+        """(numerators of n_i^e, d_i^e) for e >= 1, by the library's one
+        power, after the digit cap on its body and denominator."""
         table = self._powers[i]
         power = table.get(e)
         if power is None:
-            base = GrassmannElement._make(self.rank, table[1])
-            power = table[e] = _power(base, e, None)._ints
+            ints, den = table[1]
+            if _power_over_cap(ints.get(0, 0), e) or _power_over_cap(den, e):
+                raise DigitCapError(f"an even value raised to the power {e} would hold a "
+                                    f"number longer than {MAX_LITERAL_DIGITS} digits")
+            base = GrassmannElement._make(self.rank, ints)
+            power = table[e] = (_power(base, e, None)._ints, den ** e)
         return power
 
     def _monomial(self, exps: tuple) -> tuple[dict, int]:
@@ -539,9 +550,9 @@ class _PointEvaluator:
             ints, den = None, 1
             for i, e in enumerate(exps):
                 if e:
-                    power = self._power(i, e)
+                    power, power_den = self._power(i, e)
                     ints = power if ints is None else _product(ints, power, self.rank)
-                    den *= self._dens[i] ** e
+                    den *= power_den
             monomial = self._monomials[exps] = (ints, den)
         return monomial
 
@@ -550,9 +561,10 @@ class _PointEvaluator:
         content's denominator times prod_i d_i^(top exponent of x_i)."""
         n, den = poly._content.as_integer_ratio()
         top = 1
-        for d, e in zip(self._dens, map(max, zip(*poly._ints))):
-            if d != 1:
-                top *= d ** e
+        for i, (d, e) in enumerate(zip(self._dens, map(max, zip(*poly._ints)))):
+            if d != 1 and e:
+                # the monomial with the top exponent needs this power anyway
+                top *= self._power(i, e)[1]
         total = {}
         for exps, c in poly._ints.items():
             ints, mono_den = self._monomial(exps)

@@ -27,7 +27,7 @@ from math import factorial, prod
 
 from .errors import DomainError, NotInvertibleError, SpaceMismatchError, SuperskelError
 from .grassmann import GrassmannElement
-from .poly import RationalFunction
+from .poly import RationalFunction, _Substitution
 from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
@@ -53,7 +53,10 @@ def compose_subst(outer: Skeleton, inner: Skeleton) -> Skeleton:
 
 
 def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
-    """Composition by the combinatorial expansion through the body map."""
+    """Composition by the combinatorial expansion through the body map.
+    Each power of a body map and each denominator factor's image and its
+    inverse are computed once per call, in a memo dropped when it returns;
+    the image gives the factor's excluded zero set."""
     if inner.target_space != outer.source_space:
         raise SpaceMismatchError("skeletons do not compose: target/source spaces differ")
     src = inner.source_space
@@ -67,7 +70,7 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
     soul_min = [s.min_odd_degree() for s in souls]
     odd_min = [o.min_odd_degree() for o in odds]
 
-    factor_images: dict = {}
+    subst = _Substitution(body_maps, one_rf)
     excluded = [[] for _ in outer.components]
 
     def composed_derivative(ci, sorted_odd, even_dirs):
@@ -82,11 +85,9 @@ def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
         if rf.is_zero():
             return None
         for factor, _ in rf.factors:
-            if factor not in factor_images:
-                factor_images[factor] = factor.eval_in(body_maps, one_rf).num
-            excluded[ci].append(factor_images[factor])
+            excluded[ci].append(subst.image(factor).num)
         try:
-            return rf.eval_in(body_maps, one_rf)
+            return subst.rational(rf)
         except NotInvertibleError:
             raise DomainError(
                 "a denominator vanishes identically after composing "

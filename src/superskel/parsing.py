@@ -38,8 +38,8 @@ from fractions import Fraction
 from .atlas import GluingData
 from .errors import ParseError, SuperskelError
 from .grassmann import GrassmannElement, _signed_mask
-from .poly import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, Polynomial, RationalFunction,
-                   _accumulate, _numerators, _number_text)
+from .poly import (MAX_LITERAL_DIGITS, Polynomial, RationalFunction, _accumulate,
+                   _numerators, _number_text, _power_over_cap)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
 
@@ -263,15 +263,7 @@ def _power_too_long(value, n: int) -> bool:
         coefficients = [value.body()]
     else:
         return False
-    cap_bits = _LITERAL_BOUND.bit_length()
-    for c in coefficients:
-        for part in c.as_integer_ratio():
-            bits = abs(part).bit_length()
-            # |part| ** n >= 2 ** (n (bits - 1)); when that is below the bound,
-            # |part| ** n < 2 ** (2 n (bits - 1)) has under twice its bits
-            if bits > 1 and (n * (bits - 1) >= cap_bits or abs(part) ** n >= _LITERAL_BOUND):
-                return True
-    return False
+    return any(_power_over_cap(c, n) for c in coefficients)
 
 
 def _monomial_parts(atoms, nvars: int, top: int):

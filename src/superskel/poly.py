@@ -44,6 +44,21 @@ _ONE = Fraction(1)
 # numbers obey the same cap, so every output parses back.
 MAX_LITERAL_DIGITS = 4000
 _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
+_LITERAL_BITS = _LITERAL_BOUND.bit_length()
+
+
+def _power_over_cap(number, n: int) -> bool:
+    """True when the numerator or denominator of ``number ** n`` (an int or
+    Fraction) would be longer than ``MAX_LITERAL_DIGITS``, decided from n
+    and bit lengths before anything large is computed: the cap that the
+    parser and the point evaluator put on a power."""
+    for part in number.as_integer_ratio():
+        bits = abs(part).bit_length()
+        # |part| ** n >= 2 ** (n (bits - 1)); when that is below the bound,
+        # |part| ** n < 2 ** (2 n (bits - 1)) has under twice its bits
+        if bits > 1 and (n * (bits - 1) >= _LITERAL_BITS or abs(part) ** n >= _LITERAL_BOUND):
+            return True
+    return False
 
 
 def _as_fraction(value):
@@ -652,29 +667,11 @@ class Polynomial:
         body maps; and tests with Grassmann elements, calling ``substitute``
         as the reference for ``SuperFunction.eval``, whose own evaluator at
         a lambda-point (``grassmann._PointEvaluator``) does not come here.
+        ``substitute`` and ``compose_formula`` keep one ``_Substitution``
+        per call, so the powers of the values are built once per call; this
+        method builds a fresh one, kept for this call only.
         """
-        # powers[i][e] = values[i]**e for the exponents that occur, each the
-        # next lower one times values[i]**gap (one product for a gap of 1)
-        powers = []
-        for i, value in enumerate(values[:self.nvars]):
-            table, last, power = {}, 0, None
-            for e in sorted({exps[i] for exps in self._ints} - {0}):
-                step = _power(value, e - last, one)
-                power = step if power is None else power * step
-                table[e], last = power, e
-            powers.append(table)
-
-        acc = None
-        for exps, coeff in self._ints.items():
-            term = None
-            for i, e in enumerate(exps):
-                if e:
-                    term = powers[i][e] if term is None else term * powers[i][e]
-            term = coeff * (one if term is None else term)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return 0 * one
-        return acc if self._content == 1 else self._content * acc
+        return _Substitution(values, one).polynomial(self)
 
     def partial_eval(self, assignment: dict[int, Fraction]) -> "Polynomial":
         """Substitute Fractions for a subset of variables (0-based indices).
@@ -1104,12 +1101,10 @@ class RationalFunction:
         own by its ``invert``, so the result's denominators keep the factor
         structure.  The callers pass rational functions (``compose_formula``),
         superfunctions (``SuperFunction.substitute``) or Grassmann elements
-        (tests); ``eval`` takes Fraction points."""
-        value = self.num.eval_in(values, one)
-        for factor, mult in self.factors:
-            inverse = factor.eval_in(values, one).invert()
-            value = value * (inverse if mult == 1 else inverse ** mult)
-        return value
+        (tests); ``eval`` takes Fraction points.  Powers and inverted factor
+        images are memoised in a fresh ``_Substitution``, for this call
+        only."""
+        return _Substitution(values, one).rational(self)
 
     def format(self) -> str:
         if not self.factors:
@@ -1118,3 +1113,75 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.format()!r})"
+
+
+class _Substitution:
+    """Ring values put in for the variables of polynomials and rational
+    functions, with a memo that lives as long as one call.
+
+    ``values[i]`` substitutes variable i and ``one`` is the ring unit, the
+    value of the constant monomial.  Ring elements must support +, *, int
+    and Fraction scaling from the left and, for denominators, ``invert``.
+    ``powers`` holds values[i]**e by (i, e), ``images`` the value of each
+    denominator factor and ``inverses`` its inverse, so each is computed
+    once however many coefficients share it.  The caller builds a context,
+    uses it for one call and drops it: nothing is kept across calls, where
+    the values differ, and an inversion that raises stores nothing.
+    """
+
+    __slots__ = ("values", "one", "powers", "images", "inverses")
+
+    def __init__(self, values, one):
+        self.values = values
+        self.one = one
+        self.powers = {}
+        self.images = {}
+        self.inverses = {}
+
+    def polynomial(self, poly: Polynomial):
+        """The value of ``poly`` at the values."""
+        one, powers = self.one, self.powers
+        # a power not built yet is the polynomial's next lower exponent's
+        # power times values[i]**gap (one product for a gap of 1)
+        for i in range(poly.nvars):
+            last = 0
+            for e in sorted({exps[i] for exps in poly._ints} - {0}):
+                if (i, e) not in powers:
+                    step = _power(self.values[i], e - last, one)
+                    powers[i, e] = step if last == 0 else powers[i, last] * step
+                last = e
+        acc = None
+        for exps, coeff in poly._ints.items():
+            term = None
+            for i, e in enumerate(exps):
+                if e:
+                    term = powers[i, e] if term is None else term * powers[i, e]
+            term = coeff * (one if term is None else term)
+            acc = term if acc is None else acc + term
+        if acc is None:
+            return 0 * one
+        return acc if poly._content == 1 else poly._content * acc
+
+    def image(self, factor: Polynomial):
+        """The value of a denominator factor, computed once."""
+        image = self.images.get(factor)
+        if image is None:
+            image = self.images[factor] = self.polynomial(factor)
+        return image
+
+    def inverse(self, factor: Polynomial):
+        """The inverse of the factor's value, computed once; the value's
+        ``invert`` raises when it has none."""
+        inverse = self.inverses.get(factor)
+        if inverse is None:
+            inverse = self.inverses[factor] = self.image(factor).invert()
+        return inverse
+
+    def rational(self, rf: RationalFunction):
+        """The value of ``rf``: its numerator's value times the inverse of
+        each factor's value to the factor's multiplicity."""
+        value = self.polynomial(rf.num)
+        for factor, mult in rf.factors:
+            inverse = self.inverse(factor)
+            value = value * (inverse if mult == 1 else inverse ** mult)
+        return value

@@ -33,8 +33,8 @@ from .errors import DomainError, NotInvertibleError, ParityError, SpaceMismatchE
 from .grassmann import (GrassmannElement, _canonical, _geometric_inverse, _has_parity,
                         _label_key, _labels, _parity, _PointEvaluator, _product, _signed_mask,
                         _soul)
-from .poly import (Polynomial, RationalFunction, _negate, _power, _scale, _signed_sum, _sum,
-                   monomial_text)
+from .poly import (Polynomial, RationalFunction, _negate, _power, _scale, _signed_sum,
+                   _Substitution, _sum, monomial_text)
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 
 
@@ -312,10 +312,14 @@ class SuperFunction:
         as ``eval`` does, by a route independent of its evaluator.  ``one``
         is the unit of the values' ring, which must support +, *, Fraction
         scaling and ``invert`` for denominators.  Each term c_J * t_J
-        becomes c_J(even_values) times the odd values of J in label order."""
+        becomes c_J(even_values) times the odd values of J in label order.
+        One ``_Substitution`` serves every coefficient of this call, so each
+        power of an even value and each inverted denominator factor is
+        computed once per call; nothing is kept after it."""
+        subst = _Substitution(even_values, one)
         acc = None
         for mask, coeff in self._coeffs.items():
-            value = coeff.eval_in(even_values, one)
+            value = subst.rational(coeff)
             for label in _labels(mask):
                 value = value * odd_values[label - 1]
             acc = value if acc is None else acc + value

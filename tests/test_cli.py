@@ -220,6 +220,21 @@ def test_exit_codes(files, tmp_path):
     assert parse_skeleton_file(out) == parse_skeleton_file(edge.read_text())
 
 
+def test_eval_refuses_a_power_before_computing_it(tmp_path):
+    # 3^1000000000 would have about 477 million digits: refused before the
+    # power is taken; at body 1 the power is 1 + 10^9 g1g2 and prints
+    skeleton = tmp_path / "huge-power.sk"
+    skeleton.write_text("source 1|0\ntarget 1|0\ny1 = x1^1000000000\n")
+    for body, expected in (("3", 2), ("1", 0)):
+        point = tmp_path / f"at-{body}.pt"
+        point.write_text(f"rank 2\nx1 = {body}*1 + 1*g1g2\n")
+        start = time.perf_counter()
+        code, out = run(["eval", str(skeleton), str(point)])
+        assert time.perf_counter() - start < 1, body
+        assert code == expected, body
+    assert "x1 = 1*1 + 1000000000*g1g2" in out
+
+
 def test_one_parser_serves_every_call(files, monkeypatch):
     """``main`` builds its parser once per process; usage errors still go to
     the stderr of the call, and ``--rank`` reads the cap when it is parsed."""

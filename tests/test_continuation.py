@@ -9,7 +9,7 @@ from superskel.calculus import derivative, taylor_increment
 from superskel.continuation import (check_naturality, default_morphism_battery,
                                     eval_subst, eval_taylor, taylor_shells,
                                     truncation_consistent)
-from superskel.errors import DomainError, SuperskelError
+from superskel.errors import DigitCapError, DomainError, SuperskelError
 from superskel.grassmann import GrassmannElement as G
 from superskel.grassmann import GrassmannMorphism
 from superskel.poly import Polynomial, RationalFunction
@@ -175,14 +175,21 @@ def test_eval_subst_edge_points():
 
 
 def test_high_power_by_squaring():
-    # x1^100000 at 2 + g1g2 = 2^100000 + 100000 * 2^99999 g1g2, built by
-    # squaring (about 17 products) rather than one factor at a time
-    f = SuperFunction(S12, FULL12, {(): Polynomial(1, {(100000,): 1})})
-    x = LambdaPoint(S12, 2, [G(2, {(): 2, (1, 2): 1})], [G.zero(2), G.zero(2)])
+    # x1^10000000 at 1 + g1g2 = 1 + 10^7 g1g2, built by squaring (about 24
+    # products) rather than one factor at a time; at 2 + g1g2, x1^13000 =
+    # 2^13000 + 13000 * 2^12999 g1g2 (3914 and 3917 digits) is computed, and
+    # x1^100000 (2^100000 has 30103 digits) is refused before the power
+    def power(n):
+        return SuperFunction(S12, FULL12, {(): Polynomial(1, {(n,): 1})})
+
+    def at(body):
+        return LambdaPoint(S12, 2, [G(2, {(): body, (1, 2): 1})], [G.zero(2), G.zero(2)])
     start = time.perf_counter()
-    value = f.eval(x)
+    assert power(10 ** 7).eval(at(1)) == G(2, {(): 1, (1, 2): 10 ** 7})
+    assert power(13000).eval(at(2)) == G(2, {(): 2 ** 13000, (1, 2): 13000 * 2 ** 12999})
+    with pytest.raises(DigitCapError):
+        power(100000).eval(at(2))
     assert time.perf_counter() - start < 1
-    assert value == G(2, {(): 2 ** 100000, (1, 2): 100000 * 2 ** 99999})
 
 
 def test_naturality_swap_example():

@@ -352,3 +352,59 @@ def test_random_rational_results_stay_reduced():
         checked += bgn_quotient(f).at_zero_t().components
         stored, reduced = _degrees(checked)
         assert stored == reduced
+
+
+def test_no_memo_survives_a_call():
+    """The substitution memo (powers and inverted factor images) lives for
+    one call: a second call on the same outer skeleton, whose factors key
+    the memo, with other values gets its own values, in either order."""
+    from superskel.parsing import parse_skeleton_file
+
+    outer = parse_skeleton_file(
+        "source 1|2\ntarget 1|2\n"
+        "y1 = x1^3 + 1/(x1^2 + 1) + t1*t2/(x1^2 + 1)^2\n"
+        "h1 = t1/(x1^2 + 1) + x1^2*t2\nh2 = x1*t2\n")
+    inner1 = parse_skeleton_file("source 1|2\ntarget 1|2\ny1 = x1 + t1*t2\nh1 = t1\nh2 = t2\n")
+    inner2 = parse_skeleton_file(
+        "source 1|2\ntarget 1|2\ny1 = 2*x1 - 1 + x1*t1*t2\nh1 = t2\nh2 = t1 + x1*t2\n")
+    forward = [compose_subst(outer, inner) for inner in (inner1, inner2)]
+    backward = [compose_subst(outer, inner) for inner in (inner2, inner1)]
+    assert forward[0] != forward[1]
+    assert forward[1] == backward[0] == compose_formula(outer, inner2)
+    assert forward[0] == backward[1] == compose_formula(outer, inner1)
+    rng = random.Random(3)
+    points = [randgen.random_point(rng, S12, 4) for _ in range(2)]
+    for inner, composed in zip((inner1, inner2), forward):
+        for x in points:
+            assert eval_subst(composed, x) == eval_subst(outer, eval_subst(inner, x))
+    # two substitute calls at different Grassmann values, in either order,
+    # against the point evaluator, which keeps no memo of its own
+    h = outer.components[0]
+    one = G.unit(4)
+
+    def substituted(x):
+        return h.substitute(x.even_values, x.odd_values, one)
+    forward = [substituted(x) for x in points]
+    backward = [substituted(x) for x in reversed(points)]
+    assert forward[0] != forward[1]
+    assert forward == backward[::-1] == [h.eval(x) for x in points]
+
+
+def test_denominator_vanishing_identically_after_composing():
+    """An inner body map that sends an outer factor to 0 makes both routes
+    raise, call after call: the failed inversion is not kept as a value."""
+    from superskel.errors import DomainError, NotInvertibleError
+    from superskel.parsing import parse_skeleton_file
+
+    outer = parse_skeleton_file("source 1|2\ntarget 1|0\nexclude x1 - 1\n"
+                                "y1 = 1/(x1^2 + 1) + t1*t2/(x1 - 1)\n")
+    # the body map is 1, so the image of x1 - 1 is the soul t1*t2
+    vanishing = parse_skeleton_file("source 1|2\ntarget 1|2\ny1 = 1 + t1*t2\nh1 = t1\nh2 = t2\n")
+    for _ in range(2):
+        with pytest.raises(NotInvertibleError):
+            compose_subst(outer, vanishing)
+        with pytest.raises(DomainError, match="vanishes identically"):
+            compose_formula(outer, vanishing)
+    honest = parse_skeleton_file("source 1|2\ntarget 1|2\ny1 = 2 + t1*t2\nh1 = t1\nh2 = t2\n")
+    assert compose_subst(outer, honest) == compose_formula(outer, honest) == parse_skeleton_file(
+        "source 1|2\ntarget 1|0\ny1 = 1/5 + 21/25*t1*t2\n")
