@@ -52,10 +52,10 @@ import os
 from fractions import Fraction
 from operator import index as _index
 
-from .errors import (DigitCapError, NotInvertibleError, ParityError, RankCapError,
-                     RankMismatchError, SuperskelError)
-from .poly import (MAX_LITERAL_DIGITS, _accumulate, _add_multiple, _as_fraction, _number_text,
-                   _power, _power_over_cap, _read_numerators, _scale, _signed_sum, _sum)
+from .errors import (NotInvertibleError, ParityError, RankCapError, RankMismatchError,
+                     SuperskelError)
+from .poly import (_accumulate, _add_multiple, _as_fraction, _number_text, _power,
+                   _read_numerators, _refuse_power, _scale, _signed_sum, _sum)
 
 _ZERO = Fraction(0)
 
@@ -514,7 +514,8 @@ class _PointEvaluator:
     A power whose body numerator n_i[0]^e or denominator d_i^e would be
     longer than ``MAX_LITERAL_DIGITS`` is refused with ``DigitCapError``
     before it is computed, as the parser refuses such a literal: its value
-    could not be printed unless a later sum cancelled it.
+    could not be printed unless a later sum cancelled it.  So is a power
+    of an inverted denominator factor to its multiplicity.
     """
 
     __slots__ = ("rank", "_dens", "_powers", "_monomials", "_odds", "_odd_products")
@@ -535,9 +536,8 @@ class _PointEvaluator:
         power = table.get(e)
         if power is None:
             ints, den = table[1]
-            if _power_over_cap(ints.get(0, 0), e) or _power_over_cap(den, e):
-                raise DigitCapError(f"an even value raised to the power {e} would hold a "
-                                    f"number longer than {MAX_LITERAL_DIGITS} digits")
+            _refuse_power(ints.get(0, 0), e)
+            _refuse_power(den, e)
             base = GrassmannElement._make(self.rank, ints)
             power = table[e] = (_power(base, e, None)._ints, den ** e)
         return power
@@ -580,6 +580,9 @@ class _PointEvaluator:
             value = GrassmannElement._reduced(self.rank, ints, den)
             for factor, mult in rf.factors:
                 inverse = GrassmannElement._reduced(self.rank, *self._polynomial(factor)).invert()
+                if mult > 1:
+                    _refuse_power(inverse._ints.get(0, 0), mult)
+                    _refuse_power(inverse._den, mult)
                 value = value * (inverse if mult == 1 else inverse ** mult)
             ints, den = value._ints, value._den
         return ints, den

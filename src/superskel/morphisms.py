@@ -27,7 +27,7 @@ from math import factorial, prod
 
 from .errors import DomainError, NotInvertibleError, SpaceMismatchError, SuperskelError
 from .grassmann import GrassmannElement
-from .poly import RationalFunction, _Substitution
+from .poly import RationalFunction, _gcd_memo, _Substitution
 from .report import CheckReport
 from .spaces import DeWittDomain, LambdaPoint, SuperSpace
 from .superfn import Skeleton, SuperFunction
@@ -44,10 +44,12 @@ def substitute_superfunction(h: SuperFunction, skeleton: Skeleton) -> SuperFunct
 
 def compose_subst(outer: Skeleton, inner: Skeleton) -> Skeleton:
     """Composition by substitution; denominators met along the way join the
-    result's excluded zero sets automatically."""
+    result's excluded zero sets automatically.  Each gcd and coprime base
+    is decided once per call, in a memo dropped when it returns."""
     if inner.target_space != outer.source_space:
         raise SpaceMismatchError("skeletons do not compose: target/source spaces differ")
-    comps = [substitute_superfunction(c, inner) for c in outer.components]
+    with _gcd_memo():
+        comps = [substitute_superfunction(c, inner) for c in outer.components]
     return Skeleton(inner.source_space, inner.source_domain,
                     outer.target_space, outer.target_domain, comps)
 
@@ -55,10 +57,17 @@ def compose_subst(outer: Skeleton, inner: Skeleton) -> Skeleton:
 def compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
     """Composition by the combinatorial expansion through the body map.
     Each power of a body map and each denominator factor's image and its
-    inverse are computed once per call, in a memo dropped when it returns;
-    the image gives the factor's excluded zero set."""
+    inverse are computed once per call, and so are each gcd and coprime
+    base, in memos dropped when it returns; the image gives the factor's
+    excluded zero set."""
     if inner.target_space != outer.source_space:
         raise SpaceMismatchError("skeletons do not compose: target/source spaces differ")
+    with _gcd_memo():
+        return _compose_formula(outer, inner)
+
+
+def _compose_formula(outer: Skeleton, inner: Skeleton) -> Skeleton:
+    """The expansion of ``compose_formula``, run inside its gcd memo."""
     src = inner.source_space
     q_src = src.odd_dim
 

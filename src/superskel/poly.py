@@ -16,6 +16,10 @@ candidate is checked by exact division, after one trial division
 (``Polynomial.exact_quotient``) for the common case of an argument that
 divides the other; when GCDHEU gives up, the affected factor is kept
 whole, so a value is never wrong, only possibly not in lowest terms.
+Within one composition call (``_gcd_memo``, entered by ``compose_subst``
+and ``compose_formula``, each with its own) each gcd question and each
+coprime base of two factor lists is decided once and then looked up by
+value; nothing is kept across calls.
 Equality compares numerators over equal factor lists and otherwise
 tests whether the difference is zero.
 
@@ -31,7 +35,9 @@ trusted ``_make``.  ``_power``, the one square-and-multiply, is behind every
 
 from __future__ import annotations
 
+import contextvars
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import add as _add, index as _index
 
@@ -59,6 +65,14 @@ def _power_over_cap(number, n: int) -> bool:
         if bits > 1 and (n * (bits - 1) >= _LITERAL_BITS or abs(part) ** n >= _LITERAL_BOUND):
             return True
     return False
+
+
+def _refuse_power(value, n: int) -> None:
+    """Raise ``DigitCapError`` when ``value ** n`` is over the cap of
+    ``_power_over_cap``."""
+    if _power_over_cap(value, n):
+        raise DigitCapError(f"a value raised to the power {n} would hold a number "
+                            f"longer than {MAX_LITERAL_DIGITS} digits")
 
 
 def _as_fraction(value):
@@ -310,13 +324,51 @@ def _coprime_at_one_value(a: dict, b: dict) -> bool:
     return common <= xi >> 1
 
 
+# The gcd memo of the composition call in progress, or None outside one: a
+# pair of dicts, the answers of ``_gcd_cofactors`` by (p, q) and those of
+# ``_common_base`` by (fa, fb).  A context variable, so a second thread or
+# an asynchronous task sees only the memo that it set itself.
+_MEMO = contextvars.ContextVar("superskel_gcd_memo", default=None)
+_MISSING = object()
+
+
+@contextmanager
+def _gcd_memo():
+    """A fresh gcd memo for the block, dropped when it ends, by a return or
+    a raise, and the enclosing memo (if any) restored.  ``compose_subst``
+    and ``compose_formula`` each run in one of their own, so no answer
+    passes from one call or route to another.  Memoised answers are shared,
+    so they are immutable: polynomials, tuples and None."""
+    token = _MEMO.set(({}, {}))
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def _gcd_cofactors(p: "Polynomial", q: "Polynomial"):
     """(gcd, p / gcd, q / gcd) for nonzero polynomials, with the gcd monic
     and None in its place when it is 1, or None when GCDHEU gives up: the
     gcd that ``Polynomial.gcd`` returns, with the quotients its division
-    check computed.  Cheaper tests come first: a one-evaluation coprimality
-    certificate for univariate pairs, constant arguments, and trial division
-    of p by q.  GCDHEU reads the primitive integer parts as they are stored."""
+    check computed.  Inside ``_gcd_memo`` each (p, q) is decided once, by
+    value; a coprime answer returns the arguments themselves."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _gcd_parts(p, q)
+    answers = memo[0]
+    parts = answers.get((p, q), _MISSING)
+    if parts is _MISSING:
+        parts = answers[p, q] = _gcd_parts(p, q)
+    elif parts is not None and parts[0] is None:
+        return None, p, q
+    return parts
+
+
+def _gcd_parts(p: "Polynomial", q: "Polynomial"):
+    """``_gcd_cofactors`` without the memo.  Cheaper tests come first: a
+    one-evaluation coprimality certificate for univariate pairs, constant
+    arguments, and trial division of p by q.  GCDHEU reads the primitive
+    integer parts as they are stored."""
     nvars = p.nvars
     a, b = p._ints, q._ints
     if nvars == 1 and _coprime_at_one_value(a, b):
@@ -645,12 +697,19 @@ class Polynomial:
         return Polynomial.one(self.nvars) if parts[0] is None else parts[0]
 
     def eval(self, values) -> Fraction:
-        """Evaluate at a tuple of Fractions."""
+        """Evaluate at a tuple of Fractions.  A power whose numerator or
+        denominator would be longer than ``MAX_LITERAL_DIGITS`` is refused
+        with ``DigitCapError`` before it is computed (``_power_over_cap``).
+        Each value's bit length is read once per call; only a power whose
+        exponent times that length reaches the cap's bit length is tested."""
+        bits = [max(abs(v.numerator), v.denominator).bit_length() for v in values]
         acc = 0
         for exps, coeff in self._ints.items():
             term = coeff
-            for v, e in zip(values, exps):
+            for v, b, e in zip(values, bits, exps):
                 if e:
+                    if e * b >= _LITERAL_BITS:
+                        _refuse_power(v, e)
                     term *= v ** e
             acc += term
         return self._content * acc
@@ -816,17 +875,30 @@ def _refine(items):
 
 
 def _common_base(fa, fb):
-    """A coprime base for two coprime bases of factors: a list of (piece,
+    """A coprime base for two coprime bases of factors: a tuple of (piece,
     (ma, mb)), where the product of piece^ma is prod(fa) and that of
-    piece^mb is prod(fb).  Shared factors need no gcd."""
+    piece^mb is prod(fb).  Shared factors need no gcd.  Inside
+    ``_gcd_memo`` each (fa, fb) is refined once, by value."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _base_of(fa, fb)
+    bases = memo[1]
+    base = bases.get((fa, fb))
+    if base is None:
+        base = bases[fa, fb] = _base_of(fa, fb)
+    return base
+
+
+def _base_of(fa, fb):
+    """``_common_base`` without the memo."""
     only_b = dict(fb)
     shared, items = [], []
     for factor, mult in fa:
         other = only_b.pop(factor, 0)
         (shared if other else items).append((factor, (mult, other)))
     if not items or not only_b:
-        return shared + items + [(g, (0, k)) for g, k in only_b.items()]
-    return shared + _refine([(g, (0, k)) for g, k in only_b.items()] + items)
+        return tuple(shared + items + [(g, (0, k)) for g, k in only_b.items()])
+    return tuple(shared + _refine([(g, (0, k)) for g, k in only_b.items()] + items))
 
 
 def _cancel(num: Polynomial, factors, keep=()):
@@ -1091,7 +1163,10 @@ class RationalFunction:
     def eval(self, values) -> Fraction:
         den = _ONE
         for factor, mult in self.factors:
-            den *= factor.eval(values) ** mult
+            value = factor.eval(values)
+            if mult > 1:
+                _refuse_power(value, mult)
+            den *= value ** mult
         if den == 0:
             raise DomainError(f"denominator vanishes at body point {tuple(map(str, values))}")
         return self.num.eval(values) / den

@@ -222,17 +222,23 @@ def test_exit_codes(files, tmp_path):
 
 def test_eval_refuses_a_power_before_computing_it(tmp_path):
     # 3^1000000000 would have about 477 million digits: refused before the
-    # power is taken; at body 1 the power is 1 + 10^9 g1g2 and prints
-    skeleton = tmp_path / "huge-power.sk"
-    skeleton.write_text("source 1|0\ntarget 1|0\ny1 = x1^1000000000\n")
-    for body, expected in (("3", 2), ("1", 0)):
-        point = tmp_path / f"at-{body}.pt"
-        point.write_text(f"rank 2\nx1 = {body}*1 + 1*g1g2\n")
-        start = time.perf_counter()
-        code, out = run(["eval", str(skeleton), str(point)])
-        assert time.perf_counter() - start < 1, body
-        assert code == expected, body
-    assert "x1 = 1*1 + 1000000000*g1g2" in out
+    # power is taken, by the point evaluator (subst), by the body values of
+    # the derivatives (taylor) and by the power of a denominator factor; at
+    # body 1 the value is 1 + f'(1) g1g2 and prints
+    for function, derivative in (("x1^1000000000", "+ 1000000000"),
+                                 ("(1/x1)^1000000000", "- 1000000000")):
+        skeleton = tmp_path / "huge-power.sk"
+        skeleton.write_text(f"source 1|0\ntarget 1|0\ny1 = {function}\n")
+        for route in ("subst", "taylor", "both"):
+            for body, expected in (("3", 2), ("1", 0)):
+                point = tmp_path / f"at-{body}.pt"
+                point.write_text(f"rank 2\nx1 = {body}*1 + 1*g1g2\n")
+                start = time.perf_counter()
+                code, out = run(["eval", str(skeleton), str(point), "--route", route])
+                case = (function, route, body)
+                assert time.perf_counter() - start < 1, case
+                assert code == expected, case
+            assert f"x1 = 1*1 {derivative}*g1g2" in out, case
 
 
 def test_one_parser_serves_every_call(files, monkeypatch):

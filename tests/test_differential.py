@@ -5,6 +5,8 @@ rational flag and a ``randgen`` seed), so a disagreement shrinks to a small
 case, and the falsifying example hypothesis prints rebuilds it exactly.
 """
 
+import contextlib
+import hashlib
 import importlib
 import pkgutil
 import random
@@ -14,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superskel
-from superskel import grassmann, randgen, superfn
+from superskel import grassmann, morphisms, poly, randgen, superfn
 from superskel.continuation import eval_subst, eval_taylor
 from superskel.grassmann import GrassmannElement
 from superskel.morphisms import compose_formula, compose_subst
+from superskel.parsing import format_domain_lines, format_skeleton
 from superskel.spaces import SuperSpace
 from superskel.superfn import SuperFunction, _evaluator_at, mul_shuffle
 
@@ -81,6 +84,76 @@ def test_compose_subst_equals_compose_formula(dims, degree, rational, seed):
     assert compose_subst(g, f) == compose_formula(g, f)
 
 
+def _stored(skeleton) -> str:
+    """A composition as stored: the printed skeleton, then each component's
+    domain and each coefficient's mask, numerator and factor list, in the
+    order they are kept.  Equal values with other factor orders differ."""
+    lines = [format_skeleton(skeleton)]
+    for component in skeleton.components:
+        lines += format_domain_lines(component.domain)
+        for mask, coeff in component._coeffs.items():
+            lines.append(repr((mask, coeff.num.format(),
+                               [(factor.format(), mult) for factor, mult in coeff.factors])))
+    return "\n".join(lines)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 2), min_size=3, max_size=3),
+       st.lists(_DIM, min_size=3, max_size=3), st.integers(1, 3), st.booleans(), _SEED)
+def test_gcd_memo_changes_no_stored_result(evens, odds, degree, self_composed, seed):
+    """Each route gives the same stored result with its gcd memo as with
+    none (the memo's block replaced by ``nullcontext``), where no gcd is
+    computed under a memo.  Even dimensions of at least 1 give the
+    coefficients denominators, so most cases ask the memo again."""
+    rng = random.Random(seed)
+    src, mid, tgt = map(SuperSpace, evens, odds)
+    f = randgen.random_skeleton(rng, src, mid, degree=degree, terms=2, rational=True)
+    g = f if self_composed and src == mid else \
+        randgen.random_skeleton(rng, mid, tgt, degree=degree, terms=2, rational=True)
+    routes = (compose_subst, compose_formula)
+    with_memo = [_stored(route(g, f)) for route in routes]
+    memos = []
+    computed = poly._gcd_parts
+
+    def spy(p, q):
+        memos.append(poly._MEMO.get())
+        return computed(p, q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morphisms, "_gcd_memo", contextlib.nullcontext)
+        patch.setattr(poly, "_gcd_parts", spy)
+        assert [_stored(route(g, f)) for route in routes] == with_memo
+    assert memos == [None] * len(memos)
+
+
+def test_compositions_as_stored_are_unchanged():
+    """A digest of both routes' stored results on fixed rational
+    compositions, 1|1-1|3 and 2|1-2|2, among them self-compositions: a
+    change to the reduction, the gcds or their memo that changes any stored
+    numerator, factor order or excluded set changes it."""
+    rng = random.Random(26)
+    pairs = []
+    for p, odd in ((1, (1, 2, 3)), (2, (1, 2))):
+        for q in odd:
+            space = SuperSpace(p, q)
+            for _ in range(3):
+                f = randgen.random_skeleton(rng, space, space, degree=2, terms=2, rational=True)
+                pairs.append((f, f))
+            for r in odd * 2:
+                other = SuperSpace(p, r)
+                inner = randgen.random_skeleton(rng, other, space, degree=2, terms=2,
+                                                rational=True)
+                outer = randgen.random_skeleton(rng, space, other, degree=2, terms=2,
+                                                rational=True)
+                pairs.append((outer, inner))
+    digest = hashlib.sha256()
+    for outer, inner in pairs:
+        for route in (compose_subst, compose_formula):
+            digest.update(_stored(route(outer, inner)).encode())
+            digest.update(b"\0")
+    assert digest.hexdigest() == \
+        "f6d433cf9d95a60f4840cc286ebefeb591c644a8ad42bf9e9901faeac269890b"
+
+
 class _Poisoned(Exception):
     """Raised by a primary route's entry point that an oracle must not reach."""
 
@@ -126,7 +199,10 @@ def test_oracles_run_without_their_primary_routes(monkeypatch):
       maps into the outer coefficients and their factors, as ``substitute``
       does; so ``substitute`` is poisoned, not ``eval_in``.  The formula
       multiplies those derivatives by products of the inner souls and odd
-      parts; it never plugs a superfunction into another.
+      parts; it never plugs a superfunction into another.  Each route call
+      runs in a gcd memo of its own (``poly._gcd_memo``), which answers a
+      repeated gcd or coprime base within that call only, so no answer
+      passes from one route to the other.
     - ``mul_shuffle``: ``coefficient`` (``_signed_mask``), the constructor and
       rational-function arithmetic.  The shuffle sum reads alternating maps,
       not the sign rows.

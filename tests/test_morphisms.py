@@ -1,10 +1,12 @@
 import random
+import sys
+import threading
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from superskel import randgen
+from superskel import poly, randgen
 from superskel.continuation import eval_subst
 from superskel.errors import ParityError, SpaceMismatchError, SuperskelError
 from superskel.grassmann import GrassmannElement as G
@@ -354,10 +356,14 @@ def test_random_rational_results_stay_reduced():
         assert stored == reduced
 
 
-def test_no_memo_survives_a_call():
+def test_no_memo_survives_a_call(monkeypatch):
     """The substitution memo (powers and inverted factor images) lives for
     one call: a second call on the same outer skeleton, whose factors key
-    the memo, with other values gets its own values, in either order."""
+    the memo, with other values gets its own values, in either order.  So
+    does the gcd memo: each route call, also one nested in another memo's
+    block or one in a second thread, decides its gcds in a memo of its own,
+    and none is left set after a call returns or raises."""
+    from superskel.errors import DomainError, NotInvertibleError
     from superskel.parsing import parse_skeleton_file
 
     outer = parse_skeleton_file(
@@ -367,7 +373,7 @@ def test_no_memo_survives_a_call():
     inner1 = parse_skeleton_file("source 1|2\ntarget 1|2\ny1 = x1 + t1*t2\nh1 = t1\nh2 = t2\n")
     inner2 = parse_skeleton_file(
         "source 1|2\ntarget 1|2\ny1 = 2*x1 - 1 + x1*t1*t2\nh1 = t2\nh2 = t1 + x1*t2\n")
-    forward = [compose_subst(outer, inner) for inner in (inner1, inner2)]
+    forward = forward_compositions = [compose_subst(outer, inner) for inner in (inner1, inner2)]
     backward = [compose_subst(outer, inner) for inner in (inner2, inner1)]
     assert forward[0] != forward[1]
     assert forward[1] == backward[0] == compose_formula(outer, inner2)
@@ -388,6 +394,88 @@ def test_no_memo_survives_a_call():
     backward = [substituted(x) for x in reversed(points)]
     assert forward[0] != forward[1]
     assert forward == backward[::-1] == [h.eval(x) for x in points]
+
+    # the memo in force at each gcd that is computed, not read from a memo
+    seen = []
+    computed = poly._gcd_parts
+
+    def spy(p, q):
+        seen.append((threading.get_ident(), poly._MEMO.get()))
+        return computed(p, q)
+    monkeypatch.setattr(poly, "_gcd_parts", spy)
+
+    def memos_of(call, *args):
+        before = poly._MEMO.get()
+        del seen[:]
+        call(*args)
+        assert poly._MEMO.get() is before
+        memos = [memo for _, memo in seen]
+        assert memos and memos[0] is not None, call
+        assert all(memo is memos[0] for memo in memos), call
+        return memos[0]
+    # the memo objects are kept, so their ids are not reused
+    memos = [memos_of(route, outer, inner)
+             for inner in (inner1, inner2, inner1) for route in (compose_subst, compose_formula)]
+    assert len({id(memo) for memo in memos}) == len(memos)
+    with poly._gcd_memo():
+        enclosing = poly._MEMO.get()
+        memos += [memos_of(route, outer, inner1) for route in (compose_subst, compose_formula)]
+        assert poly._MEMO.get() is enclosing
+    assert poly._MEMO.get() is None
+    assert len({id(memo) for memo in memos + [enclosing]}) == len(memos) + 1
+    # the body map 1 sends x1 - 1 to 0 (see the next test)
+    dishonest = parse_skeleton_file("source 1|2\ntarget 1|0\nexclude x1 - 1\n"
+                                    "y1 = 1/(x1^2 + 1) + t1*t2/(x1 - 1)\n")
+    vanishing = parse_skeleton_file("source 1|2\ntarget 1|2\ny1 = 1 + t1*t2\nh1 = t1\nh2 = t2\n")
+    for route, error in ((compose_subst, NotInvertibleError), (compose_formula, DomainError)):
+        with pytest.raises(error):
+            route(dishonest, vanishing)
+        assert poly._MEMO.get() is None
+
+    # four threads (more than the two cores of a small host) inside their
+    # compositions at the same time, switching often, each with one memo of
+    # its own: at its first gcd each reads its memo, waits until all have
+    # set theirs, reads it again and waits for the others
+    threads_n = 4
+    barrier = threading.Barrier(threads_n, timeout=30)
+    waited = set()
+
+    def meeting_spy(p, q):
+        ident = threading.get_ident()
+        if ident not in waited:
+            waited.add(ident)
+            for _ in range(2):
+                seen.append((ident, poly._MEMO.get()))
+                barrier.wait()
+        return spy(p, q)
+    monkeypatch.setattr(poly, "_gcd_parts", meeting_spy)
+    del seen[:]
+    inners = [inner1, inner2] * (threads_n // 2)
+    results = [None] * threads_n
+
+    def compose_in_thread(index):
+        results[index] = compose_subst(outer, inners[index])
+    threads = [threading.Thread(target=compose_in_thread, args=(i,)) for i in range(threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    by_thread = {}
+    for ident, memo in seen:
+        by_thread.setdefault(ident, []).append(memo)
+    assert len(by_thread) == threads_n
+    for memos_of_one in by_thread.values():
+        assert memos_of_one[0] is not None
+        assert all(memo is memos_of_one[0] for memo in memos_of_one)
+    assert len({id(memos_of_one[0]) for memos_of_one in by_thread.values()}) == threads_n
+    assert poly._MEMO.get() is None
+    assert results == forward_compositions * (threads_n // 2)
 
 
 def test_denominator_vanishing_identically_after_composing():
